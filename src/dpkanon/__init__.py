@@ -21,10 +21,8 @@ from .dataset import (
 )
 from .dither import (
     CellPartition,
-    DitherSample,
     build_cell_partition,
     merge_cells_1d,
-    sample_gaussian,
     sample_intra_cluster,
     substream,
 )
@@ -44,7 +42,6 @@ from .pipeline import (
 )
 from .reid import ReidReport, match_min_distance, reid_trials
 from .rosenblatt import (
-    UniformVector,
     forward_cell_uniform,
     forward_gaussian,
     inverse_empirical,
@@ -70,7 +67,6 @@ __all__ = [
     "ClusterModel",
     "Column",
     "DataTable",
-    "DitherSample",
     "EmpiricalJoint",
     "RegressionModel",
     "ReidReport",
@@ -78,7 +74,6 @@ __all__ = [
     "Standardizer",
     "TableSchema",
     "TransferSpec",
-    "UniformVector",
     "anonymize",
     "build_cell_partition",
     "build_design",
@@ -101,7 +96,6 @@ __all__ = [
     "reid_trials",
     "relative_bias",
     "resample_within_clusters",
-    "sample_gaussian",
     "sample_intra_cluster",
     "standardize",
     "substream",

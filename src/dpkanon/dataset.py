@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -277,6 +278,37 @@ class EmpiricalJoint:
             raise EmptyConditionError(f"prefix {tuple(prefix)} has zero joint count")
         return key
 
+    @cached_property
+    def flat_trie(self) -> tuple:
+        """The prefix tree as flat per-dimension arrays, for batched walks.
+
+        Level j is a tuple (idx, cumfrac, starts, lengths): the concatenated
+        cond_table arrays of every length-j prefix, in lexicographic prefix
+        order, and each prefix's start and length in them. Prefixes of
+        length j + 1 are numbered by their entry in level j, so the entry a
+        walk lands on is its node at the next level; the root is node 0 of
+        level 0. Built on first use, so joints that are never inverted do
+        not pay for it.
+        """
+        keys = np.array(list(self.counts), dtype=np.intp).reshape(-1, self.d)
+        cnt = np.fromiter(self.counts.values(), dtype=float, count=len(keys))
+        order = np.lexsort(keys.T[::-1])
+        keys, cnt = keys[order], cnt[order]
+        node = np.zeros(len(keys), dtype=np.intp)  # each key's length-j prefix
+        n_nodes = 1
+        levels = []
+        for j in range(self.d):
+            # a key opens a new entry where its length-(j+1) prefix changes
+            new = np.ones(len(keys), dtype=bool)
+            new[1:] = (node[1:] != node[:-1]) | (keys[1:, j] != keys[:-1, j])
+            first = np.flatnonzero(new)
+            cumfrac, starts, lengths = segment_cumfrac(
+                np.add.reduceat(cnt, first), node[first], n_nodes)
+            levels.append((keys[first, j], cumfrac, starts, lengths))
+            node = np.cumsum(new) - 1
+            n_nodes = len(first)
+        return tuple(levels)
+
     def cond_table(self, prefix_idx: tuple):
         """(next indices, cumulative fractions, prefix count) for an index prefix."""
         if prefix_idx not in self._cond:
@@ -332,6 +364,40 @@ def inverse_conditional_cdf(joint: EmpiricalJoint, j: int, prefix, u: float) -> 
     key = joint._prefix_indices(j, prefix)
     i = _inverse_index(joint, j, key, u)
     return float(joint.values[j][i])
+
+
+def segment_cumfrac(counts, segment, n_segments: int) -> tuple:
+    """Cumulative fractions of integer counts within each segment, for rows
+    sorted by segment id, plus each segment's start and length. The running
+    sums are exact integers, so each fraction equals
+    np.cumsum(c) / c.sum() over its own segment and every segment ends at
+    exactly 1."""
+    counts = np.asarray(counts, dtype=float)
+    lengths = np.bincount(segment, minlength=n_segments)
+    total = np.bincount(segment, weights=counts, minlength=n_segments)
+    before = np.cumsum(total) - total
+    cumfrac = (np.cumsum(counts) - before[segment]) / total[segment]
+    return cumfrac, np.cumsum(lengths) - lengths, lengths
+
+
+def searchsorted_segments(a, starts, lengths, v) -> np.ndarray:
+    """Row-wise np.searchsorted(side="left"): the insertion point of v[r] in
+    the sorted segment a[starts[r]:starts[r] + lengths[r]], relative to the
+    segment start. One vectorized binary search over all rows; v must not
+    be NaN.
+    """
+    lo = np.zeros(len(v), dtype=np.intp)
+    hi = np.array(lengths, dtype=np.intp)
+    last = len(a) - 1
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) >> 1
+        x = a[np.minimum(starts + mid, last)]
+        right = x < v
+        lo = np.where(active & right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
 
 
 def _inverse_index(joint: EmpiricalJoint, j: int, prefix_idx: tuple, u: float) -> int:

@@ -1,30 +1,28 @@
 """Continuous dither generation: piecewise-uniform intra-cluster dither over
 rectangular cells, and Gaussian dither from per-cluster moments.
 
-Randomness is organized as per-record substreams derived from a master seed,
-so results do not depend on the order in which records are processed.
+Both samplers draw the dither of many records at once from a single stream,
+in record order. The pipeline derives one stream per (seed, channel, trial)
+from the master seed, so a trial's output depends on the seed and the
+record order only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
-from .dataset import EmpiricalJoint, round_sig
-from .errors import DomainError
+from .dataset import EmpiricalJoint, round_sig, searchsorted_segments, segment_cumfrac
+from .errors import DegenerateError, DomainError, PartitionError
 from .kmember import ClusterModel
+
+# Smallest conditional variance a loaded cluster covariance may have.
+_PD_TOL = 1e-10
 
 
 def substream(seed: int, *key) -> np.random.Generator:
     """Deterministic child stream of the master seed, keyed by integers."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
-@dataclass(frozen=True)
-class DitherSample:
-    xt: np.ndarray
-    record_index: int
-    cluster: int
 
 
 class CellPartition:
@@ -93,18 +91,20 @@ class CellPartition:
             self.hi.append(hi)
 
     def _build_cluster_cells(self):
-        per_cluster: dict[int, dict] = {}
-        for (ell, cell), cnt in self.cluster_cell_counts.items():
-            per_cluster.setdefault(ell, {})[cell] = cnt
-        self.cluster_cells = {}
-        for ell, cells in per_cluster.items():
-            keys = sorted(cells)
-            counts = np.array([cells[k] for k in keys], dtype=float)
-            self.cluster_cells[ell] = (keys, counts / counts.sum())
+        # Cluster ell owns rows starts[ell]:starts[ell] + lengths[ell] of
+        # cell_keys (its cells, sorted), with their cumulative probabilities
+        # n_l(cell)/n_l, ending at exactly 1, in cell_cum.
+        items = sorted(self.cluster_cell_counts.items())
+        ells = np.array([ell for (ell, _), _ in items], dtype=np.intp)
+        self.cell_keys = np.array([cell for (_, cell), _ in items],
+                                  dtype=np.intp).reshape(-1, self.d)
+        self.cell_cum, self.cell_starts, self.cell_lengths = segment_cumfrac(
+            [cnt for _, cnt in items], ells, len(self.cluster_sizes))
 
-    def locate(self, j: int, x: float) -> int:
-        """Index of the cell (b(i), b(i+1)] containing x in dimension j."""
-        return int(np.searchsorted(self.boundaries[j][1:-1], x, side="left"))
+    def locate(self, j: int, x):
+        """Index of the cell (b(i), b(i+1)] containing x in dimension j;
+        elementwise for an array x."""
+        return np.searchsorted(self.boundaries[j][1:-1], x, side="left")
 
 
 def build_cell_partition(joint: EmpiricalJoint, model: ClusterModel) -> CellPartition:
@@ -116,21 +116,28 @@ def build_cell_partition(joint: EmpiricalJoint, model: ClusterModel) -> CellPart
         mids = (v[:-1] + v[1:]) / 2.0
         boundaries.append(np.concatenate(([-np.inf], mids, [np.inf])))
 
-    cluster_cell_counts: dict = {}
-    for ell, rows in enumerate(model.values):
-        rounded = round_sig(rows)
-        idx = np.column_stack(
-            [np.searchsorted(joint.values[j], rounded[:, j]) for j in range(joint.d)]
-        )
-        for t in map(tuple, idx.tolist()):
-            cluster_cell_counts[(ell, t)] = cluster_cell_counts.get((ell, t), 0) + 1
+    rows = round_sig(np.concatenate(model.values))
+    ells = np.repeat(np.arange(model.c), model.sizes)
+    idx = np.empty(rows.shape, dtype=int)
+    for j, v in enumerate(joint.values):
+        idx[:, j] = np.minimum(np.searchsorted(v, rows[:, j]), len(v) - 1)
+        off = np.flatnonzero(v[idx[:, j]] != rows[:, j])
+        if len(off):
+            raise PartitionError(
+                f"cluster {ells[off[0]]}, dimension {j}: value {rows[off[0], j]!r} "
+                "is not an observed value of the joint; model and joint "
+                "were built from different data")
+    cells = list(map(tuple, idx.tolist()))
+    cluster_cell_counts = Counter(zip(ells.tolist(), cells))
 
-    totals: dict = {}
-    for (_, cell), cnt in cluster_cell_counts.items():
-        totals[cell] = totals.get(cell, 0) + cnt
-    if totals != dict(joint.counts):
-        raise ValueError("cluster cell counts do not reconcile with joint counts; "
-                         "model and joint were built from different data")
+    totals = dict(Counter(cells))
+    if totals != joint.counts:
+        cell = next(t for t in sorted(set(totals) | set(joint.counts))
+                    if totals.get(t, 0) != joint.counts.get(t, 0))
+        raise PartitionError(
+            f"cell {cell} holds {totals.get(cell, 0)} records across clusters "
+            f"but {joint.counts.get(cell, 0)} in the joint; model and joint "
+            "were built from different data")
 
     return CellPartition(
         joint.values,
@@ -141,19 +148,27 @@ def build_cell_partition(joint: EmpiricalJoint, model: ClusterModel) -> CellPart
     )
 
 
-def sample_intra_cluster(record: int, model: ClusterModel,
-                         partition: CellPartition,
-                         rng: np.random.Generator) -> DitherSample:
-    """Pick a cell with probability n_l(cell)/n_l, then draw coordinates
-    independently uniform on each (possibly truncated) interval."""
-    ell = int(model.assignment[record])
-    cells, probs = partition.cluster_cells[ell]
-    ci = int(rng.choice(len(cells), p=probs))
-    cell = cells[ci]
-    xt = np.empty(partition.d)
-    for j, i in enumerate(cell):
-        xt[j] = rng.uniform(partition.lo[j][i], partition.hi[j][i])
-    return DitherSample(xt, record, ell)
+def sample_intra_cluster(model: ClusterModel, partition: CellPartition, records,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Piecewise-uniform dither for many records with a single stream.
+
+    For each record, in the given order, pick a cell with probability
+    n_l(cell)/n_l for its cluster l; then draw every coordinate uniform on
+    the cell's (possibly truncated) interval. Returns an (N, d) array.
+    """
+    records = np.asarray(records, dtype=int)
+    ells = model.assignment[records]
+    starts = partition.cell_starts[ells]
+    lengths = partition.cell_lengths[ells]
+    # 1 - random() lies in (0, 1], so the first cumulative probability at or
+    # above it picks cell i with probability p_i.
+    v = 1.0 - rng.random(len(records))
+    pos = np.minimum(searchsorted_segments(partition.cell_cum, starts, lengths, v),
+                     lengths - 1)
+    cells = partition.cell_keys[starts + pos]
+    lo = np.column_stack([partition.lo[j][cells[:, j]] for j in range(partition.d)])
+    hi = np.column_stack([partition.hi[j][cells[:, j]] for j in range(partition.d)])
+    return rng.uniform(lo, hi)
 
 
 def merge_cells_1d(partition: CellPartition, model: ClusterModel) -> CellPartition:
@@ -202,26 +217,35 @@ def merge_cells_1d(partition: CellPartition, model: ClusterModel) -> CellPartiti
 
 
 def _loaded_cholesky(model: ClusterModel, alpha: float) -> np.ndarray:
-    if alpha <= 0:
+    """Cholesky factors L_l of Sigma_l + alpha I for all clusters at once,
+    column by column. The squared diagonal entry L_l[j, j] is the
+    conditional variance of dimension j given the dimensions before it,
+    which must exceed _PD_TOL."""
+    if not alpha > 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     d = model.centroids.shape[1]
     lam = model.covariances + alpha * np.eye(d)
-    return np.linalg.cholesky(lam)
-
-
-def sample_gaussian(record: int, model: ClusterModel, alpha: float,
-                    rng: np.random.Generator) -> DitherSample:
-    """Draw from N(centroid_l, Sigma_l + alpha I) for the record's cluster."""
-    ell = int(model.assignment[record])
-    L = _loaded_cholesky(model, alpha)[ell]
-    z = rng.standard_normal(model.centroids.shape[1])
-    xt = model.centroids[ell] + L @ z
-    return DitherSample(xt, record, ell)
+    L = np.zeros_like(lam)
+    for j in range(d):
+        s2 = lam[:, j, j] - np.einsum("ck,ck->c", L[:, j, :j], L[:, j, :j])
+        bad = np.flatnonzero(~(s2 > _PD_TOL))
+        if len(bad):
+            ell = int(bad[0])
+            raise DegenerateError(
+                f"conditional variance {s2[ell]:.3g} not positive in cluster "
+                f"{ell}, dimension {j}; the loaded covariance is singular, "
+                "so alpha must be larger")
+        L[:, j, j] = np.sqrt(s2)
+        L[:, j + 1:, j] = (
+            lam[:, j + 1:, j] - np.einsum("cik,ck->ci", L[:, j + 1:, :j], L[:, j, :j])
+        ) / L[:, j, j, None]
+    return L
 
 
 def sample_gaussian_batch(model: ClusterModel, alpha: float, records,
                           rng: np.random.Generator) -> np.ndarray:
-    """Vectorized Gaussian dither for many records with a single stream.
+    """Gaussian dither N(centroid_l, Sigma_l + alpha I) for many records with
+    a single stream.
 
     Draw order is fixed by the given record order, so the result is
     deterministic for a given generator state.

@@ -24,7 +24,7 @@ from .dataset import (
 from .dither import (
     CellPartition,
     build_cell_partition,
-    sample_gaussian,
+    sample_gaussian_batch,
     sample_intra_cluster,
     substream,
 )
@@ -108,24 +108,20 @@ def empirical_pmf_exact(joint: EmpiricalJoint) -> dict:
     return {t: Fraction(c, joint.total) for t, c in joint.counts.items()}
 
 
-def _indices_to_original(state: PipelineState, idx_rows) -> np.ndarray:
-    out = np.empty((len(idx_rows), len(state.orig_values)))
-    for r, idx in enumerate(idx_rows):
-        for j, i in enumerate(idx):
-            out[r, j] = state.orig_values[j][i]
-    return out
+def _indices_to_original(state: PipelineState, idx: np.ndarray) -> np.ndarray:
+    return np.column_stack([v[idx[:, j]] for j, v in enumerate(state.orig_values)])
 
 
 def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
               trial: int = 0) -> AnonymizedTable:
     """Apply one anonymization method on a prepared state.
 
-    `trial` keys the dither substreams so repeated trials on a fixed
-    clustering draw fresh randomness deterministically.
+    `trial` keys the method's random stream, so repeated trials on a fixed
+    clustering draw fresh randomness deterministically. Each call draws from
+    one stream per (seed, channel, trial), in record order.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-    n = state.table.n
     seed = state.seed
 
     if method == "centroid":
@@ -136,22 +132,17 @@ def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
         src = resample_within_clusters(state.model, rng,
                                        with_replacement=(method == "resample"))
         qi_hat = state.table.qi[src].copy()
-    elif method == "cell_dither":
-        idx_rows = []
-        for r in range(n):
-            rng = substream(seed, _CH_DITHER, trial, r)
-            xt = sample_intra_cluster(r, state.model, state.partition, rng)
-            u = forward_cell_uniform(xt, state.model, state.partition, state.joint)
-            idx_rows.append(inverse_empirical_indices(u, state.joint))
-        qi_hat = _indices_to_original(state, idx_rows)
-    else:  # gaussian
-        xt = np.empty((n, state.table.d))
-        for r in range(n):
-            rng = substream(seed, _CH_DITHER, trial, r)
-            xt[r] = sample_gaussian(r, state.model, alpha, rng).xt
-        u = forward_gaussian(xt, state.model, alpha)
-        idx_rows = [inverse_empirical_indices(u[r], state.joint) for r in range(n)]
-        qi_hat = _indices_to_original(state, idx_rows)
+    else:
+        # dither, forward Rosenblatt transform, inverse empirical CDF
+        rng = substream(seed, _CH_DITHER, trial)
+        records = np.arange(state.table.n)
+        if method == "cell_dither":
+            xt = sample_intra_cluster(state.model, state.partition, records, rng)
+            u = forward_cell_uniform(xt, state.partition, state.joint)
+        else:  # gaussian
+            xt = sample_gaussian_batch(state.model, alpha, records, rng)
+            u = forward_gaussian(xt, state.model, alpha)
+        qi_hat = _indices_to_original(state, inverse_empirical_indices(u, state.joint))
 
     return AnonymizedTable(
         qi_hat=qi_hat,

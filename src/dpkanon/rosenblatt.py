@@ -4,177 +4,174 @@ onto the empirical distribution through the conditional inverse-CDF chain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
-from .dataset import EmpiricalJoint, _inverse_index
-from .dither import CellPartition, DitherSample
-from .errors import DomainError, PartitionError
+from .dataset import _U_TOL, EmpiricalJoint, searchsorted_segments
+from .dither import CellPartition, _loaded_cholesky
+from .errors import DomainError, PartitionError, ShapeError
 from .kmember import ClusterModel
 
-_PD_TOL = 1e-10
-_LOG_2PI = float(np.log(2.0 * np.pi))
+# Records per block of the Gaussian forward map; bounds its (block, c, d)
+# temporaries whatever n is.
+_BLOCK = 128
 
 
-@dataclass(frozen=True)
-class UniformVector:
-    u: np.ndarray
-    record_index: int
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "u", u)
-        if np.any(u <= 0) or np.any(u > 1):
-            raise DomainError("uniform coordinates must lie in (0, 1]")
+def _first(mask) -> tuple:
+    """(row, dimension) of the first True entry of a 2-d mask."""
+    r, j = np.argwhere(mask)[0]
+    return int(r), int(j)
 
 
-def _within_cell_frac(x: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 1.0
-    frac = (x - lo) / (hi - lo)
-    return float(min(max(frac, 1e-15), 1.0))
+def _samples(xt, d: int) -> np.ndarray:
+    x = np.asarray(xt, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(f"expected an (N, {d}) array, got shape {x.shape}")
+    return x
 
 
-def forward_cell_uniform(xt: DitherSample, model: ClusterModel,
-                         partition: CellPartition,
-                         joint: EmpiricalJoint) -> UniformVector:
+def _within_cell_frac(x, lo, hi):
+    """Position of x within [lo, hi] as a fraction in [1e-15, 1]; 1 for an
+    empty interval."""
+    width = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((x - lo) / width, 1e-15, 1.0)
+    return np.where(width > 0, frac, 1.0)
+
+
+def forward_cell_uniform(xt, partition: CellPartition,
+                         joint: EmpiricalJoint) -> np.ndarray:
     """Conditional mixture CDF of the piecewise-uniform dither, evaluated in
     closed form: the conditional cell mass equals the empirical conditional
-    PMF, plus a linear within-interval term."""
-    x = np.asarray(xt.xt, dtype=float)
-    u = np.empty(partition.d)
+    PMF, plus a linear within-interval term.
+
+    Maps an (N, d) array of dither samples to an (N, d) array of uniforms.
+    """
+    x = _samples(xt, partition.d)
+    u = np.empty(x.shape)
 
     if partition.merged:
         # 1-d merged partition: cell masses n(cell)/n, uniform within cell.
-        m = partition.locate(0, x[0])
         counts = np.array(
             [partition.cell_counts[(i,)] for i in range(partition.n_cells(0))],
             dtype=float,
         )
-        total = counts.sum()
-        before = counts[:m].sum()
-        frac = _within_cell_frac(x[0], partition.lo[0][m], partition.hi[0][m])
-        u[0] = (before + counts[m] * frac) / total
-        return UniformVector(u, xt.record_index)
+        before = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
+        m = partition.locate(0, x[:, 0])
+        frac = _within_cell_frac(x[:, 0], partition.lo[0][m], partition.hi[0][m])
+        u[:, 0] = (before[m] + counts[m] * frac) / counts.sum()
+        return u
 
-    prefix: tuple = ()
-    for j in range(partition.d):
-        i = partition.locate(j, x[j])
-        idx, cumfrac, _ = joint.cond_table(prefix)
-        pos = int(np.searchsorted(idx, i))
-        if pos >= len(idx) or idx[pos] != i:
+    cells = np.column_stack([partition.locate(j, x[:, j]) for j in range(partition.d)])
+    node = np.zeros(len(x), dtype=np.intp)
+    for j, (idx, cumfrac, starts, lengths) in enumerate(joint.flat_trie):
+        i = cells[:, j]
+        s, n_next = starts[node], lengths[node]
+        pos = searchsorted_segments(idx, s, n_next, i)
+        e = s + np.minimum(pos, n_next - 1)
+        missing = (pos >= n_next) | (idx[e] != i)
+        if missing.any():
+            r = int(np.argmax(missing))
             raise PartitionError(
-                f"dither sample falls in cell {i} of dimension {j}, which has "
-                f"zero probability under prefix {prefix}"
+                f"row {r}: dither sample falls in cell {i[r]} of dimension {j}, "
+                f"which has zero probability under prefix {tuple(cells[r, :j].tolist())}"
             )
-        f_prev = float(cumfrac[pos - 1]) if pos > 0 else 0.0
-        p_i = float(cumfrac[pos]) - f_prev
-        frac = _within_cell_frac(x[j], partition.lo[j][i], partition.hi[j][i])
-        u[j] = min(f_prev + p_i * frac, 1.0)
-        prefix = prefix + (i,)
-    return UniformVector(u, xt.record_index)
-
-
-def _conditional_coeffs(model: ClusterModel, alpha: float):
-    """Per-cluster Gaussian conditioning coefficients for each dimension.
-
-    Returns (coefs, sig) where coefs[ell][j] solves the leading principal
-    submatrix system and sig[ell, j] is the conditional standard deviation.
-    """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    c = model.c
-    d = model.centroids.shape[1]
-    lam = model.covariances + alpha * np.eye(d)
-    coefs = []
-    sig = np.empty((c, d))
-    for ell in range(c):
-        per_j = []
-        for j in range(d):
-            if j == 0:
-                b = np.empty(0)
-                s2 = lam[ell, 0, 0]
-            else:
-                head = lam[ell, :j, :j]
-                b = np.linalg.solve(head, lam[ell, :j, j])
-                s2 = lam[ell, j, j] - lam[ell, j, :j] @ b
-            if s2 <= _PD_TOL:
-                raise RuntimeError(
-                    f"conditional variance {s2} not positive in cluster {ell}, "
-                    f"dimension {j}; covariance loading failed"
-                )
-            per_j.append(b)
-            sig[ell, j] = np.sqrt(s2)
-        coefs.append(per_j)
-    return coefs, sig
+        f_prev = np.where(pos > 0, cumfrac[e - 1], 0.0)
+        p_i = cumfrac[e] - f_prev
+        frac = _within_cell_frac(x[:, j], partition.lo[j][i], partition.hi[j][i])
+        u[:, j] = np.minimum(f_prev + p_i * frac, 1.0)
+        node = e
+    return u
 
 
 def conditional_moments(model: ClusterModel, alpha: float, ell: int, j: int,
                         x_prefix) -> tuple[float, float]:
     """Conditional mean and variance of dimension j given the first j
     coordinates of the cluster-ell Gaussian dither."""
-    coefs, sig = _conditional_coeffs(model, alpha)
-    x_prefix = np.asarray(x_prefix, dtype=float)
-    mu = model.centroids[ell, j] + coefs[ell][j] @ (x_prefix - model.centroids[ell, :j])
-    return float(mu), float(sig[ell, j] ** 2)
+    L = _loaded_cholesky(model, alpha)[ell]
+    c = model.centroids[ell]
+    z = np.linalg.solve(L[:j, :j], np.asarray(x_prefix, dtype=float) - c[:j])
+    return float(c[j] + L[j, :j] @ z), float(L[j, j] ** 2)
 
 
 def forward_gaussian(xt, model: ClusterModel, alpha: float):
     """Mixture-CDF forward transform for Gaussian dither.
 
     u_j averages the per-cluster conditional Gaussian CDFs under cluster
-    posteriors updated by Bayes' rule; posteriors are carried in log space so
-    far-from-centroid points do not underflow.
+    posteriors updated by Bayes' rule. Per cluster, the standardized
+    conditional residuals of x are z = L^-1 (x - centroid), with L the
+    Cholesky factor of the loaded covariance, solved one dimension at a
+    time. Posteriors are carried in log space and normalized after a max
+    shift, so far-from-centroid points do not underflow. Records are
+    processed in blocks of _BLOCK, over all clusters at once.
 
-    Accepts a DitherSample (returns UniformVector) or an (N, d) array of
-    samples (returns an (N, d) array).
+    Maps an (N, d) array of dither samples to an (N, d) array of uniforms.
     """
-    single = isinstance(xt, DitherSample)
-    X = np.atleast_2d(np.asarray(xt.xt if single else xt, dtype=float))
-    if not np.all(np.isfinite(X)):
-        raise DomainError("non-finite dither coordinates")
-    n, d = X.shape
-    coefs, sig = _conditional_coeffs(model, alpha)
-    c = model.c
+    d = model.centroids.shape[1]
+    X = _samples(xt, d)
+    bad = ~np.isfinite(X)
+    if bad.any():
+        r, j = _first(bad)
+        raise DomainError(f"non-finite dither coordinate at row {r}, dimension {j}")
+    L = _loaded_cholesky(model, alpha)
+    diag = np.diagonal(L, axis1=1, axis2=2)  # (c, d) conditional sds
+    log_diag = np.log(diag)
+    centroids = model.centroids
     sizes = model.sizes.astype(float)
-    logpost = np.tile(np.log(sizes / sizes.sum()), (n, 1))  # (n, c)
+    prior = sizes / sizes.sum()
 
-    u = np.empty((n, d))
-    for j in range(d):
-        mu = np.empty((n, c))
-        for ell in range(c):
-            mu[:, ell] = model.centroids[ell, j]
-            if j > 0:
-                mu[:, ell] += (X[:, :j] - model.centroids[ell, :j]) @ coefs[ell][j]
-        z = (X[:, j, None] - mu) / sig[None, :, j]
-        post = np.exp(logpost - logsumexp(logpost, axis=1, keepdims=True))
-        u[:, j] = np.einsum("nc,nc->n", post, ndtr(z))
-        logpdf = -0.5 * z * z - np.log(sig[None, :, j]) - 0.5 * _LOG_2PI
-        logpost = logpost + logpdf
+    u = np.empty(X.shape)
+    for b in range(0, len(X), _BLOCK):
+        xb = X[b:b + _BLOCK]
+        z = []  # (block, c) standardized residuals of the dimensions so far
+        logpost = np.log(prior)
+        for j in range(d):
+            resid = xb[:, None, j] - centroids[:, j]
+            for k, zk in enumerate(z):
+                resid -= zk * L[:, j, k]
+            zj = resid / diag[:, j]
+            z.append(zj)
+            if j == 0:
+                u[b:b + _BLOCK, 0] = ndtr(zj) @ prior
+            else:
+                w = np.exp(logpost - logpost.max(axis=1, keepdims=True))
+                u[b:b + _BLOCK, j] = (
+                    np.einsum("nc,nc->n", w, ndtr(zj)) / w.sum(axis=1)
+                )
+            if j + 1 < d:
+                logpost = logpost - 0.5 * zj * zj - log_diag[:, j]
 
     np.clip(u, np.finfo(float).tiny, 1.0, out=u)
-    if single:
-        return UniformVector(u[0], xt.record_index)
     return u
 
 
-def inverse_empirical_indices(u, joint: EmpiricalJoint) -> tuple:
-    """Sequential inverse conditional CDFs; returns per-dimension value
-    indices into joint.values."""
-    u = np.asarray(u.u if isinstance(u, UniformVector) else u, dtype=float)
-    if np.any(u > 1) or np.any(u < 0):
-        raise DomainError("uniform coordinates must lie in [0, 1]")
+def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
+    """Sequential inverse conditional CDFs for an (N, d) array of uniforms;
+    returns the (N, d) value indices into joint.values.
+
+    Each step is _inverse_index's lookup: the first cumulative fraction of
+    the row's prefix that reaches u - _U_TOL, clamped to the last entry.
+    """
+    u = _samples(u, joint.d)
+    bad = ~((u >= 0) & (u <= 1))
+    if bad.any():
+        r, j = _first(bad)
+        raise DomainError(
+            f"uniform coordinate {u[r, j]!r} at row {r}, dimension {j} "
+            "must lie in [0, 1]"
+        )
     u = np.maximum(u, np.finfo(float).tiny)  # clamp exact zeros
-    prefix: tuple = ()
-    for j in range(joint.d):
-        i = _inverse_index(joint, j, prefix, float(u[j]))
-        prefix = prefix + (i,)
-    return prefix
+    out = np.empty(u.shape, dtype=np.intp)
+    node = np.zeros(len(u), dtype=np.intp)
+    for j, (idx, cumfrac, starts, lengths) in enumerate(joint.flat_trie):
+        s, n_next = starts[node], lengths[node]
+        pos = searchsorted_segments(cumfrac, s, n_next, u[:, j] - _U_TOL)
+        node = s + np.minimum(pos, n_next - 1)
+        out[:, j] = idx[node]
+    return out
 
 
 def inverse_empirical(u, joint: EmpiricalJoint) -> np.ndarray:
-    """Map uniform coordinates onto observed per-dimension values."""
+    """Map an (N, d) array of uniforms onto observed per-dimension values."""
     idx = inverse_empirical_indices(u, joint)
-    return np.array([joint.values[j][i] for j, i in enumerate(idx)])
+    return np.column_stack([joint.values[j][idx[:, j]] for j in range(joint.d)])

@@ -82,13 +82,11 @@ def test_01_cell_dither_round_trip_exact():
         joint = build_empirical_joint(std.qi)
         model = greedy_k_member(std, k=k, seed=int(rng.integers(100)))
         part = build_cell_partition(joint, model)
-        for r in range(t.n):
-            s = sample_intra_cluster(r, model, part, substream(inst, r))
-            u = forward_cell_uniform(s, model, part, joint)
-            idx = inverse_empirical_indices(u, joint)
-            want = tuple(part.locate(j, s.xt[j]) for j in range(d))
-            total += 1
-            exact += idx == want
+        xt = sample_intra_cluster(model, part, np.arange(t.n), substream(inst))
+        idx = inverse_empirical_indices(forward_cell_uniform(xt, part, joint), joint)
+        want = np.column_stack([part.locate(j, xt[:, j]) for j in range(d)])
+        total += t.n
+        exact += int(np.all(idx == want, axis=1).sum())
     elapsed = time.time() - start
     _report(1, "cell-dither round trip exact on every draw",
             exact == total and elapsed < 10.0,
@@ -149,10 +147,9 @@ def test_04_gaussian_end_to_end_total_variation():
     recs = rng.integers(0, t.n, size=N)
     u = forward_gaussian(sample_gaussian_batch(model, 1 / 3, recs, rng),
                          model, 1 / 3)
-    counts: dict = {}
-    for r in range(N):
-        idx = inverse_empirical_indices(u[r], joint)
-        counts[idx] = counts.get(idx, 0) + 1
+    cells, hits = np.unique(inverse_empirical_indices(u, joint), axis=0,
+                            return_counts=True)
+    counts = dict(zip(map(tuple, cells.tolist()), hits.tolist()))
     emp = {key: c / joint.total for key, c in joint.counts.items()}
     tv = 0.5 * sum(abs(counts.get(key, 0) / N - emp.get(key, 0.0))
                    for key in set(counts) | set(emp))

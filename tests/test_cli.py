@@ -101,6 +101,22 @@ class TestAnonymizeCommand:
         ])
         assert rc == 1
 
+    def test_singular_gaussian_loading_data_error(self, tmp_path, capsys):
+        p = tmp_path / "const.csv"
+        with open(p, "w", newline="") as fh:
+            fh.write("x0,x1,cost\n")
+            for i in range(12):
+                fh.write(f"{i % 4},7,{i}\n")
+        rc = main([
+            "anonymize", "--input", str(p), "--output", str(tmp_path / "o.csv"),
+            "--qi-cols", "x0,x1", "--response-col", "cost",
+            "--k", "3", "--method", "gaussian", "--alpha", "1e-12",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "cluster" in err[0] and "dimension 1" in err[0]
+
 
 class TestExperimentCommand:
     def run(self, tmp_path, name, extra=()):

@@ -5,12 +5,11 @@ from dpkanon.dataset import build_empirical_joint, standardize
 from dpkanon.dither import (
     build_cell_partition,
     merge_cells_1d,
-    sample_gaussian,
     sample_gaussian_batch,
     sample_intra_cluster,
     substream,
 )
-from dpkanon.errors import DomainError
+from dpkanon.errors import DegenerateError, DomainError, PartitionError
 from dpkanon.kmember import greedy_k_member
 from dpkanon.synth import synthetic_table
 
@@ -55,7 +54,13 @@ class TestBuildCellPartition:
         t2 = synthetic_table(40, [3, 3], seed=4)
         joint = build_empirical_joint(t1.qi)
         model = greedy_k_member(t2, k=5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(PartitionError, match="different data"):
+            build_cell_partition(joint, model)
+
+    def test_unobserved_value_names_cluster_and_dimension(self):
+        joint = build_empirical_joint(make_table([[0.0, 0.0], [1.0, 1.0]]).qi)
+        model = greedy_k_member(make_table([[0.0, 0.0], [1.0, 2.0]]), k=2, seed=0)
+        with pytest.raises(PartitionError, match="cluster 0, dimension 1"):
             build_cell_partition(joint, model)
 
 
@@ -66,10 +71,8 @@ class TestSampleIntraCluster:
         part = build_cell_partition(joint, model)
         rng = np.random.default_rng(0)
         n_draws = 30_000
-        hits = sum(
-            sample_intra_cluster(0, model, part, rng).xt[0] < 0.5
-            for _ in range(n_draws)
-        )
+        xt = sample_intra_cluster(model, part, np.zeros(n_draws, dtype=int), rng)
+        hits = int((xt[:, 0] < 0.5).sum())
         p = 2 / 3
         band = 3 * np.sqrt(p * (1 - p) / n_draws)
         assert abs(hits / n_draws - p) < band
@@ -78,9 +81,8 @@ class TestSampleIntraCluster:
         t, joint, model = small_state([[5.0], [5.0]], k=2)
         part = build_cell_partition(joint, model)
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            s = sample_intra_cluster(0, model, part, rng)
-            assert part.locate(0, s.xt[0]) == 0
+        xt = sample_intra_cluster(model, part, np.zeros(20, dtype=int), rng)
+        assert np.all(part.locate(0, xt[:, 0]) == 0)
 
     def test_support_within_cluster_values(self):
         t = synthetic_table(60, [4, 3], dep=0.2, seed=5)
@@ -88,11 +90,11 @@ class TestSampleIntraCluster:
         joint = build_empirical_joint(std.qi)
         model = greedy_k_member(std, k=4, seed=2)
         part = build_cell_partition(joint, model)
+        xt = sample_intra_cluster(model, part, np.arange(t.n), substream(9))
         for r in range(t.n):
-            rng = substream(9, r)
-            s = sample_intra_cluster(r, model, part, rng)
-            cell = tuple(part.locate(j, s.xt[j]) for j in range(2))
-            assert part.cluster_cell_counts.get((s.cluster, cell), 0) > 0
+            cell = tuple(int(part.locate(j, xt[r, j])) for j in range(2))
+            ell = int(model.assignment[r])
+            assert part.cluster_cell_counts.get((ell, cell), 0) > 0
 
     def test_mixture_marginal_matches_empirical(self):
         # aggregating one draw per record, P(cell) approaches n(cell)/n
@@ -103,10 +105,9 @@ class TestSampleIntraCluster:
         reps = 400
         counts = {}
         for rep in range(reps):
+            xt = sample_intra_cluster(model, part, np.arange(t.n), substream(rep))
             for r in range(t.n):
-                rng = substream(rep, r)
-                s = sample_intra_cluster(r, model, part, rng)
-                cell = tuple(part.locate(j, s.xt[j]) for j in range(2))
+                cell = tuple(int(part.locate(j, xt[r, j])) for j in range(2))
                 counts[cell] = counts.get(cell, 0) + 1
         total = reps * t.n
         for cell, cnt in joint.counts.items():
@@ -140,8 +141,7 @@ class TestMergeCells1d:
         part = build_cell_partition(joint, model)
         merged = merge_cells_1d(part, model)
         assert merged.n_cells(0) == 1
-        cells, probs = merged.cluster_cells[0]
-        assert probs.tolist() == [1.0]
+        assert merged.cell_cum.tolist() == [1.0]
 
     def test_dimension_error(self):
         t = synthetic_table(20, [3, 3], seed=1)
@@ -195,7 +195,15 @@ class TestSampleGaussian:
     def test_alpha_domain(self, model):
         rng = np.random.default_rng(5)
         with pytest.raises(DomainError):
-            sample_gaussian(0, model, 0.0, rng)
+            sample_gaussian_batch(model, 0.0, [0], rng)
+
+    def test_singular_loading_names_cluster_and_dimension(self):
+        # the second coordinate is constant, so alpha alone carries its
+        # conditional variance
+        t = make_table([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
+        model = greedy_k_member(t, k=4, seed=0)
+        with pytest.raises(DegenerateError, match="cluster 0, dimension 1"):
+            sample_gaussian_batch(model, 1e-12, [0], np.random.default_rng(6))
 
     def test_loaded_covariance_eigenvalues(self, model):
         alpha = 1 / 3

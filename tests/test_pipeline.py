@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from dpkanon.dataset import TableSchema, load_table
+from dpkanon.dither import sample_intra_cluster, substream
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import (
+    _CH_DITHER,
     METHODS,
     anonymize,
     empirical_pmf_exact,
@@ -73,6 +75,15 @@ class TestTransform:
         c = transform(state, "cell_dither", trial=5)
         assert np.array_equal(a.qi_hat, b.qi_hat)
         assert not np.array_equal(a.qi_hat, c.qi_hat)
+
+    def test_cell_dither_releases_the_cell_of_its_own_sample(self, table, state):
+        # replay the transform's dither stream: each released tuple is the
+        # observed value tuple of the cell its own dither sample fell in
+        xt = sample_intra_cluster(state.model, state.partition, np.arange(table.n),
+                                  substream(state.seed, _CH_DITHER, 2))
+        want = np.column_stack([state.orig_values[j][state.partition.locate(j, xt[:, j])]
+                                for j in range(table.d)])
+        assert np.array_equal(transform(state, "cell_dither", trial=2).qi_hat, want)
 
     def test_unknown_method(self, state):
         with pytest.raises(DomainError):

@@ -4,7 +4,6 @@ from scipy import stats
 
 from dpkanon.dataset import build_empirical_joint, standardize
 from dpkanon.dither import (
-    DitherSample,
     build_cell_partition,
     merge_cells_1d,
     sample_gaussian_batch,
@@ -14,7 +13,6 @@ from dpkanon.dither import (
 from dpkanon.errors import DomainError, PartitionError
 from dpkanon.kmember import greedy_k_member
 from dpkanon.rosenblatt import (
-    UniformVector,
     conditional_moments,
     forward_cell_uniform,
     forward_gaussian,
@@ -33,45 +31,33 @@ def fitted(t, k, seed=0):
     return joint, model, part
 
 
-class TestUniformVector:
-    def test_bounds_enforced(self):
-        with pytest.raises(DomainError):
-            UniformVector(np.array([0.0, 0.5]), 0)
-        with pytest.raises(DomainError):
-            UniformVector(np.array([0.5, 1.0 + 1e-9]), 0)
-        UniformVector(np.array([1e-12, 1.0]), 0)
-
-
 class TestForwardCellUniform:
     def test_cell_mass_bracketing(self):
         # one cluster over values {0 (x2), 1}: u lands inside the cell's
         # cumulative probability bracket
         t = make_table([[0.0], [0.0], [1.0]])
         joint, model, part = fitted(t, k=3)
-        for x, lo, hi in [(-0.2, 0.0, 2 / 3), (0.3, 0.0, 2 / 3), (0.9, 2 / 3, 1.0)]:
-            u = forward_cell_uniform(DitherSample(np.array([x]), 0, 0),
-                                     model, part, joint)
-            assert lo < u.u[0] <= hi + 1e-12
+        x = np.array([[-0.2], [0.3], [0.9]])
+        u = forward_cell_uniform(x, part, joint)
+        for (lo, hi), ur in zip([(0.0, 2 / 3), (0.0, 2 / 3), (2 / 3, 1.0)], u[:, 0]):
+            assert lo < ur <= hi + 1e-12
 
     def test_round_trip_exact(self):
         t = synthetic_table(60, [4, 3], dep=0.3, seed=11)
         std, _ = standardize(t)
         joint, model, part = fitted(std, k=5, seed=1)
-        for r in range(t.n):
-            rng = substream(13, r)
-            s = sample_intra_cluster(r, model, part, rng)
-            u = forward_cell_uniform(s, model, part, joint)
-            idx = inverse_empirical_indices(u, joint)
-            want = tuple(part.locate(j, s.xt[j]) for j in range(2))
-            assert idx == want
+        xt = sample_intra_cluster(model, part, np.arange(t.n), substream(13))
+        idx = inverse_empirical_indices(forward_cell_uniform(xt, part, joint), joint)
+        want = np.column_stack([part.locate(j, xt[:, j]) for j in range(2)])
+        assert np.array_equal(idx, want)
 
     def test_zero_probability_cell_rejected(self):
         # combination (value 0 in dim 0, value 1 in dim 1) never observed
         t = make_table([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         joint, model, part = fitted(t, k=2)
-        with pytest.raises(PartitionError):
-            forward_cell_uniform(DitherSample(np.array([-0.1, 1.05]), 0, 0),
-                                 model, part, joint)
+        x = np.array([[1.0, 1.0], [-0.1, 1.05]])
+        with pytest.raises(PartitionError, match="row 1: .* dimension 1"):
+            forward_cell_uniform(x, part, joint)
 
     def test_merged_round_trip(self):
         # clusters own contiguous value runs, so 1-d cells merge; the
@@ -81,14 +67,14 @@ class TestForwardCellUniform:
         merged = merge_cells_1d(part, model)
         assert merged.merged
         rng = np.random.default_rng(3)
+        xt = sample_intra_cluster(model, merged, np.arange(t.n), rng)
+        u = forward_cell_uniform(xt, merged, joint)
+        counts = [merged.cell_counts[(i,)] for i in range(merged.n_cells(0))]
+        total = sum(counts)
         for r in range(t.n):
-            s = sample_intra_cluster(r, model, merged, rng)
-            u = forward_cell_uniform(s, model, merged, joint)
-            m = merged.locate(0, s.xt[0])
-            counts = [merged.cell_counts[(i,)] for i in range(merged.n_cells(0))]
-            total = sum(counts)
+            m = merged.locate(0, xt[r, 0])
             lo = sum(counts[:m]) / total
-            assert lo < u.u[0] <= lo + counts[m] / total + 1e-12
+            assert lo < u[r, 0] <= lo + counts[m] / total + 1e-12
 
 
 class TestConditionalMoments:
@@ -147,32 +133,26 @@ class TestForwardGaussian:
         for j in range(2):
             assert stats.kstest(u[:, j], "uniform").pvalue > 0.01
 
-    def test_dithersample_wrapper(self):
-        t = make_table([[0.0, 0.0], [1.0, 1.0]])
-        model = greedy_k_member(t, k=2, seed=0)
-        s = DitherSample(np.array([0.4, 0.6]), 1, 0)
-        out = forward_gaussian(s, model, 1.0)
-        assert isinstance(out, UniformVector)
-        assert out.record_index == 1
-
     def test_nonfinite_rejected(self):
         t = make_table([[0.0, 0.0], [1.0, 1.0]])
         model = greedy_k_member(t, k=2, seed=0)
-        with pytest.raises(DomainError):
-            forward_gaussian(np.array([[np.nan, 0.0]]), model, 1.0)
+        with pytest.raises(DomainError, match="row 1, dimension 0"):
+            forward_gaussian(np.array([[0.0, 0.0], [np.nan, 0.0]]), model, 1.0)
 
 
 class TestInverseEmpirical:
     def test_values_from_indices(self, table_3rows):
         joint = build_empirical_joint(table_3rows.qi)
-        assert inverse_empirical(np.array([0.5, 0.9]), joint).tolist() == [1.0, 2.0]
-        assert inverse_empirical_indices(np.array([0.9, 0.5]), joint) == (1, 0)
+        assert inverse_empirical(np.array([[0.5, 0.9]]), joint).tolist() == [[1.0, 2.0]]
+        assert inverse_empirical_indices(np.array([[0.9, 0.5]]), joint).tolist() == [[1, 0]]
 
     def test_zero_clamped_to_first_value(self, table_3rows):
         joint = build_empirical_joint(table_3rows.qi)
-        assert inverse_empirical(np.array([0.0, 0.0]), joint).tolist() == [1.0, 1.0]
+        assert inverse_empirical(np.array([[0.0, 0.0]]), joint).tolist() == [[1.0, 1.0]]
 
     def test_domain(self, table_3rows):
         joint = build_empirical_joint(table_3rows.qi)
-        with pytest.raises(DomainError):
-            inverse_empirical(np.array([0.5, 1.2]), joint)
+        with pytest.raises(DomainError, match="row 1, dimension 1"):
+            inverse_empirical(np.array([[0.5, 0.5], [0.5, 1.2]]), joint)
+        with pytest.raises(DomainError, match="row 0, dimension 0"):
+            inverse_empirical(np.array([[np.nan, 0.5]]), joint)
