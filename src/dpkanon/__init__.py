@@ -19,13 +19,7 @@ from .dataset import (
     load_table,
     standardize,
 )
-from .dither import (
-    CellPartition,
-    build_cell_partition,
-    merge_cells_1d,
-    sample_intra_cluster,
-    substream,
-)
+from .dither import CellPartition, build_cell_partition, substream
 from .kmember import (
     ClusterModel,
     distortion,
@@ -41,11 +35,7 @@ from .pipeline import (
     transform,
 )
 from .reid import ReidReport, match_min_distance, reid_trials
-from .rosenblatt import (
-    forward_cell_uniform,
-    forward_gaussian,
-    inverse_empirical,
-)
+from .rosenblatt import forward_gaussian, inverse_empirical
 from .shiftlearn import (
     RegressionModel,
     ShiftWeights,
@@ -80,7 +70,6 @@ __all__ = [
     "build_empirical_joint",
     "conditional_cdf",
     "distortion",
-    "forward_cell_uniform",
     "forward_gaussian",
     "greedy_k_member",
     "histogram_intersection",
@@ -89,14 +78,12 @@ __all__ = [
     "load_table",
     "logistic_weights",
     "match_min_distance",
-    "merge_cells_1d",
     "nonparametric_weights",
     "prepare",
     "r_squared",
     "reid_trials",
     "relative_bias",
     "resample_within_clusters",
-    "sample_intra_cluster",
     "standardize",
     "substream",
     "synthetic_table",

@@ -139,10 +139,17 @@ def load_table(path, schema: TableSchema) -> DataTable:
                 raise SchemaError(f"{path}: declared column {name!r} not in header")
         col_idx = {name: header.index(name) for name in declared}
 
-        qi_rows, y_vals, ids = [], [], []
+        width = max(col_idx.values()) + 1
+
+        qi_rows, y_vals, ids, rownums = [], [], [], []
         for rownum, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
+            if len(row) < width:
+                name = next(n for n in declared if col_idx[n] >= len(row))
+                raise ParseError(
+                    f"{path}: row {rownum}, column {name!r}: missing; the row "
+                    f"has {len(row)} of {len(header)} fields")
             vals = []
             for name in schema.qi:
                 cell = row[col_idx[name]].strip()
@@ -162,6 +169,7 @@ def load_table(path, schema: TableSchema) -> DataTable:
                     f"cannot parse {cell!r} as a number"
                 )
             qi_rows.append(vals)
+            rownums.append(rownum)
             if schema.id_col is not None:
                 ids.append(row[col_idx[schema.id_col]].strip())
             else:
@@ -170,10 +178,20 @@ def load_table(path, schema: TableSchema) -> DataTable:
     if not qi_rows:
         raise EmptyInputError(f"{path}: no data rows")
 
+    qi, y = np.array(qi_rows), np.array(y_vals)
+    values = np.column_stack([qi, y])
+    bad = ~np.isfinite(values)
+    if bad.any():
+        r, j = np.argwhere(bad)[0]
+        name = (list(schema.qi) + [schema.response])[j]
+        raise ParseError(
+            f"{path}: row {rownums[r]}, column {name!r}: "
+            f"value {float(values[r, j])!r} is not finite")
+
     columns = tuple(
         Column(name, schema.kinds.get(name, "ordinal")) for name in schema.qi
     )
-    return DataTable(np.array(qi_rows), np.array(y_vals), columns, tuple(ids))
+    return DataTable(qi, y, columns, tuple(ids))
 
 
 def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:

@@ -43,7 +43,9 @@ class ConvergenceError(DpkError):
 
 
 class PartitionError(DpkError):
-    """A point falls outside every cell of a partition."""
+    """A cluster model and an empirical joint disagree: a clustered value
+    is unobserved in the joint, or the clusters' cell counts do not sum to
+    the joint's."""
 
 
 class DegenerateError(DpkError):

@@ -21,16 +21,10 @@ from .dataset import (
     round_sig,
     standardize,
 )
-from .dither import (
-    CellPartition,
-    build_cell_partition,
-    sample_gaussian_batch,
-    sample_intra_cluster,
-    substream,
-)
+from .dither import CellPartition, build_cell_partition, sample_gaussian_batch, substream
 from .errors import DomainError
 from .kmember import ClusterModel, greedy_k_member
-from .rosenblatt import forward_cell_uniform, forward_gaussian, inverse_empirical_indices
+from .rosenblatt import forward_gaussian, inverse_empirical_indices
 
 METHODS = ("centroid", "resample", "permute", "cell_dither", "gaussian")
 
@@ -127,21 +121,18 @@ def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
     if method == "centroid":
         qi_std = state.model.centroids[state.model.assignment]
         qi_hat = state.standardizer.revert_qi(qi_std)
-    elif method in ("resample", "permute"):
+    elif method in ("resample", "permute", "cell_dither"):
+        # cell_dither's dither -> forward -> inverse chain lands back in the
+        # cell it drew, and it draws cell v with probability n_l(v)/n_l:
+        # resample's law, so it is released by resample's draw.
         rng = substream(seed, _CH_RESAMPLE, trial)
         src = resample_within_clusters(state.model, rng,
-                                       with_replacement=(method == "resample"))
+                                       with_replacement=(method != "permute"))
         qi_hat = state.table.qi[src].copy()
-    else:
-        # dither, forward Rosenblatt transform, inverse empirical CDF
+    else:  # gaussian: dither, forward Rosenblatt transform, inverse empirical CDF
         rng = substream(seed, _CH_DITHER, trial)
-        records = np.arange(state.table.n)
-        if method == "cell_dither":
-            xt = sample_intra_cluster(state.model, state.partition, records, rng)
-            u = forward_cell_uniform(xt, state.partition, state.joint)
-        else:  # gaussian
-            xt = sample_gaussian_batch(state.model, alpha, records, rng)
-            u = forward_gaussian(xt, state.model, alpha)
+        xt = sample_gaussian_batch(state.model, alpha, np.arange(state.table.n), rng)
+        u = forward_gaussian(xt, state.model, alpha)
         qi_hat = _indices_to_original(state, inverse_empirical_indices(u, state.joint))
 
     return AnonymizedTable(

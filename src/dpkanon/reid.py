@@ -13,6 +13,7 @@ import numpy as np
 
 from .dataset import DataTable, round_sig, standardize
 from .dither import substream
+from .errors import DomainError
 from .pipeline import AnonymizedTable, PipelineState, prepare, transform
 
 _CH_MATCH = 1
@@ -92,7 +93,7 @@ def reid_trials(original: DataTable, k: int, method: str, T: int,
     """Re-run the dither and matching stages T times on a fixed clustering
     and report reidentification frequencies."""
     if T < 1:
-        raise ValueError("trial count must be at least 1")
+        raise DomainError(f"trial count must be at least 1, got {T}")
     if state is None:
         state = prepare(original, k, w=w, seed=seed)
     n = original.n

@@ -1,6 +1,7 @@
-"""Rosenblatt transformation: forward maps dither samples to uniform
-coordinates via conditional CDFs of the dither law; inverse maps uniforms
-onto the empirical distribution through the conditional inverse-CDF chain.
+"""Rosenblatt transformation for the Gaussian dither: the forward map sends
+dither samples to uniform coordinates through the conditional CDFs of the
+Gaussian mixture; the inverse maps uniforms onto the empirical distribution
+through the conditional inverse-CDF chain.
 """
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dataset import _U_TOL, EmpiricalJoint, searchsorted_segments
-from .dither import CellPartition, _loaded_cholesky
-from .errors import DomainError, PartitionError, ShapeError
+from .dither import _loaded_cholesky
+from .errors import DomainError, ShapeError
 from .kmember import ClusterModel
 
 # Records per block of the Gaussian forward map; bounds its (block, c, d)
@@ -28,60 +29,6 @@ def _samples(xt, d: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"expected an (N, {d}) array, got shape {x.shape}")
     return x
-
-
-def _within_cell_frac(x, lo, hi):
-    """Position of x within [lo, hi] as a fraction in [1e-15, 1]; 1 for an
-    empty interval."""
-    width = hi - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.clip((x - lo) / width, 1e-15, 1.0)
-    return np.where(width > 0, frac, 1.0)
-
-
-def forward_cell_uniform(xt, partition: CellPartition,
-                         joint: EmpiricalJoint) -> np.ndarray:
-    """Conditional mixture CDF of the piecewise-uniform dither, evaluated in
-    closed form: the conditional cell mass equals the empirical conditional
-    PMF, plus a linear within-interval term.
-
-    Maps an (N, d) array of dither samples to an (N, d) array of uniforms.
-    """
-    x = _samples(xt, partition.d)
-    u = np.empty(x.shape)
-
-    if partition.merged:
-        # 1-d merged partition: cell masses n(cell)/n, uniform within cell.
-        counts = np.array(
-            [partition.cell_counts[(i,)] for i in range(partition.n_cells(0))],
-            dtype=float,
-        )
-        before = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
-        m = partition.locate(0, x[:, 0])
-        frac = _within_cell_frac(x[:, 0], partition.lo[0][m], partition.hi[0][m])
-        u[:, 0] = (before[m] + counts[m] * frac) / counts.sum()
-        return u
-
-    cells = np.column_stack([partition.locate(j, x[:, j]) for j in range(partition.d)])
-    node = np.zeros(len(x), dtype=np.intp)
-    for j, (idx, cumfrac, starts, lengths) in enumerate(joint.flat_trie):
-        i = cells[:, j]
-        s, n_next = starts[node], lengths[node]
-        pos = searchsorted_segments(idx, s, n_next, i)
-        e = s + np.minimum(pos, n_next - 1)
-        missing = (pos >= n_next) | (idx[e] != i)
-        if missing.any():
-            r = int(np.argmax(missing))
-            raise PartitionError(
-                f"row {r}: dither sample falls in cell {i[r]} of dimension {j}, "
-                f"which has zero probability under prefix {tuple(cells[r, :j].tolist())}"
-            )
-        f_prev = np.where(pos > 0, cumfrac[e - 1], 0.0)
-        p_i = cumfrac[e] - f_prev
-        frac = _within_cell_frac(x[:, j], partition.lo[j][i], partition.hi[j][i])
-        u[:, j] = np.minimum(f_prev + p_i * frac, 1.0)
-        node = e
-    return u
 
 
 def conditional_moments(model: ClusterModel, alpha: float, ell: int, j: int,

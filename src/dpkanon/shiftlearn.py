@@ -33,14 +33,6 @@ class ShiftWeights:
             self.per_record = w
 
 
-def _value_pmf(joint: EmpiricalJoint) -> dict:
-    out = {}
-    for t, c in joint.counts.items():
-        key = tuple(joint.values[j][i] for j, i in enumerate(t))
-        out[key] = c / joint.total
-    return out
-
-
 def _rows_to_keys(rows) -> list:
     return [tuple(r) for r in round_sig(np.atleast_2d(np.asarray(rows, float)))]
 
@@ -52,8 +44,8 @@ def nonparametric_weights(source: EmpiricalJoint, target: EmpiricalJoint,
     only produce a warning."""
     if source.d != target.d:
         raise ShapeError("source and target joints have different dimensions")
-    p = _value_pmf(source)
-    q = _value_pmf(target)
+    p = source.pmf()
+    q = target.pmf()
     missing = [v for v in q if v not in p]
     if missing:
         warnings.warn(

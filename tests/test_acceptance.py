@@ -18,23 +18,17 @@ from dpkanon.dataset import (
     build_empirical_joint,
     standardize,
 )
-from dpkanon.dither import (
-    build_cell_partition,
-    sample_gaussian_batch,
-    sample_intra_cluster,
-    substream,
-)
+from dpkanon.dither import sample_gaussian_batch
 from dpkanon.kmember import (
     ClusterModel,
     greedy_k_member,
     total_distortion,
     validate_k_anonymous,
 )
-from dpkanon.pipeline import empirical_pmf_exact, prepare, resample_pmf
+from dpkanon.pipeline import empirical_pmf_exact, prepare, resample_pmf, transform
 from dpkanon.reid import reid_trials
 from dpkanon.rosenblatt import (
     conditional_moments,
-    forward_cell_uniform,
     forward_gaussian,
     inverse_empirical_indices,
 )
@@ -65,32 +59,36 @@ def _small_table(rng, n, d):
     return DataTable(qi, y, cols, tuple(range(n)))
 
 
-def test_01_cell_dither_round_trip_exact():
-    """Piecewise-uniform dither, forward, inverse lands exactly on the
-    observed value of the containing cell, for every draw."""
+def test_01_cell_dither_releases_resample_law():
+    """The dither -> forward -> inverse chain lands back in the cell it drew,
+    and it draws cell v with probability n_l(v)/n_l: resample's law. So the
+    pipeline releases cell_dither with resample's draw, byte for byte, and
+    every released tuple is a tuple of the record's own cluster."""
     start = time.time()
     rng = np.random.default_rng(1)
-    total = exact = 0
+    trials = same = total = inside = 0
     for inst in range(20):
         n = int(rng.integers(30, 501))
         d = int(rng.integers(1, 4))
         levels = [int(rng.integers(2, 9)) for _ in range(d)]
         t = synthetic_table(n, levels, dep=float(rng.uniform(0, 0.6)),
                             seed=int(rng.integers(10_000)))
-        std, _ = standardize(t)
         k = int(rng.integers(2, min(10, n // 2) + 1))
-        joint = build_empirical_joint(std.qi)
-        model = greedy_k_member(std, k=k, seed=int(rng.integers(100)))
-        part = build_cell_partition(joint, model)
-        xt = sample_intra_cluster(model, part, np.arange(t.n), substream(inst))
-        idx = inverse_empirical_indices(forward_cell_uniform(xt, part, joint), joint)
-        want = np.column_stack([part.locate(j, xt[:, j]) for j in range(d)])
-        total += t.n
-        exact += int(np.all(idx == want, axis=1).sum())
+        state = prepare(t, k, seed=int(rng.integers(100)))
+        for trial in range(3):
+            got = transform(state, "cell_dither", trial=trial).qi_hat
+            want = transform(state, "resample", trial=trial).qi_hat
+            trials += 1
+            same += got.tobytes() == want.tobytes()
+            for idx in state.model.members:
+                rows = set(map(tuple, t.qi[idx].tolist()))
+                inside += sum(tuple(r) in rows for r in got[idx].tolist())
+            total += t.n
     elapsed = time.time() - start
-    _report(1, "cell-dither round trip exact on every draw",
-            exact == total and elapsed < 10.0,
-            f"{exact}/{total} exact, {elapsed:.1f}s")
+    _report(1, "cell-dither releases resample's law, byte for byte",
+            same == trials and inside == total and elapsed < 10.0,
+            f"{same}/{trials} trials equal to resample, {inside}/{total} "
+            f"tuples from the own cluster, {elapsed:.1f}s")
 
 
 def test_02_resample_pmf_exactly_preserved():
@@ -259,7 +257,6 @@ def test_08_similarity_and_utility_across_k():
 
     sims = {m: [] for m in ("centroid", "resample", "gaussian")}
     r2 = {}
-    from dpkanon.pipeline import transform
     for k in kgrid:
         state = prepare(train, k, seed=0)
         for method in sims:

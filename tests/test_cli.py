@@ -117,6 +117,23 @@ class TestAnonymizeCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "cluster" in err[0] and "dimension 1" in err[0]
 
+    @pytest.mark.parametrize("bad_row, where", [
+        ("1,2", "row 4, column 'cost'"),
+        ("1,nan,3", "row 4, column 'x1'"),
+        ("inf,2,3", "row 4, column 'x0'"),
+    ])
+    def test_bad_input_row_data_error(self, tmp_path, capsys, bad_row, where):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"x0,x1,cost\n0,1,2\n1,0,3\n{bad_row}\n")
+        rc = main([
+            "anonymize", "--input", str(p), "--output", str(tmp_path / "o.csv"),
+            "--qi-cols", "x0,x1", "--response-col", "cost",
+            "--k", "2", "--method", "resample",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
 
 class TestExperimentCommand:
     def run(self, tmp_path, name, extra=()):

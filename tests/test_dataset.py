@@ -49,6 +49,20 @@ class TestLoadTable:
         with pytest.raises(ParseError, match="row 3.*age"):
             load_table(p, SCHEMA)
 
+    def test_short_row_names_row_and_column(self, tmp_path):
+        p = write(tmp_path, "age,sex,cost\n30,0,100\n40,1\n")
+        with pytest.raises(ParseError, match="row 3, column 'cost': missing"):
+            load_table(p, SCHEMA)
+
+    @pytest.mark.parametrize("row, column", [
+        ("30,nan,100", "sex"), ("inf,0,100", "age"), ("30,0,-inf", "cost"),
+        ("30,0,1e999", "cost"),
+    ])
+    def test_nonfinite_value_names_row_and_column(self, tmp_path, row, column):
+        p = write(tmp_path, f"age,sex,cost\n40,1,200\n{row}\n")
+        with pytest.raises(ParseError, match=f"row 3, column '{column}'"):
+            load_table(p, SCHEMA)
+
     def test_empty_rows(self, tmp_path):
         p = write(tmp_path, "age,sex,cost\n")
         with pytest.raises(EmptyInputError):

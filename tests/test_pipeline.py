@@ -4,11 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from dpkanon.dataset import TableSchema, load_table
-from dpkanon.dither import sample_intra_cluster, substream
+from dpkanon.dataset import TableSchema, build_empirical_joint, load_table
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import (
-    _CH_DITHER,
     METHODS,
     anonymize,
     empirical_pmf_exact,
@@ -76,14 +74,28 @@ class TestTransform:
         assert np.array_equal(a.qi_hat, b.qi_hat)
         assert not np.array_equal(a.qi_hat, c.qi_hat)
 
-    def test_cell_dither_releases_the_cell_of_its_own_sample(self, table, state):
-        # replay the transform's dither stream: each released tuple is the
-        # observed value tuple of the cell its own dither sample fell in
-        xt = sample_intra_cluster(state.model, state.partition, np.arange(table.n),
-                                  substream(state.seed, _CH_DITHER, 2))
-        want = np.column_stack([state.orig_values[j][state.partition.locate(j, xt[:, j])]
-                                for j in range(table.d)])
-        assert np.array_equal(transform(state, "cell_dither", trial=2).qi_hat, want)
+    def test_cell_dither_is_resample(self, state):
+        # the dither -> forward -> inverse chain lands back in the cell it
+        # drew with probability n_l(cell)/n_l, so cell_dither releases
+        # resample's law, and does so with resample's draw
+        for trial in range(3):
+            a = transform(state, "cell_dither", trial=trial)
+            b = transform(state, "resample", trial=trial)
+            assert a.qi_hat.tobytes() == b.qi_hat.tobytes()
+
+    def test_resample_marginal_matches_empirical(self):
+        # aggregating one draw per record, P(tuple) approaches n(tuple)/n
+        t = synthetic_table(80, [3, 2], dep=0.2, seed=6)
+        state = prepare(t, k=5, seed=3)
+        reps = 400
+        counts = {}
+        for rep in range(reps):
+            for row in transform(state, "resample", trial=rep).qi_hat.tolist():
+                counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+        total = reps * t.n
+        for value, p in build_empirical_joint(t.qi).pmf().items():
+            band = 4 * np.sqrt(p * (1 - p) / total)
+            assert abs(counts.get(value, 0) / total - p) < band
 
     def test_unknown_method(self, state):
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dpkanon.errors import DomainError
 from dpkanon.pipeline import prepare, transform
 from dpkanon.reid import match_min_distance, reid_trials
 from dpkanon.synth import synthetic_table
@@ -100,7 +101,7 @@ class TestReidTrials:
         assert a.to_json() == b.to_json()
 
     def test_trial_count_validated(self, table):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="at least 1"):
             reid_trials(table, k=5, method="resample", T=0)
 
     def test_resample_near_nominal_rate(self, table):

@@ -3,18 +3,11 @@ import pytest
 from scipy import stats
 
 from dpkanon.dataset import build_empirical_joint, standardize
-from dpkanon.dither import (
-    build_cell_partition,
-    merge_cells_1d,
-    sample_gaussian_batch,
-    sample_intra_cluster,
-    substream,
-)
-from dpkanon.errors import DomainError, PartitionError
+from dpkanon.dither import sample_gaussian_batch
+from dpkanon.errors import DomainError
 from dpkanon.kmember import greedy_k_member
 from dpkanon.rosenblatt import (
     conditional_moments,
-    forward_cell_uniform,
     forward_gaussian,
     inverse_empirical,
     inverse_empirical_indices,
@@ -22,59 +15,6 @@ from dpkanon.rosenblatt import (
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
-
-
-def fitted(t, k, seed=0):
-    joint = build_empirical_joint(t.qi)
-    model = greedy_k_member(t, k=k, seed=seed)
-    part = build_cell_partition(joint, model)
-    return joint, model, part
-
-
-class TestForwardCellUniform:
-    def test_cell_mass_bracketing(self):
-        # one cluster over values {0 (x2), 1}: u lands inside the cell's
-        # cumulative probability bracket
-        t = make_table([[0.0], [0.0], [1.0]])
-        joint, model, part = fitted(t, k=3)
-        x = np.array([[-0.2], [0.3], [0.9]])
-        u = forward_cell_uniform(x, part, joint)
-        for (lo, hi), ur in zip([(0.0, 2 / 3), (0.0, 2 / 3), (2 / 3, 1.0)], u[:, 0]):
-            assert lo < ur <= hi + 1e-12
-
-    def test_round_trip_exact(self):
-        t = synthetic_table(60, [4, 3], dep=0.3, seed=11)
-        std, _ = standardize(t)
-        joint, model, part = fitted(std, k=5, seed=1)
-        xt = sample_intra_cluster(model, part, np.arange(t.n), substream(13))
-        idx = inverse_empirical_indices(forward_cell_uniform(xt, part, joint), joint)
-        want = np.column_stack([part.locate(j, xt[:, j]) for j in range(2)])
-        assert np.array_equal(idx, want)
-
-    def test_zero_probability_cell_rejected(self):
-        # combination (value 0 in dim 0, value 1 in dim 1) never observed
-        t = make_table([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-        joint, model, part = fitted(t, k=2)
-        x = np.array([[1.0, 1.0], [-0.1, 1.05]])
-        with pytest.raises(PartitionError, match="row 1: .* dimension 1"):
-            forward_cell_uniform(x, part, joint)
-
-    def test_merged_round_trip(self):
-        # clusters own contiguous value runs, so 1-d cells merge; the
-        # merged forward map still recovers the containing merged cell
-        t = make_table([[0.0], [1.0], [10.0], [11.0]])
-        joint, model, part = fitted(t, k=2)
-        merged = merge_cells_1d(part, model)
-        assert merged.merged
-        rng = np.random.default_rng(3)
-        xt = sample_intra_cluster(model, merged, np.arange(t.n), rng)
-        u = forward_cell_uniform(xt, merged, joint)
-        counts = [merged.cell_counts[(i,)] for i in range(merged.n_cells(0))]
-        total = sum(counts)
-        for r in range(t.n):
-            m = merged.locate(0, xt[r, 0])
-            lo = sum(counts[:m]) / total
-            assert lo < u[r, 0] <= lo + counts[m] / total + 1e-12
 
 
 class TestConditionalMoments:
