@@ -20,6 +20,7 @@ from .errors import (
     EmptyInputError,
     ParseError,
     SchemaError,
+    ShapeError,
 )
 
 SIG_DIGITS = 12
@@ -134,14 +135,21 @@ def load_table(path, schema: TableSchema) -> DataTable:
         declared = list(schema.qi) + [schema.response]
         if schema.id_col is not None:
             declared.append(schema.id_col)
+        col_idx = {}
         for name in declared:
-            if name not in header:
+            where = [j for j, h in enumerate(header) if h == name]
+            if not where:
                 raise SchemaError(f"{path}: declared column {name!r} not in header")
-        col_idx = {name: header.index(name) for name in declared}
+            if len(where) > 1:
+                raise SchemaError(
+                    f"{path}: declared column {name!r} appears twice in the "
+                    f"header, at columns {where[0] + 1} and {where[1] + 1}")
+            col_idx[name] = where[0]
 
         width = max(col_idx.values()) + 1
 
         qi_rows, y_vals, ids, rownums = [], [], [], []
+        id_row = {}  # declared id -> the row it was first read on
         for rownum, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -171,7 +179,13 @@ def load_table(path, schema: TableSchema) -> DataTable:
             qi_rows.append(vals)
             rownums.append(rownum)
             if schema.id_col is not None:
-                ids.append(row[col_idx[schema.id_col]].strip())
+                rid = row[col_idx[schema.id_col]].strip()
+                if rid in id_row:
+                    raise ParseError(
+                        f"{path}: column {schema.id_col!r}: id {rid!r} repeats "
+                        f"on rows {id_row[rid]} and {rownum}")
+                id_row[rid] = rownum
+                ids.append(rid)
             else:
                 ids.append(rownum - 2)
 
@@ -242,19 +256,23 @@ class EmpiricalJoint:
         self._build_trie()
 
     def _validate(self):
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("counts do not sum to total")
+        counted = sum(self.counts.values())
+        if counted != self.total:
+            raise DomainError(f"counts sum to {counted}, not the total {self.total}")
         for t, c in self.counts.items():
             if c < 1:
-                raise ValueError(f"count for {t} must be positive")
+                raise DomainError(f"index tuple {t}: count {c} must be positive")
             if len(t) != self.d:
-                raise ValueError(f"index tuple {t} has wrong length")
+                raise ShapeError(
+                    f"index tuple {t} has {len(t)} dimensions, expected {self.d}")
             for j, i in enumerate(t):
                 if not 0 <= i < len(self.values[j]):
-                    raise ValueError(f"index tuple {t} out of range in dim {j}")
-        for v in self.values:
+                    raise DomainError(
+                        f"index tuple {t}: index {i} out of range in dimension "
+                        f"{j}, which has {len(self.values[j])} values")
+        for j, v in enumerate(self.values):
             if np.any(np.diff(v) <= 0):
-                raise ValueError("values must be strictly increasing")
+                raise DomainError(f"values of dimension {j} must be strictly increasing")
 
     def _build_trie(self):
         children: dict[tuple, Counter] = {}

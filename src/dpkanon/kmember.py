@@ -2,15 +2,32 @@
 
 Every cluster must contain at least k records; the cluster count is fixed to
 floor(n/k) and leftover records are absorbed by the nearest centroid.
+
+Cost: each cluster makes two scans over the records still unassigned, one
+to pick its seed and one to rank them by distance to that seed, which keeps
+the _POOL_PER_K * k nearest as a candidate pool. Each addition then scores
+only the pool. The pool's best record is taken when the triangle inequality
+in the [x, sqrt(w) y] norm proves that no record outside the pool is as
+close to the running centroid: its distance plus the centroid's drift from
+the seed must stay below the distance of the nearest record left out of the
+pool. Otherwise the addition falls back to a full scan. Both paths give the
+assignment of a full scan per addition, lowest record index first on ties.
+That is O(n^2 / k + n k) work instead of O(n^2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import DataTable
 from .errors import DomainError, InfeasibleError, ShapeError
+
+# candidate pool size per cluster, as a multiple of k
+_POOL_PER_K = 4
+# float64 squares below this lose their relative precision
+_TINY = np.finfo(float).tiny
 
 
 def distortion(a, b, w: float) -> float:
@@ -54,16 +71,23 @@ class ClusterModel:
         return np.array([len(m) for m in self.members])
 
 
+def _member_lists(assignment: np.ndarray, c: int) -> list:
+    """Record indices of clusters 0..c-1, each ascending, from one stable
+    argsort; unassigned records (-1) sort first and are left out."""
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.searchsorted(assignment[order], np.arange(c + 1))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: float):
-    members, values, member_y = [], [], []
+    members = _member_lists(assignment, c)
+    values, member_y = [], []
     centroids = np.empty((c, table.d))
     centroids_y = np.empty(c)
     covs = np.empty((c, table.d, table.d))
-    for ell in range(c):
-        idx = np.flatnonzero(assignment == ell)
+    for ell, idx in enumerate(members):
         rows = table.qi[idx]
         ys = table.response[idx]
-        members.append(idx)
         values.append(rows)
         member_y.append(ys)
         centroids[ell] = rows.mean(axis=0)
@@ -103,47 +127,74 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
 
     X = table.qi
     y = table.response
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        i, j = np.argwhere(~np.isfinite(np.column_stack([X, y])))[0]
+        raise DomainError(f"record {i}, column {j}: value is not finite")
+    # every distance below is at most the span's, with room for rounding
+    with np.errstate(over="ignore"):
+        span = 2.0 * np.ptp(X, axis=0)
+        reach = span @ span + w * (2.0 * np.ptp(y)) ** 2
+    if not np.isfinite(reach):
+        raise DomainError("value ranges too wide: squared distances overflow")
     c = n // k
+    pool_size = _POOL_PER_K * k
     assignment = np.full(n, -1, dtype=int)
     unassigned = np.ones(n, dtype=bool)
     rng = np.random.default_rng(seed)
 
-    def dist_to(cx, cy):
-        diff = X - cx
-        return np.einsum("ij,ij->i", diff, diff) + w * (y - cy) ** 2
+    def dist_to(rows, ys, cx, cy):
+        diff = rows - cx
+        return np.einsum("ij,ij->i", diff, diff) + w * (ys - cy) ** 2
 
-    prev_centroid = None
     for ell in range(c):
+        free = np.flatnonzero(unassigned)
+        Xf, yf = X[free], y[free]
         if ell == 0:
-            candidates = np.flatnonzero(unassigned)
-            seed_idx = int(candidates[rng.integers(len(candidates))])
+            s = int(rng.integers(len(free)))
         else:
-            d2 = dist_to(*prev_centroid)
-            d2[~unassigned] = -np.inf
-            seed_idx = int(np.argmax(d2))  # first max -> lowest index on ties
-        assignment[seed_idx] = ell
-        unassigned[seed_idx] = False
-        cx, cy = X[seed_idx].astype(float), float(y[seed_idx])
-        size = 1
-        while size < k:
-            d2 = dist_to(cx, cy)
-            d2[~unassigned] = np.inf
-            add = int(np.argmin(d2))
+            s = int(np.argmax(dist_to(Xf, yf, cx, cy)))  # first max -> lowest index
+        assignment[free[s]] = ell
+        unassigned[free[s]] = False
+        sx, sy = Xf[s].astype(float), float(yf[s])
+
+        d2 = dist_to(Xf, yf, sx, sy)
+        if len(free) > pool_size:
+            part = np.argpartition(d2, pool_size)
+            pool = np.sort(part[:pool_size])
+            r2 = d2[part[pool_size]]  # nearest record left out of the pool
+            r = math.sqrt(r2) if r2 >= _TINY else 0.0
+        else:
+            pool, r = np.arange(len(free)), math.inf
+        ids, Xp, yp = free[pool], Xf[pool], yf[pool]
+
+        taken = ~unassigned[ids]
+        cx, cy = sx, sy
+        for size in range(2, k + 1):
+            d2 = dist_to(Xp, yp, cx, cy)
+            d2[taken] = np.inf
+            i = int(d2.argmin())
+            dx = cx - sx
+            drift = math.sqrt(dx @ dx + w * (cy - sy) ** 2)
+            # the 1e-9 slack outweighs the rounding of all three distances;
+            # strict, so a row left out at the same distance falls back
+            if (math.sqrt(d2[i]) + drift) * (1.0 + 1e-9) < r:
+                add = int(ids[i])
+                taken[i] = True
+            else:
+                d2 = dist_to(Xf, yf, cx, cy)
+                d2[~unassigned[free]] = np.inf
+                add = int(free[d2.argmin()])
+                taken |= ids == add
             assignment[add] = ell
             unassigned[add] = False
-            size += 1
             cx = cx + (X[add] - cx) / size
             cy = cy + (float(y[add]) - cy) / size
-        prev_centroid = (cx, cy)
 
     # leftovers: nearest centroid by the same distortion
     if unassigned.any():
-        cents = np.empty((c, table.d))
-        cents_y = np.empty(c)
-        for ell in range(c):
-            idx = assignment == ell
-            cents[ell] = X[idx].mean(axis=0)
-            cents_y[ell] = y[idx].mean()
+        members = _member_lists(assignment, c)
+        cents = np.array([X[idx].mean(axis=0) for idx in members])
+        cents_y = np.array([y[idx].mean() for idx in members])
         for i in np.flatnonzero(unassigned):
             diff = cents - X[i]
             d2 = np.einsum("ij,ij->i", diff, diff) + w * (cents_y - y[i]) ** 2

@@ -105,13 +105,14 @@ def reid_trials(original: DataTable, k: int, method: str, T: int,
         successes += matched == np.arange(n)
     freq = successes / T
 
-    keys = [tuple(r) for r in round_sig(original.qi)]
-    classes = sorted(set(keys))
-    sizes = np.array([sum(1 for kk in keys if kk == cls) for cls in classes])
-    cfreq = np.array([
-        float(np.mean([f for kk, f in zip(keys, freq) if kk == cls]))
-        for cls in classes
-    ])
+    # classes in sorted key order, each keyed by its first record's tuple
+    # and averaged over its records in record order
+    keys = round_sig(original.qi)
+    _, inv, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(inv, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    classes = [tuple(r) for r in keys[order[starts]]]
+    cfreq = np.array([f.mean() for f in np.split(freq[order], starts[1:])])
     p0 = 1.0 / k
     band = 3.0 * np.sqrt(p0 * (1 - p0) / (T * sizes))
     return ReidReport(

@@ -134,6 +134,23 @@ class TestAnonymizeCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
+    @pytest.mark.parametrize("text, id_col, where", [
+        ("x0,x0,cost\n0,1,2\n1,0,3\n", None, "'x0' appears twice in the header, at columns 1 and 2"),
+        ("id,x0,x1,cost\na,0,1,2\nb,1,0,3\na,1,1,4\n", "id", "id 'a' repeats on rows 2 and 4"),
+    ])
+    def test_repeated_column_or_id_data_error(self, tmp_path, capsys, text, id_col, where):
+        p = tmp_path / "dup.csv"
+        p.write_text(text)
+        rc = main([
+            "anonymize", "--input", str(p), "--output", str(tmp_path / "o.csv"),
+            "--qi-cols", "x0", "--response-col", "cost",
+            "--k", "2", "--method", "resample",
+            *(["--id-col", id_col] if id_col else []),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
 
 class TestExperimentCommand:
     def run(self, tmp_path, name, extra=()):

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from dpkanon.dataset import (
+    EmpiricalJoint,
     TableSchema,
     build_empirical_joint,
     conditional_cdf,
@@ -16,6 +17,7 @@ from dpkanon.errors import (
     EmptyInputError,
     ParseError,
     SchemaError,
+    ShapeError,
 )
 
 from conftest import make_table
@@ -73,6 +75,17 @@ class TestLoadTable:
         t = load_table(p, TableSchema(qi=("age", "sex"), response="cost", id_col="id"))
         assert t.record_ids == ("A", "B")
 
+    def test_repeated_header_column_names_both_positions(self, tmp_path):
+        p = write(tmp_path, "age,age,sex,cost\n30,31,0,100\n")
+        with pytest.raises(SchemaError, match="'age' appears twice.*columns 1 and 2"):
+            load_table(p, SCHEMA)
+
+    def test_repeated_id_names_value_and_both_rows(self, tmp_path):
+        p = write(tmp_path, "id,age,sex,cost\na,30,0,100\nb,40,1,200\na,50,0,300\n")
+        schema = TableSchema(qi=("age", "sex"), response="cost", id_col="id")
+        with pytest.raises(ParseError, match="data.csv: column 'id': id 'a' repeats on rows 2 and 4"):
+            load_table(p, schema)
+
 
 class TestStandardize:
     def test_two_point_column(self):
@@ -119,6 +132,17 @@ class TestEmpiricalJoint:
         joint = build_empirical_joint(np.array([[3.0], [3.0], [3.0]]))
         assert len(joint.values[0]) == 1
         assert joint.counts == {(0,): 3}
+
+    @pytest.mark.parametrize("values, counts, total, error, match", [
+        ([[0.0, 1.0]], {(0,): 2, (1,): 1}, 4, DomainError, "sum to 3, not the total 4"),
+        ([[0.0, 1.0]], {(0,): 2, (1,): 0}, 2, DomainError, r"\(1,\): count 0"),
+        ([[0.0, 1.0]], {(0, 1): 2}, 2, ShapeError, r"\(0, 1\) has 2 dimensions, expected 1"),
+        ([[0.0], [0.0, 1.0]], {(0, 2): 1}, 1, DomainError, r"\(0, 2\): index 2 .* dimension 1"),
+        ([[0.0], [1.0, 0.0]], {(0, 0): 1}, 1, DomainError, "dimension 1 must be strictly"),
+    ])
+    def test_invalid_joint_names_tuple_and_dimension(self, values, counts, total, error, match):
+        with pytest.raises(error, match=match):
+            EmpiricalJoint(values, counts, total)
 
 
 class TestConditionalCdf:

@@ -49,7 +49,131 @@ class TestDistortion:
         assert distortion(a, b, w) >= 0.0
 
 
+def reference_assignment(table, k, w, seed):
+    """The greedy k-member loop with a full scan over all n records for every
+    seed and every addition: the reference the candidate pool must match."""
+    n = table.n
+    X = table.qi
+    y = table.response
+    c = n // k
+    assignment = np.full(n, -1, dtype=int)
+    unassigned = np.ones(n, dtype=bool)
+    rng = np.random.default_rng(seed)
+
+    def dist_to(cx, cy):
+        diff = X - cx
+        return np.einsum("ij,ij->i", diff, diff) + w * (y - cy) ** 2
+
+    prev_centroid = None
+    for ell in range(c):
+        if ell == 0:
+            candidates = np.flatnonzero(unassigned)
+            seed_idx = int(candidates[rng.integers(len(candidates))])
+        else:
+            d2 = dist_to(*prev_centroid)
+            d2[~unassigned] = -np.inf
+            seed_idx = int(np.argmax(d2))
+        assignment[seed_idx] = ell
+        unassigned[seed_idx] = False
+        cx, cy = X[seed_idx].astype(float), float(y[seed_idx])
+        size = 1
+        while size < k:
+            d2 = dist_to(cx, cy)
+            d2[~unassigned] = np.inf
+            add = int(np.argmin(d2))
+            assignment[add] = ell
+            unassigned[add] = False
+            size += 1
+            cx = cx + (X[add] - cx) / size
+            cy = cy + (float(y[add]) - cy) / size
+        prev_centroid = (cx, cy)
+
+    if unassigned.any():
+        cents = np.empty((c, table.d))
+        cents_y = np.empty(c)
+        for ell in range(c):
+            idx = assignment == ell
+            cents[ell] = X[idx].mean(axis=0)
+            cents_y[ell] = y[idx].mean()
+        for i in np.flatnonzero(unassigned):
+            diff = cents - X[i]
+            d2 = np.einsum("ij,ij->i", diff, diff) + w * (cents_y - y[i]) ** 2
+            assignment[i] = int(np.argmin(d2))
+    return assignment
+
+
+@st.composite
+def clustering_cases(draw):
+    """Tables for the pool-vs-reference property: ordinal grids with many
+    repeated rows (a level count of 1 is a constant column) or continuous
+    values on a coarse or fine grid, d in {1, 2, 3}. Small k keeps n well
+    above the pool size, where the bound decides."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 200))
+    k = draw(st.one_of(st.integers(2, min(n, 4)), st.integers(2, n), st.just(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(1, 6), min_size=d, max_size=d))
+        qi = np.column_stack([rng.integers(0, L, n) for L in levels]).astype(float)
+        y = rng.integers(0, 3, n).astype(float)
+    else:
+        decimals = draw(st.sampled_from([0, 2]))
+        qi = np.round(rng.normal(size=(n, d)), decimals)
+        y = np.round(rng.normal(size=n), decimals)
+    w = draw(st.sampled_from([0.3, 1.0, 5.0]))
+    return make_table(qi, y), k, w, draw(st.integers(0, 99))
+
+
 class TestGreedyKMember:
+    @settings(max_examples=300, deadline=None)
+    @given(case=clustering_cases())
+    def test_matches_full_scan_reference(self, case):
+        table, k, w, seed = case
+        model = greedy_k_member(table, k, w=w, seed=seed)
+        assert np.array_equal(model.assignment, reference_assignment(table, k, w, seed))
+
+    def test_matches_full_scan_reference_on_repeated_rows(self):
+        # 40 copies of each of 4 rows: more copies of a row than a k = 2
+        # pool holds, so pool rows tie with rows left out of it
+        qi = np.repeat(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [3.0, 3.0]]), 40, axis=0)
+        t = make_table(np.random.default_rng(0).permutation(qi))
+        for k in (2, 3, 7):
+            model = greedy_k_member(t, k, seed=3)
+            assert np.array_equal(model.assignment, reference_assignment(t, k, 1.0, 3))
+
+    def test_pool_bound_counts_centroid_drift(self):
+        # k = 3: the seed s pools its 12 nearest rows, a, p and nine fillers,
+        # and z is the nearest row left out, at r = 0.95. Once a joins, the
+        # centroid (0.35, 0) is 0.600 from z but 0.618 from p, the pool's
+        # best, so only a bound that adds the drift 0.35 lets z win.
+        s, a, p, z = [0.0, 0.0], [0.7, 0.0], [0.5, 0.6], [0.95, 0.0]
+        rows = [a, p] + [[-0.9, 0.0]] * 9 + [z] + [[-5.0, 0.0]] * 3
+        first = int(np.random.default_rng(0).integers(len(rows) + 1))
+        rows.insert(first, s)  # where the first random seed lands
+        t = make_table(rows)
+        model = greedy_k_member(t, k=3, seed=0)
+        assert model.members[0].tolist() == sorted([first, rows.index(a), rows.index(z)])
+        assert np.array_equal(model.assignment, reference_assignment(t, 3, 1.0, 0))
+
+    def test_matches_full_scan_reference_below_normal_range(self):
+        # squared distances near 1e-324 are subnormal and keep only a few
+        # digits, so such a pool radius cannot bound anything
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            t = make_table(np.round(rng.normal(size=(100, 2)), 1) * 1e-162)
+            model = greedy_k_member(t, k=3, seed=0)
+            assert np.array_equal(model.assignment, reference_assignment(t, 3, 1.0, 0))
+
+    def test_nonfinite_value_rejected(self):
+        t = make_table([[0.0], [np.nan], [1.0], [2.0]])
+        with pytest.raises(DomainError, match="record 1, column 0"):
+            greedy_k_member(t, k=2)
+
+    def test_overflowing_range_rejected(self):
+        t = make_table([[0.0], [1e200], [1.0], [2.0]])
+        with pytest.raises(DomainError, match="overflow"):
+            greedy_k_member(t, k=2)
+
     def test_separated_pairs(self):
         t = make_table([[0.0], [1.0], [10.0], [11.0]])
         model = greedy_k_member(t, k=2, w=1.0, seed=0)
