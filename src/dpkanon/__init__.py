@@ -19,7 +19,7 @@ from .dataset import (
     load_table,
     standardize,
 )
-from .dither import CellPartition, build_cell_partition, substream
+from .dither import substream
 from .kmember import (
     ClusterModel,
     distortion,
@@ -53,7 +53,6 @@ from .synth import synthetic_table
 
 __all__ = [
     "AnonymizedTable",
-    "CellPartition",
     "ClusterModel",
     "Column",
     "DataTable",
@@ -65,7 +64,6 @@ __all__ = [
     "TableSchema",
     "TransferSpec",
     "anonymize",
-    "build_cell_partition",
     "build_design",
     "build_empirical_joint",
     "conditional_cdf",

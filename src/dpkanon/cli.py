@@ -40,9 +40,41 @@ _METHOD_FLAGS = {
     "gaussian": "gaussian",
 }
 
+_SHIFTS = ("none", "nonparametric", "logistic")
+
+
+class _UsageError(Exception):
+    """A bad command-line value; main maps it to exit code 2."""
+
 
 def _csv_list(text: str):
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _int_list(flag: str, text: str, least: int) -> list:
+    items = _csv_list(text)
+    if not items:
+        raise _UsageError(f"{flag}: empty list")
+    out = []
+    for item in items:
+        try:
+            out.append(int(item))
+        except ValueError:
+            raise _UsageError(f"{flag}: {item!r} is not an integer")
+        if out[-1] < least:
+            raise _UsageError(f"{flag}: every value must be at least {least}")
+    return out
+
+
+def _choice_list(flag: str, text: str, choices) -> list:
+    items = _csv_list(text)
+    if not items:
+        raise _UsageError(f"{flag}: empty list")
+    for item in items:
+        if item not in choices:
+            raise _UsageError(
+                f"{flag}: unknown value {item!r}; expected one of {', '.join(choices)}")
+    return items
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_anonymize(args) -> int:
     if args.k < 2:
-        print("error: k must be at least 2", file=sys.stderr)
-        return 2
+        raise _UsageError("k must be at least 2")
     schema = TableSchema(
         qi=tuple(_csv_list(args.qi_cols)),
         response=args.response_col,
@@ -110,7 +141,8 @@ def run_anonymize(args) -> int:
 
 
 def _shift_weights(tag: str, anon_qi, anon_joint, test_qi, test_joint):
-    """Weights plus a flag when the estimator degenerates on this data."""
+    """Weights plus a flag when the estimator degenerates on this data;
+    `tag` is one of _SHIFTS."""
     n = len(anon_qi)
     if tag == "none":
         return np.ones(n), False
@@ -121,28 +153,21 @@ def _shift_weights(tag: str, anon_qi, anon_joint, test_qi, test_joint):
         if sw.per_record.sum() == 0:
             return np.ones(n), True
         return sw.per_record, False
-    if tag == "logistic":
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sw = logistic_weights(anon_qi, test_qi)
-        except ConvergenceError:
-            return np.ones(n), True
-        return sw.per_record, False
-    raise DomainError(f"unknown shift estimator {tag!r}")
+    try:  # logistic
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sw = logistic_weights(anon_qi, test_qi)
+    except ConvergenceError:
+        return np.ones(n), True
+    return sw.per_record, False
 
 
 def run_experiment(args) -> int:
-    k_grid = [int(k) for k in _csv_list(args.k_grid)]
-    if not k_grid:
-        print("error: empty k grid", file=sys.stderr)
-        return 2
-    if any(k < 2 for k in k_grid):
-        print("error: every k must be at least 2", file=sys.stderr)
-        return 2
-    methods = [_METHOD_FLAGS[m] for m in _csv_list(args.methods)]
-    shifts = _csv_list(args.shift)
-    levels = [int(L) for L in _csv_list(args.levels)]
+    k_grid = _int_list("--k-grid", args.k_grid, least=2)
+    levels = _int_list("--levels", args.levels, least=1)
+    methods = [_METHOD_FLAGS[m]
+               for m in _choice_list("--methods", args.methods, sorted(_METHOD_FLAGS))]
+    shifts = _choice_list("--shift", args.shift, _SHIFTS)
 
     train = synthetic_table(args.n, levels, dep=args.dep, tilt=0.0, seed=args.seed)
     test = synthetic_table(args.test_n, levels, dep=args.dep, tilt=args.tilt,
@@ -223,6 +248,9 @@ def main(argv=None) -> int:
         if args.subcommand == "anonymize":
             return run_anonymize(args)
         return run_experiment(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (DpkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,13 +3,14 @@ distribution of the quasi-identifiers with its conditional CDFs.
 
 Values are grouped by exact equality after rounding to 12 significant
 digits, so ordinal/binary codes group exactly and continuous inputs are
-robust to floating-point noise.
+robust to floating-point noise. The conditional CDFs of a joint are read
+from one flat prefix tree over its index tuples, built on first use.
 """
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,8 +25,6 @@ from .errors import (
 )
 
 SIG_DIGITS = 12
-
-KINDS = ("ordinal", "binary", "continuous")
 
 
 def round_sig(x, digits: int = SIG_DIGITS):
@@ -44,11 +43,6 @@ def round_sig(x, digits: int = SIG_DIGITS):
 @dataclass(frozen=True)
 class Column:
     name: str
-    kind: str = "ordinal"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SchemaError(f"unknown column kind {self.kind!r} for {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,6 @@ class TableSchema:
     qi: tuple
     response: str
     id_col: str | None = None
-    kinds: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -202,9 +195,7 @@ def load_table(path, schema: TableSchema) -> DataTable:
             f"{path}: row {rownums[r]}, column {name!r}: "
             f"value {float(values[r, j])!r} is not finite")
 
-    columns = tuple(
-        Column(name, schema.kinds.get(name, "ordinal")) for name in schema.qi
-    )
+    columns = tuple(Column(name) for name in schema.qi)
     return DataTable(qi, y, columns, tuple(ids))
 
 
@@ -243,8 +234,9 @@ def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
 class EmpiricalJoint:
     """Distinct per-dimension values plus sparse joint counts.
 
-    Index tuples are 0-based. A prefix tree over index tuples backs the
-    conditional CDF queries.
+    Index tuples are 0-based. One prefix tree over the index tuples,
+    flat_trie, backs both the scalar conditional CDF queries and the batched
+    inverse; it is built on first use.
     """
 
     def __init__(self, values, counts, total):
@@ -253,7 +245,6 @@ class EmpiricalJoint:
         self.total = int(total)
         self.d = len(self.values)
         self._validate()
-        self._build_trie()
 
     def _validate(self):
         counted = sum(self.counts.values())
@@ -273,19 +264,6 @@ class EmpiricalJoint:
         for j, v in enumerate(self.values):
             if np.any(np.diff(v) <= 0):
                 raise DomainError(f"values of dimension {j} must be strictly increasing")
-
-    def _build_trie(self):
-        children: dict[tuple, Counter] = {}
-        for t, c in self.counts.items():
-            for j in range(self.d):
-                children.setdefault(t[:j], Counter())[t[j]] += c
-        # per prefix: sorted next indices, cumulative fractions, prefix count
-        self._cond = {}
-        for prefix, ctr in children.items():
-            idx = np.array(sorted(ctr), dtype=int)
-            cnt = np.array([ctr[i] for i in idx], dtype=float)
-            tot = cnt.sum()
-            self._cond[prefix] = (idx, np.cumsum(cnt) / tot, tot)
 
     # -- lookups ---------------------------------------------------------
 
@@ -309,22 +287,19 @@ class EmpiricalJoint:
                     f"prefix value {x} unobserved in dimension {jj}"
                 )
             idx.append(i)
-        key = tuple(idx)
-        if key not in self._cond:
-            raise EmptyConditionError(f"prefix {tuple(prefix)} has zero joint count")
-        return key
+        return tuple(idx)
 
     @cached_property
     def flat_trie(self) -> tuple:
         """The prefix tree as flat per-dimension arrays, for batched walks.
 
-        Level j is a tuple (idx, cumfrac, starts, lengths): the concatenated
-        cond_table arrays of every length-j prefix, in lexicographic prefix
-        order, and each prefix's start and length in them. Prefixes of
-        length j + 1 are numbered by their entry in level j, so the entry a
-        walk lands on is its node at the next level; the root is node 0 of
-        level 0. Built on first use, so joints that are never inverted do
-        not pay for it.
+        Level j is a tuple (idx, cumfrac, starts, lengths): the sorted next
+        indices and their cumulative fractions for every length-j prefix,
+        concatenated in lexicographic prefix order, and each prefix's start
+        and length in them. Prefixes of length j + 1 are numbered by their
+        entry in level j, so the entry a walk lands on is its node at the
+        next level; the root is node 0 of level 0. Built on first use, so
+        joints that are never inverted do not pay for it.
         """
         keys = np.array(list(self.counts), dtype=np.intp).reshape(-1, self.d)
         cnt = np.fromiter(self.counts.values(), dtype=float, count=len(keys))
@@ -346,10 +321,22 @@ class EmpiricalJoint:
         return tuple(levels)
 
     def cond_table(self, prefix_idx: tuple):
-        """(next indices, cumulative fractions, prefix count) for an index prefix."""
-        if prefix_idx not in self._cond:
-            raise EmptyConditionError(f"index prefix {prefix_idx} has zero count")
-        return self._cond[prefix_idx]
+        """(sorted next indices, cumulative fractions) for an index prefix:
+        its slices of flat_trie, found by walking the prefix level by level."""
+        if len(prefix_idx) >= self.d:
+            raise DomainError(
+                f"index prefix {prefix_idx} has {len(prefix_idx)} dimensions; "
+                f"a condition on this joint has fewer than {self.d}")
+        node = 0
+        for j, i in enumerate(prefix_idx):
+            idx, _, starts, lengths = self.flat_trie[j]
+            s, e = starts[node], starts[node] + lengths[node]
+            node = s + int(np.searchsorted(idx[s:e], i))
+            if node == e or idx[node] != i:
+                raise EmptyConditionError(f"index prefix {prefix_idx} has zero count")
+        idx, cumfrac, starts, lengths = self.flat_trie[len(prefix_idx)]
+        s, e = starts[node], starts[node] + lengths[node]
+        return idx[s:e], cumfrac[s:e]
 
     def pmf(self) -> dict:
         """Joint PMF as {value tuple: probability}."""
@@ -360,6 +347,13 @@ class EmpiricalJoint:
         return out
 
 
+def value_indices(values, rows) -> np.ndarray:
+    """(n, d) index of each row's value among the sorted distinct values of
+    its dimension. rows must be rounded by round_sig, and each of their
+    values must be among `values`."""
+    return np.column_stack([np.searchsorted(v, rows[:, j]) for j, v in enumerate(values)])
+
+
 def build_empirical_joint(qi: np.ndarray) -> EmpiricalJoint:
     """Tally sorted distinct values per dimension and sparse joint counts."""
     qi = np.asarray(qi, dtype=float)
@@ -367,19 +361,16 @@ def build_empirical_joint(qi: np.ndarray) -> EmpiricalJoint:
         qi = qi[:, None]
     if qi.size == 0:
         raise EmptyInputError("empty quasi-identifier matrix")
-    qi = round_sig(qi)
-    values = [np.unique(qi[:, j]) for j in range(qi.shape[1])]
-    idx = np.column_stack(
-        [np.searchsorted(values[j], qi[:, j]) for j in range(qi.shape[1])]
-    )
-    counts = Counter(map(tuple, idx.tolist()))
+    rows = round_sig(qi)
+    values = [np.unique(col) for col in rows.T]
+    counts = Counter(map(tuple, value_indices(values, rows).tolist()))
     return EmpiricalJoint(values, counts, qi.shape[0])
 
 
 def conditional_cdf(joint: EmpiricalJoint, j: int, prefix, x: float) -> float:
     """F_{X_j | X^{j-1}}(x | prefix): right-continuous empirical step CDF."""
     key = joint._prefix_indices(j, prefix)
-    idx, cumfrac, _ = joint.cond_table(key)
+    idx, cumfrac = joint.cond_table(key)
     pos = int(np.searchsorted(joint.values[j], round_sig(x), side="right"))
     m = int(np.searchsorted(idx, pos, side="left"))  # entries with value index < pos
     if m == 0:
@@ -437,7 +428,7 @@ def searchsorted_segments(a, starts, lengths, v) -> np.ndarray:
 
 
 def _inverse_index(joint: EmpiricalJoint, j: int, prefix_idx: tuple, u: float) -> int:
-    idx, cumfrac, _ = joint.cond_table(prefix_idx)
+    idx, cumfrac = joint.cond_table(prefix_idx)
     pos = int(np.searchsorted(cumfrac, u - _U_TOL, side="left"))
     pos = min(pos, len(idx) - 1)
     return int(idx[pos])

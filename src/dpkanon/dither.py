@@ -1,5 +1,5 @@
-"""Per-cluster cell counts of the quasi-identifiers, and Gaussian dither
-from per-cluster moments.
+"""Gaussian dither from per-cluster moments, and the seeded random streams
+the transforms draw from.
 
 The Gaussian sampler draws the dither of many records at once from a single
 stream, in record order. The pipeline derives one stream per (seed, channel,
@@ -8,13 +8,9 @@ record order only.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import EmpiricalJoint, round_sig
-from .errors import DegenerateError, DomainError, PartitionError
+from .errors import DegenerateError, DomainError
 from .kmember import ClusterModel
 
 # Smallest conditional variance a loaded cluster covariance may have.
@@ -24,49 +20,6 @@ _PD_TOL = 1e-10
 def substream(seed: int, *key) -> np.random.Generator:
     """Deterministic child stream of the master seed, keyed by integers."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
-@dataclass(frozen=True)
-class CellPartition:
-    """Cell counts of the quasi-identifier tuples, per cluster and in total.
-
-    A cell is a tuple of per-dimension value indices into the joint's
-    sorted distinct values; cluster_cell_counts maps (cluster, cell) to
-    n_l(cell) and cell_counts maps cell to n(cell).
-    """
-
-    cluster_cell_counts: dict
-    cell_counts: dict
-
-
-def build_cell_partition(joint: EmpiricalJoint, model: ClusterModel) -> CellPartition:
-    """Tally each cluster's records per cell of the joint.  Verifies that
-    every clustered value is observed in the joint and the bookkeeping
-    identity sum_l n_l(cell) = n(cell)."""
-    rows = round_sig(np.concatenate(model.values))
-    ells = np.repeat(np.arange(model.c), model.sizes)
-    idx = np.empty(rows.shape, dtype=int)
-    for j, v in enumerate(joint.values):
-        idx[:, j] = np.minimum(np.searchsorted(v, rows[:, j]), len(v) - 1)
-        off = np.flatnonzero(v[idx[:, j]] != rows[:, j])
-        if len(off):
-            raise PartitionError(
-                f"cluster {ells[off[0]]}, dimension {j}: value {rows[off[0], j]!r} "
-                "is not an observed value of the joint; model and joint "
-                "were built from different data")
-    cells = list(map(tuple, idx.tolist()))
-    cluster_cell_counts = Counter(zip(ells.tolist(), cells))
-
-    totals = dict(Counter(cells))
-    if totals != joint.counts:
-        cell = next(t for t in sorted(set(totals) | set(joint.counts))
-                    if totals.get(t, 0) != joint.counts.get(t, 0))
-        raise PartitionError(
-            f"cell {cell} holds {totals.get(cell, 0)} records across clusters "
-            f"but {joint.counts.get(cell, 0)} in the joint; model and joint "
-            "were built from different data")
-
-    return CellPartition(dict(cluster_cell_counts), totals)
 
 
 def _loaded_cholesky(model: ClusterModel, alpha: float) -> np.ndarray:

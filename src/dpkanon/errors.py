@@ -42,11 +42,5 @@ class ConvergenceError(DpkError):
     """An iterative fit failed, e.g. perfect separation in logistic weights."""
 
 
-class PartitionError(DpkError):
-    """A cluster model and an empirical joint disagree: a clustered value
-    is unobserved in the joint, or the clusters' cell counts do not sum to
-    the joint's."""
-
-
 class DegenerateError(DpkError):
     """A problem instance is degenerate, e.g. all-zero regression weights."""

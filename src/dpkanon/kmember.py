@@ -50,11 +50,9 @@ class ClusterModel:
 
     assignment: np.ndarray   # (n,) cluster index in 0..c-1
     members: tuple           # c arrays of record indices
-    values: tuple            # c arrays (n_l, d): quasi-identifier rows V_l
-    member_y: tuple          # c arrays (n_l,): response values
     centroids: np.ndarray    # (c, d) mean quasi-identifiers
     centroids_y: np.ndarray  # (c,) mean responses
-    covariances: np.ndarray  # (c, d, d) population covariances of V_l
+    covariances: np.ndarray  # (c, d, d) population covariances of the members' rows
     k: int
     w: float
 
@@ -81,24 +79,18 @@ def _member_lists(assignment: np.ndarray, c: int) -> list:
 
 def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: float):
     members = _member_lists(assignment, c)
-    values, member_y = [], []
     centroids = np.empty((c, table.d))
     centroids_y = np.empty(c)
     covs = np.empty((c, table.d, table.d))
     for ell, idx in enumerate(members):
         rows = table.qi[idx]
-        ys = table.response[idx]
-        values.append(rows)
-        member_y.append(ys)
         centroids[ell] = rows.mean(axis=0)
-        centroids_y[ell] = ys.mean()
+        centroids_y[ell] = table.response[idx].mean()
         centered = rows - centroids[ell]
         covs[ell] = centered.T @ centered / len(idx)  # population form
     return ClusterModel(
         assignment=assignment,
         members=tuple(members),
-        values=tuple(values),
-        member_y=tuple(member_y),
         centroids=centroids,
         centroids_y=centroids_y,
         covariances=covs,

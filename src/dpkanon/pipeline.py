@@ -7,6 +7,7 @@ clustering distance but is passed through untouched.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -20,8 +21,9 @@ from .dataset import (
     build_empirical_joint,
     round_sig,
     standardize,
+    value_indices,
 )
-from .dither import CellPartition, build_cell_partition, sample_gaussian_batch, substream
+from .dither import sample_gaussian_batch, substream
 from .errors import DomainError
 from .kmember import ClusterModel, greedy_k_member
 from .rosenblatt import forward_gaussian, inverse_empirical_indices
@@ -55,8 +57,7 @@ class PipelineState:
     standardizer: Standardizer
     model: ClusterModel
     joint: EmpiricalJoint
-    partition: CellPartition
-    orig_values: tuple  # per-dimension sorted distinct original values
+    orig_values: tuple  # per dimension, an original value for each joint value index
     k: int
     w: float
     seed: int
@@ -66,12 +67,13 @@ def prepare(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> Pipeline
     std_table, std = standardize(table)
     model = greedy_k_member(std_table, k, w=w, seed=seed)
     joint = build_empirical_joint(std_table.qi)
-    partition = build_cell_partition(joint, model)
-    orig_values = tuple(
-        np.unique(round_sig(table.qi[:, j])) for j in range(table.d)
-    )
-    return PipelineState(table, std_table, std, model, joint, partition,
-                         orig_values, k, w, seed)
+    # Standardizing and rounding are monotone, so the sorted original values
+    # of a dimension fall in one block per joint value index. Each block's
+    # first value (np.unique's pick among 0.0 and -0.0) aligns with joint.values.
+    idx = value_indices(joint.values, round_sig(std_table.qi))
+    sizes = [np.bincount(col) for col in idx.T]
+    orig_values = tuple(np.sort(col)[np.cumsum(m) - m] for col, m in zip(table.qi.T, sizes))
+    return PipelineState(table, std_table, std, model, joint, orig_values, k, w, seed)
 
 
 def resample_within_clusters(model: ClusterModel, rng: np.random.Generator,
@@ -92,9 +94,11 @@ def resample_pmf(state: PipelineState) -> dict:
     """Analytic output PMF of the resample method in exact rational
     arithmetic: sum_l (n_l/n)(n_l(v)/n_l)."""
     n = state.model.n
+    cells = value_indices(state.joint.values, round_sig(state.std_table.qi))
     out: dict[tuple, Fraction] = {}
-    for (_, cell), cnt in state.partition.cluster_cell_counts.items():
-        out[cell] = out.get(cell, Fraction(0)) + Fraction(cnt, n)
+    for members in state.model.members:
+        for cell, cnt in Counter(map(tuple, cells[members].tolist())).items():
+            out[cell] = out.get(cell, Fraction(0)) + Fraction(cnt, n)
     return out
 
 

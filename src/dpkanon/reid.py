@@ -111,7 +111,7 @@ def reid_trials(original: DataTable, k: int, method: str, T: int,
     _, inv, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     order = np.argsort(inv, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    classes = [tuple(r) for r in keys[order[starts]]]
+    classes = [tuple(r) for r in keys[order[starts]].tolist()]
     cfreq = np.array([f.mean() for f in np.split(freq[order], starts[1:])])
     p0 = 1.0 / k
     band = 3.0 * np.sqrt(p0 * (1 - p0) / (T * sizes))

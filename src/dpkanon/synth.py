@@ -47,8 +47,5 @@ def synthetic_table(n: int, levels, dep: float = 0.0, tilt: float = 0.0,
     eps = rng.standard_normal(n)
     y = qi @ beta + noise * (1.0 + 0.5 * qi[:, 0]) * eps + 10.0
 
-    columns = tuple(
-        Column(f"x{j}", "binary" if levels[j] == 2 else "ordinal")
-        for j in range(d)
-    )
+    columns = tuple(Column(f"x{j}") for j in range(d))
     return DataTable(qi, y, columns, tuple(range(n)))

@@ -169,8 +169,6 @@ def test_05_gaussian_conditioning_matches_integration():
         model = ClusterModel(
             assignment=np.zeros(1, dtype=int),
             members=(np.array([0]),),
-            values=(mu[None, :],),
-            member_y=(np.zeros(1),),
             centroids=mu[None, :],
             centroids_y=np.zeros(1),
             covariances=cov[None, :, :],

@@ -1,30 +1,50 @@
-"""The batched inverse conditional-CDF chain against a scalar reference that
-walks `joint.cond_table` one uniform vector at a time."""
+"""The flat prefix tree against a dict-of-Counters reference built from
+`joint.counts`: its conditional tables, and the batched inverse conditional
+CDF chain against a scalar walk over the reference tables."""
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpkanon.dataset import _U_TOL, build_empirical_joint, round_sig
+from dpkanon.errors import DomainError, EmptyConditionError
 from dpkanon.rosenblatt import inverse_empirical_indices
 
 
-def reference_inverse(u, joint):
+def reference_tables(joint):
+    """{index prefix: (sorted next indices, cumulative fractions)} for every
+    prefix of length < d with a positive count, tallied per prefix."""
+    children = {}
+    for t, c in joint.counts.items():
+        for j in range(joint.d):
+            children.setdefault(t[:j], Counter())[t[j]] += c
+    ref = {}
+    for prefix, ctr in children.items():
+        idx = np.array(sorted(ctr), dtype=int)
+        cnt = np.array([ctr[i] for i in idx], dtype=float)
+        ref[prefix] = (idx, np.cumsum(cnt) / cnt.sum())
+    return ref
+
+
+def reference_inverse(u, ref, d):
     """Inverse conditional CDF chain of one uniform vector."""
     prefix = ()
-    for j in range(joint.d):
-        idx, cumfrac, _ = joint.cond_table(prefix)
+    for j in range(d):
+        idx, cumfrac = ref[prefix]
         uj = max(float(u[j]), np.finfo(float).tiny)
         pos = int(np.searchsorted(cumfrac, uj - _U_TOL, side="left"))
         prefix += (int(idx[min(pos, len(idx) - 1)]),)
     return prefix
 
 
-def upper_edges(cell, joint):
+def upper_edges(cell, ref):
     """Cumulative fraction at the top of the cell's own entry at every level:
     the uniform the cell's forward map sends the cell's upper corner to."""
     u = []
-    for j in range(joint.d):
-        idx, cumfrac, _ = joint.cond_table(tuple(cell[:j]))
+    for j in range(len(cell)):
+        idx, cumfrac = ref[tuple(cell[:j])]
         u.append(float(cumfrac[np.searchsorted(idx, cell[j])]))
     return u
 
@@ -43,17 +63,36 @@ def tables(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(tables())
+def test_cond_table_equals_reference(case):
+    qi, _ = case
+    joint = build_empirical_joint(qi)
+    ref = reference_tables(joint)
+    for prefix, (idx, cumfrac) in ref.items():
+        got_idx, got_cumfrac = joint.cond_table(prefix)
+        assert np.array_equal(got_idx, idx)
+        assert np.array_equal(got_cumfrac, cumfrac)
+        if len(prefix) + 1 < joint.d:  # children that no record has
+            for i in set(range(int(idx[-1]) + 2)) - set(idx.tolist()):
+                with pytest.raises(EmptyConditionError):
+                    joint.cond_table(prefix + (i,))
+    with pytest.raises(DomainError):
+        joint.cond_table(next(iter(joint.counts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
 def test_batched_inverse_matches_scalar_reference(case):
     qi, rng = case
     joint = build_empirical_joint(qi)
+    ref = reference_tables(joint)
     rows = round_sig(qi)
     cells = np.column_stack([np.searchsorted(joint.values[j], rows[:, j])
                              for j in range(joint.d)])
-    edges = np.array([upper_edges(cell, joint) for cell in cells.tolist()])
+    edges = np.array([upper_edges(cell, ref) for cell in cells.tolist()])
     assert np.array_equal(inverse_empirical_indices(edges, joint), cells)
 
     for u in (edges, np.clip(edges - _U_TOL, 0.0, 1.0),
               np.clip(edges + _U_TOL, 0.0, 1.0), rng.random((len(qi), joint.d))):
         got = inverse_empirical_indices(u, joint)
-        want = np.array([reference_inverse(row, joint) for row in u])
+        want = np.array([reference_inverse(row, ref, joint.d) for row in u])
         assert np.array_equal(got, want)

@@ -117,6 +117,25 @@ class TestAnonymizeCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "cluster" in err[0] and "dimension 1" in err[0]
 
+    def test_gaussian_values_beyond_twelve_digits(self, tmp_path):
+        # the two values round to one at 12 significant digits; their
+        # standardized values do not
+        p = tmp_path / "wide.csv"
+        with open(p, "w", newline="") as fh:
+            fh.write("x0,cost\n")
+            for i in range(6):
+                fh.write(f"{1000000000001 + i % 2},{i}\n")
+        out = tmp_path / "o.csv"
+        rc = main([
+            "anonymize", "--input", str(p), "--output", str(out),
+            "--qi-cols", "x0", "--response-col", "cost",
+            "--k", "2", "--method", "gaussian",
+        ])
+        assert rc == 0
+        back = load_table(out, TableSchema(qi=("x0",), response="cost",
+                                          id_col="record_id"))
+        assert set(back.qi[:, 0]) <= {1000000000001.0, 1000000000002.0}
+
     @pytest.mark.parametrize("bad_row, where", [
         ("1,2", "row 4, column 'cost'"),
         ("1,nan,3", "row 4, column 'x1'"),
@@ -192,6 +211,28 @@ class TestExperimentCommand:
             "--k-grid", "1,4",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value, where", [
+        ("--k-grid", "a", "--k-grid: 'a' is not an integer"),
+        ("--levels", "x,2", "--levels: 'x' is not an integer"),
+        ("--levels", "0,2", "--levels: every value must be at least 1"),
+        ("--methods", "foo", "--methods: unknown value 'foo'"),
+        ("--shift", "bogus", "--shift: unknown value 'bogus'"),
+        ("--methods", ",", "--methods: empty list"),
+    ])
+    def test_bad_list_flag_usage_error(self, tmp_path, capsys, monkeypatch,
+                                       flag, value, where):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        monkeypatch.setattr("dpkanon.cli.synthetic_table", no_work)
+        argv = {"--k-grid": "3", "--levels": "3,3", "--methods": "resample",
+                "--shift": "none", flag: value}
+        rc = main(["experiment", "--output", str(tmp_path / "m.json"),
+                   *[arg for item in argv.items() for arg in item]])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
     def test_empty_k_grid(self, tmp_path):
         rc = main([

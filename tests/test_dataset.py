@@ -165,6 +165,10 @@ class TestConditionalCdf:
         with pytest.raises(EmptyConditionError):
             conditional_cdf(joint, 1, (99.0,), 1.0)
 
+    def test_condition_on_every_dimension_rejected(self, joint):
+        with pytest.raises(DomainError, match="fewer than 2"):
+            conditional_cdf(joint, joint.d, (1.0, 1.0), 1.0)
+
     def test_monotone_in_x(self, joint):
         xs = np.linspace(0, 3, 40)
         fs = [conditional_cdf(joint, 0, (), x) for x in xs]

@@ -1,43 +1,13 @@
 import numpy as np
 import pytest
 
-from dpkanon.dataset import build_empirical_joint, standardize
-from dpkanon.dither import build_cell_partition, sample_gaussian_batch
-from dpkanon.errors import DegenerateError, DomainError, PartitionError
+from dpkanon.dataset import standardize
+from dpkanon.dither import sample_gaussian_batch
+from dpkanon.errors import DegenerateError, DomainError
 from dpkanon.kmember import greedy_k_member
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
-
-
-class TestBuildCellPartition:
-    def test_counts_reconcile(self):
-        t = synthetic_table(50, [4, 3], dep=0.3, seed=2)
-        joint = build_empirical_joint(t.qi)
-        model = greedy_k_member(t, k=5, seed=1)
-        part = build_cell_partition(joint, model)
-        totals = {}
-        for (_, cell), cnt in part.cluster_cell_counts.items():
-            totals[cell] = totals.get(cell, 0) + cnt
-        assert totals == dict(joint.counts)
-        for ell in range(model.c):
-            assert sum(
-                cnt for (l2, _), cnt in part.cluster_cell_counts.items() if l2 == ell
-            ) == len(model.members[ell])
-
-    def test_mismatched_model_rejected(self):
-        t1 = synthetic_table(40, [3, 3], seed=3)
-        t2 = synthetic_table(40, [3, 3], seed=4)
-        joint = build_empirical_joint(t1.qi)
-        model = greedy_k_member(t2, k=5, seed=0)
-        with pytest.raises(PartitionError, match="different data"):
-            build_cell_partition(joint, model)
-
-    def test_unobserved_value_names_cluster_and_dimension(self):
-        joint = build_empirical_joint(make_table([[0.0, 0.0], [1.0, 1.0]]).qi)
-        model = greedy_k_member(make_table([[0.0, 0.0], [1.0, 2.0]]), k=2, seed=0)
-        with pytest.raises(PartitionError, match="cluster 0, dimension 1"):
-            build_cell_partition(joint, model)
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpkanon.dataset import TableSchema, build_empirical_joint, load_table
+from dpkanon.dataset import TableSchema, build_empirical_joint, load_table, round_sig
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import (
     METHODS,
@@ -18,6 +20,8 @@ from dpkanon.pipeline import (
     write_sidecar,
 )
 from dpkanon.synth import synthetic_table
+
+from conftest import make_table
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +104,27 @@ class TestTransform:
     def test_unknown_method(self, state):
         with pytest.raises(DomainError):
             transform(state, "shuffle")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1e-3, 1.0, 1e6]), st.integers(0, 6))
+def test_orig_values_align_with_joint_values(seed, scale, decimals):
+    # signed zeros, values that differ only in the 13th significant digit,
+    # and rounded normals of several magnitudes
+    rng = np.random.default_rng(seed)
+    n = 30
+    qi = np.column_stack([
+        rng.choice([-0.0, 0.0, 1.0, 2.5], n),
+        1e12 + rng.integers(0, 4, n),
+        np.round(rng.normal(size=n) * scale, decimals),
+    ])
+    t = make_table(qi, y=rng.normal(size=n))
+    state = prepare(t, k=3, seed=seed)
+    for j, v in enumerate(state.orig_values):
+        assert np.isin(v, t.qi[:, j]).all()
+        std = state.standardizer
+        assert np.array_equal(round_sig((v - std.means[j]) / std.scales[j]),
+                              state.joint.values[j])
 
 
 class TestResampleHelpers:

@@ -117,3 +117,8 @@ class TestReidTrials:
         rows = list(rep.to_csv_rows())
         assert rows[0] == ("class", "size", "frequency", "band_3sigma")
         assert len(rows) == len(rep.class_keys) + 1
+
+    def test_csv_class_key_holds_plain_numbers(self):
+        t = make_table([[0.0, 1.0], [0.0, 1.0], [2.0, 3.5], [2.0, 3.5]])
+        rows = list(reid_trials(t, k=2, method="resample", T=2, seed=1).to_csv_rows())
+        assert [r[0] for r in rows[1:]] == ["0.0;1.0", "2.0;3.5"]
