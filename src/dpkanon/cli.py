@@ -18,7 +18,6 @@ from .errors import ConvergenceError, DegenerateError, DomainError, DpkError
 from .pipeline import anonymize, prepare, transform, write_anonymized_csv, write_sidecar
 from .reid import reid_trials
 from .shiftlearn import (
-    ShiftWeights,
     build_design,
     histogram_intersection,
     logistic_weights,
@@ -168,6 +167,10 @@ def run_experiment(args) -> int:
     methods = [_METHOD_FLAGS[m]
                for m in _choice_list("--methods", args.methods, sorted(_METHOD_FLAGS))]
     shifts = _choice_list("--shift", args.shift, _SHIFTS)
+    for flag, value, least in (("--n", args.n, 1), ("--test-n", args.test_n, 1),
+                               ("--trials", args.trials, 0)):
+        if value < least:
+            raise _UsageError(f"{flag}: must be at least {least}, got {value}")
 
     train = synthetic_table(args.n, levels, dep=args.dep, tilt=0.0, seed=args.seed)
     test = synthetic_table(args.test_n, levels, dep=args.dep, tilt=args.tilt,

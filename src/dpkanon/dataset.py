@@ -9,6 +9,7 @@ from one flat prefix tree over its index tuples, built on first use.
 from __future__ import annotations
 
 import csv
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,11 +48,26 @@ class Column:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Column-role declaration for load_table."""
+    """Column-role declaration for load_table. Each column takes at most
+    one role, so no quasi-identifier can leave the release as the response
+    or the id."""
 
     qi: tuple
     response: str
     id_col: str | None = None
+
+    def __post_init__(self):
+        roles = [(name, "a quasi-identifier") for name in self.qi]
+        roles.append((self.response, "the response"))
+        if self.id_col is not None:
+            roles.append((self.id_col, "the id"))
+        seen = {}
+        for name, role in roles:
+            if name in seen:
+                raise SchemaError(
+                    f"column {name!r} is listed twice as {role}" if seen[name] == role
+                    else f"column {name!r} is declared as {seen[name]} and as {role}")
+            seen[name] = role
 
 
 @dataclass(frozen=True)
@@ -250,17 +266,29 @@ class EmpiricalJoint:
         counted = sum(self.counts.values())
         if counted != self.total:
             raise DomainError(f"counts sum to {counted}, not the total {self.total}")
-        for t, c in self.counts.items():
-            if c < 1:
-                raise DomainError(f"index tuple {t}: count {c} must be positive")
-            if len(t) != self.d:
-                raise ShapeError(
-                    f"index tuple {t} has {len(t)} dimensions, expected {self.d}")
-            for j, i in enumerate(t):
-                if not 0 <= i < len(self.values[j]):
-                    raise DomainError(
-                        f"index tuple {t}: index {i} out of range in dimension "
-                        f"{j}, which has {len(self.values[j])} values")
+        keys = self.counts.keys()
+        sizes = [len(v) for v in self.values]
+        try:
+            idx = np.fromiter(itertools.chain.from_iterable(keys), dtype=float)
+            idx = idx.reshape(-1, self.d)
+            valid = (set(map(len, keys)) <= {self.d}
+                     and min(self.counts.values(), default=1) >= 1
+                     and ((idx >= 0) & (idx < sizes)).all())
+        except (TypeError, ValueError):  # non-numeric or ragged tuples
+            valid = False
+        if not valid:
+            # name the first bad tuple and dimension
+            for t, c in self.counts.items():
+                if c < 1:
+                    raise DomainError(f"index tuple {t}: count {c} must be positive")
+                if len(t) != self.d:
+                    raise ShapeError(
+                        f"index tuple {t} has {len(t)} dimensions, expected {self.d}")
+                for j, i in enumerate(t):
+                    if not 0 <= i < len(self.values[j]):
+                        raise DomainError(
+                            f"index tuple {t}: index {i} out of range in dimension "
+                            f"{j}, which has {len(self.values[j])} values")
         for j, v in enumerate(self.values):
             if np.any(np.diff(v) <= 0):
                 raise DomainError(f"values of dimension {j} must be strictly increasing")

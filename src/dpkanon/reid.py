@@ -2,10 +2,18 @@
 records against an anonymized release, repeated over dither trials.
 
 Matching runs on standardized coordinates so scale differences between
-quasi-identifiers do not dominate the distance.
+quasi-identifiers do not dominate the distance. Identical released tuples
+are matched once: a KD-tree over the distinct tuples finds each record's
+nearest distance and the few tuples near it, and only those pairs are
+scored, so no (n, m) distance matrix is built. A record's ties are every
+released record within _TIE_TOL of its minimum squared distance, with
+distances computed in the same expanded form as a dense matrix, and the
+tie-breaks consume the random stream as one rng.choice over each record's
+ties would.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -25,21 +33,67 @@ _TIE_TOL = 1e-9
 def match_min_distance(original: DataTable, anon: AnonymizedTable,
                        rng: np.random.Generator) -> np.ndarray:
     """For each original record, the index of one minimum-Euclidean-distance
-    anonymized record, ties broken uniformly at random."""
+    anonymized record, ties broken uniformly at random.
+
+    A record's tie set is every anonymized record whose squared distance,
+    in the expanded form |x|^2 - 2 x.xh + |xh|^2, lies within _TIE_TOL of
+    the smallest. Among its t records (t > 1), the pick is the r-th in
+    index order, with r = rng.integers(0, t) drawn for the records in
+    order; this consumes the stream as rng.choice(ties) per record does.
+    """
+    from scipy.spatial import cKDTree
+
     _, std = standardize(original)
     X = std.apply_qi(original.qi)
     Xh = std.apply_qi(anon.qi_hat)
-    # (n, m) squared distances
-    d2 = (
-        np.einsum("ij,ij->i", X, X)[:, None]
-        - 2.0 * X @ Xh.T
-        + np.einsum("ij,ij->i", Xh, Xh)[None, :]
-    )
-    out = np.empty(len(X), dtype=int)
-    for i in range(len(X)):
-        row = d2[i]
-        ties = np.flatnonzero(row <= row.min() + _TIE_TOL)
-        out[i] = ties[0] if len(ties) == 1 else int(rng.choice(ties))
+    n, d = X.shape
+    # distinct released tuples, each with its records in ascending order
+    tuples, inv, sizes = np.unique(Xh, axis=0, return_inverse=True, return_counts=True)
+    members = np.argsort(inv, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    a = np.einsum("ij,ij->i", X, X)
+    c = np.einsum("ij,ij->i", tuples, tuples)
+
+    # Candidates: every tuple within the squared nearest distance plus
+    # _TIE_TOL plus slack. The slack bounds the rounding of the expanded
+    # form and of the tree's distances, both below (d + 2) eps (|x|^2 +
+    # |xh|^2) per distance, so the candidates hold the expanded form's
+    # minimum and its whole tie set.
+    tree = cKDTree(tuples)
+    nearest, _ = tree.query(X, k=1)
+    slack = 8 * (d + 2) * np.finfo(float).eps * (a + c.max())
+    balls = tree.query_ball_point(X, np.sqrt(nearest**2 + _TIE_TOL + slack),
+                                  return_sorted=True)
+    lengths = np.fromiter(map(len, balls), dtype=np.intp, count=n)
+    cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                       count=int(lengths.sum()))
+    row = np.repeat(np.arange(n), lengths)
+    starts = np.cumsum(lengths) - lengths
+
+    # the expanded form on the candidate pairs only; a stacked matmul sums
+    # each product as a BLAS dot does, which rounds as the dense matrix
+    # product does but for rare last bits
+    xc = np.matmul(X[row][:, None, :], tuples[cand][:, :, None])[:, 0, 0]
+    d2 = a[row] - 2.0 * xc + c[cand]
+    tied = d2 <= np.minimum.reduceat(d2, starts)[row] + _TIE_TOL
+    counts = np.add.reduceat(np.where(tied, sizes[cand], 0), starts)
+    several = np.add.reduceat(tied.astype(np.intp), starts) > 1
+
+    r = np.zeros(n, dtype=np.intp)
+    multi = counts > 1
+    r[multi] = rng.integers(0, counts[multi])
+    # one tied tuple: its r-th member
+    pairs = np.flatnonzero(tied)
+    single = cand[pairs[np.searchsorted(row[pairs], np.arange(n))]]
+    out = members[first[single] + np.where(several, 0, r)]
+    # several tied tuples: the r-th of their members' sorted union
+    pairs = pairs[several[row[pairs]]]
+    t = cand[pairs]
+    span = sizes[t]
+    offset = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+    union = members[np.repeat(first[t], span) + offset]
+    union = union[np.lexsort((union, np.repeat(row[pairs], span)))]
+    out[several] = union[np.cumsum(counts[several]) - counts[several] + r[several]]
     return out
 
 

@@ -170,6 +170,26 @@ class TestAnonymizeCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
+    @pytest.mark.parametrize("qi, response, id_col, where", [
+        ("x0", "x0", None, "'x0' is declared as a quasi-identifier and as the response"),
+        ("x0,x0", "cost", None, "'x0' is listed twice as a quasi-identifier"),
+        ("x0,x1", "cost", "x1", "'x1' is declared as a quasi-identifier and as the id"),
+    ])
+    def test_column_in_two_roles_data_error(self, tmp_path, capsys, input_csv,
+                                            qi, response, id_col, where):
+        # a quasi-identifier also released as the response or the id would
+        # leave the file with its original values
+        out = tmp_path / "o.csv"
+        rc = main([
+            "anonymize", "--input", str(input_csv), "--output", str(out),
+            "--qi-cols", qi, "--response-col", response,
+            "--k", "2", "--method", "resample",
+            *(["--id-col", id_col] if id_col else []),
+        ])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
 
 class TestExperimentCommand:
     def run(self, tmp_path, name, extra=()):
@@ -219,6 +239,8 @@ class TestExperimentCommand:
         ("--methods", "foo", "--methods: unknown value 'foo'"),
         ("--shift", "bogus", "--shift: unknown value 'bogus'"),
         ("--methods", ",", "--methods: empty list"),
+        ("--trials", "-1", "--trials: must be at least 0, got -1"),
+        ("--test-n", "0", "--test-n: must be at least 1, got 0"),
     ])
     def test_bad_list_flag_usage_error(self, tmp_path, capsys, monkeypatch,
                                        flag, value, where):

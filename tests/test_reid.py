@@ -1,12 +1,15 @@
-import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpkanon.dataset import standardize
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import prepare, transform
-from dpkanon.reid import match_min_distance, reid_trials
+from dpkanon.reid import _TIE_TOL, match_min_distance, reid_trials
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
@@ -28,6 +31,84 @@ def as_anon(table, qi_hat, method="resample", k=2, seed=0):
         alpha=1 / 3,
         w=1.0,
     )
+
+
+def reference_match(original, anon, rng):
+    """The dense matcher: the full (n, m) squared-distance matrix, then one
+    rng.choice per record over its ties."""
+    _, std = standardize(original)
+    X = std.apply_qi(original.qi)
+    Xh = std.apply_qi(anon.qi_hat)
+    d2 = (
+        np.einsum("ij,ij->i", X, X)[:, None]
+        - 2.0 * X @ Xh.T
+        + np.einsum("ij,ij->i", Xh, Xh)[None, :]
+    )
+    out = np.empty(len(X), dtype=int)
+    for i in range(len(X)):
+        row = d2[i]
+        ties = np.flatnonzero(row <= row.min() + _TIE_TOL)
+        out[i] = ties[0] if len(ties) == 1 else int(rng.choice(ties))
+    return out
+
+
+@st.composite
+def match_cases(draw):
+    """(original, release) pairs rich in ties: ordinal grids with repeated
+    rows, constant columns, values rounded to 0-2 decimals, releases of
+    four methods (centroid up to k = n), and hand-built releases."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):  # ordinal grid
+        qi = rng.integers(0, draw(st.integers(1, 5)), size=(n, d)).astype(float)
+    else:
+        scale = 10.0 ** draw(st.integers(-1, 2))
+        qi = np.round(rng.normal(size=(n, d)) * scale, draw(st.integers(0, 2)))
+    for j in range(d):
+        if draw(st.integers(0, 4)) == 0:
+            qi[:, j] = round(float(rng.uniform(-50, 50)), 2)
+    t = make_table(qi, y=rng.normal(size=n))
+    kind = draw(st.sampled_from(
+        ["centroid", "resample", "permute", "gaussian", "grid", "wide"]))
+    if kind == "grid":
+        # half-step offsets: records sit equidistant from several tuples
+        return t, as_anon(t, qi + rng.choice([-0.5, 0.5], size=qi.shape))
+    if kind == "wide":
+        # one constant column of large magnitude: the expanded form's
+        # rounding, not the tolerance, then decides which tuples tie. One
+        # dimension keeps each product a single rounding, as in BLAS.
+        big = round(float(rng.uniform(1e5, 1e7)), 2)
+        t = make_table(np.full((n, 1), big), y=rng.normal(size=n))
+        return t, as_anon(t, big + 0.01 * rng.integers(-6, 7, size=(n, 1)))
+    k = draw(st.integers(2, n))
+    state = prepare(t, k, seed=draw(st.integers(0, 9)))
+    return t, transform(state, kind, trial=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(match_cases(), st.integers(0, 2**16))
+def test_matches_dense_reference(case, seed):
+    t, anon = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert match_min_distance(t, anon, rng).tolist() == \
+        reference_match(t, anon, ref_rng).tolist()
+    assert rng.random() == ref_rng.random()
+
+
+def test_all_rows_tie_without_dense_matrix():
+    # centroid at k = n releases one tuple, so every record ties with all n
+    t = synthetic_table(2000, [10, 8, 6], dep=0.3, seed=31)
+    anon = transform(prepare(t, t.n, seed=0), "centroid")
+    want = reference_match(t, anon, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        got = match_min_distance(t, anon, np.random.default_rng(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 4e6  # one (n, n) float array takes 32 MB
 
 
 class TestMatchMinDistance:
