@@ -189,7 +189,7 @@ def run_experiment(args) -> int:
             if args.trials > 0:
                 report = reid_trials(train, k, method, args.trials,
                                      seed=args.seed, w=args.w, alpha=args.alpha,
-                                     state=state)
+                                     state=state, first=anon)
                 reid_avg = report.average
             for shift in shifts:
                 wts, degenerate = _shift_weights(

@@ -27,8 +27,8 @@ def _loaded_cholesky(model: ClusterModel, alpha: float) -> np.ndarray:
     column by column. The squared diagonal entry L_l[j, j] is the
     conditional variance of dimension j given the dimensions before it,
     which must exceed _PD_TOL."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     d = model.centroids.shape[1]
     lam = model.covariances + alpha * np.eye(d)
     L = np.zeros_like(lam)

@@ -114,8 +114,8 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         raise DomainError(f"k must be at least 2, got {k}")
     if k > n:
         raise InfeasibleError(f"infeasible k: k={k} exceeds n={n}")
-    if w <= 0:
-        raise DomainError(f"distortion weight must be positive, got {w}")
+    if not 0 < w < math.inf:
+        raise DomainError(f"distortion weight w must be positive and finite, got {w}")
 
     X = table.qi
     y = table.response

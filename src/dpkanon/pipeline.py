@@ -165,8 +165,10 @@ def write_anonymized_csv(anon: AnonymizedTable, path, response_name: str = "resp
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["record_id"] + [c.name for c in anon.columns] + [response_name])
-        for rid, row, y in zip(anon.record_ids, anon.qi_hat, anon.response):
-            writer.writerow([rid] + [repr(float(v)) for v in row] + [repr(float(y))])
+        # csv writes a Python float as its repr
+        qi = np.asarray(anon.qi_hat, dtype=float).tolist()
+        ys = np.asarray(anon.response, dtype=float).tolist()
+        writer.writerows([rid, *row, y] for rid, row, y in zip(anon.record_ids, qi, ys))
 
 
 def write_sidecar(anon: AnonymizedTable, path):

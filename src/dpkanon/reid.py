@@ -143,9 +143,13 @@ class ReidReport:
 
 def reid_trials(original: DataTable, k: int, method: str, T: int,
                 seed: int = 0, w: float = 1.0, alpha: float = 1.0 / 3.0,
-                state: PipelineState | None = None) -> ReidReport:
+                state: PipelineState | None = None,
+                first: AnonymizedTable | None = None) -> ReidReport:
     """Re-run the dither and matching stages T times on a fixed clustering
-    and report reidentification frequencies."""
+    and report reidentification frequencies.
+
+    `first`, if given, is the caller's release of trial 0, i.e.
+    transform(state, method, alpha), and is matched instead of drawn again."""
     if T < 1:
         raise DomainError(f"trial count must be at least 1, got {T}")
     if state is None:
@@ -153,7 +157,10 @@ def reid_trials(original: DataTable, k: int, method: str, T: int,
     n = original.n
     successes = np.zeros(n)
     for t in range(T):
-        anon = transform(state, method, alpha=alpha, trial=t)
+        if t == 0 and first is not None:
+            anon = first
+        else:
+            anon = transform(state, method, alpha=alpha, trial=t)
         rng = substream(seed, _CH_MATCH, t)
         matched = match_min_distance(original, anon, rng)
         successes += matched == np.arange(n)

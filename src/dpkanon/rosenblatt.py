@@ -5,17 +5,19 @@ through the conditional inverse-CDF chain.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
-from scipy.special import ndtr
 
 from .dataset import _U_TOL, EmpiricalJoint, searchsorted_segments
 from .dither import _loaded_cholesky
 from .errors import DomainError, ShapeError
 from .kmember import ClusterModel
 
-# Records per block of the Gaussian forward map; bounds its (block, c, d)
-# temporaries whatever n is.
-_BLOCK = 128
+# Records per block of the Gaussian forward map; bounds the (block, c)
+# temporaries each thread holds, whatever n is.
+_BLOCK = 32
 
 
 def _first(mask) -> tuple:
@@ -41,6 +43,13 @@ def conditional_moments(model: ClusterModel, alpha: float, ell: int, j: int,
     return float(c[j] + L[j, :j] @ z), float(L[j, j] ** 2)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def forward_gaussian(xt, model: ClusterModel, alpha: float):
     """Mixture-CDF forward transform for Gaussian dither.
 
@@ -49,11 +58,20 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     conditional residuals of x are z = L^-1 (x - centroid), with L the
     Cholesky factor of the loaded covariance, solved one dimension at a
     time. Posteriors are carried in log space and normalized after a max
-    shift, so far-from-centroid points do not underflow. Records are
-    processed in blocks of _BLOCK, over all clusters at once.
+    shift, so far-from-centroid points do not underflow.
+
+    Records are processed in blocks of _BLOCK rows, over all clusters at
+    once. Blocks are independent, and the block kernel spends its time in
+    numpy calls that release the GIL (ndtr, exp, einsum and the BLAS
+    product with the prior), so the blocks run on every CPU the process may
+    use: with `share` such CPUs, the calling thread takes every share-th
+    block and share - 1 helper threads take the rest. The block edges are
+    fixed, so the output bits do not depend on the thread count.
 
     Maps an (N, d) array of dither samples to an (N, d) array of uniforms.
     """
+    from scipy.special import ndtr
+
     d = model.centroids.shape[1]
     X = _samples(xt, d)
     bad = ~np.isfinite(X)
@@ -66,27 +84,52 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     centroids = model.centroids
     sizes = model.sizes.astype(float)
     prior = sizes / sizes.sum()
+    log_prior = np.log(prior)
 
     u = np.empty(X.shape)
-    for b in range(0, len(X), _BLOCK):
+
+    def block(b: int, work: np.ndarray) -> None:
         xb = X[b:b + _BLOCK]
-        z = []  # (block, c) standardized residuals of the dimensions so far
-        logpost = np.log(prior)
+        # (block, c) slices of the thread's work array: the standardized
+        # residuals of each dimension, a temporary product, the CDF terms and
+        # the log posteriors
+        z = work[:d, :len(xb)]
+        tmp, phi, logpost = work[d:, :len(xb)]
+        logpost[:] = log_prior
         for j in range(d):
-            resid = xb[:, None, j] - centroids[:, j]
-            for k, zk in enumerate(z):
-                resid -= zk * L[:, j, k]
-            zj = resid / diag[:, j]
-            z.append(zj)
+            zj = z[j]
+            np.subtract(xb[:, None, j], centroids[:, j], out=zj)
+            for k in range(j):
+                zj -= np.multiply(z[k], L[:, j, k], out=tmp)
+            zj /= diag[:, j]
+            ndtr(zj, out=phi)
             if j == 0:
-                u[b:b + _BLOCK, 0] = ndtr(zj) @ prior
+                u[b:b + _BLOCK, 0] = phi @ prior
             else:
-                w = np.exp(logpost - logpost.max(axis=1, keepdims=True))
-                u[b:b + _BLOCK, j] = (
-                    np.einsum("nc,nc->n", w, ndtr(zj)) / w.sum(axis=1)
-                )
+                w = np.exp(np.subtract(logpost, logpost.max(axis=1, keepdims=True),
+                                       out=tmp), out=tmp)
+                u[b:b + _BLOCK, j] = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
             if j + 1 < d:
-                logpost = logpost - 0.5 * zj * zj - log_diag[:, j]
+                np.multiply(zj, 0.5, out=tmp)
+                tmp *= zj
+                logpost -= tmp
+                logpost -= log_diag[:, j]
+
+    def run(blocks, work: np.ndarray) -> None:
+        for b in blocks:
+            block(b, work)
+
+    starts = range(0, len(X), _BLOCK)
+    share = max(1, min(len(starts), _usable_cpus()))
+    # The calling thread allocates every thread's work array, so the
+    # helpers' temporaries do not stay resident in per-thread malloc arenas
+    # after they exit. A pool with nothing submitted starts no thread.
+    works = [np.empty((d + 3, _BLOCK, len(prior))) for _ in range(share)]
+    with ThreadPoolExecutor(max_workers=max(1, share - 1)) as pool:
+        helpers = [pool.submit(run, starts[i::share], works[i]) for i in range(1, share)]
+        run(starts[0::share], works[0])
+        for f in helpers:
+            f.result()
 
     np.clip(u, np.finfo(float).tiny, 1.0, out=u)
     return u

@@ -11,8 +11,13 @@ from .errors import DomainError
 
 
 def _tilted_pmf(levels: int, tilt: float) -> np.ndarray:
-    p = np.exp(tilt * np.arange(levels))
-    return p / p.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.exp(tilt * np.arange(levels))
+        total = p.sum()
+    if not np.isfinite(total):
+        raise DomainError(
+            f"tilt {tilt!r} overflows the tilted PMF over {levels} levels")
+    return p / total
 
 
 def synthetic_table(n: int, levels, dep: float = 0.0, tilt: float = 0.0,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,24 @@ class TestAnonymizeCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
+    @pytest.mark.parametrize("extra, where", [
+        (("--w", "nan"), "distortion weight w must be positive and finite, got nan"),
+        (("--w", "inf"), "distortion weight w must be positive and finite, got inf"),
+        (("--method", "gaussian", "--alpha", "inf"),
+         "alpha must be positive and finite, got inf"),
+    ])
+    def test_nonfinite_weight_or_alpha_data_error(self, tmp_path, capsys, input_csv,
+                                                  extra, where):
+        # the value itself is named, not an overflow or a singular loading
+        rc = main([
+            "anonymize", "--input", str(input_csv), "--output", str(tmp_path / "o.csv"),
+            "--qi-cols", "x0,x1", "--response-col", "cost",
+            "--k", "2", "--method", "resample", *extra,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
 
 class TestExperimentCommand:
     def run(self, tmp_path, name, extra=()):
@@ -255,6 +274,16 @@ class TestExperimentCommand:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
+    def test_overflowing_tilt_data_error(self, tmp_path, capsys):
+        # rejected before a NaN PMF is drawn from, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = self.run(tmp_path, "m.json", extra=("--tilt", "1e308"))
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "tilt 1e+308 overflows the tilted PMF" in err[0]
 
     def test_empty_k_grid(self, tmp_path):
         rc = main([

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -180,6 +181,24 @@ class TestOutputFiles:
         assert meta["k"] == state.k
         assert meta["n"] == state.table.n
         assert "timestamp" in meta
+
+    def test_csv_bytes_match_per_cell_repr(self, tmp_path, state):
+        # reference: the per-cell repr(float(v)) writer; signed zeros, tiny
+        # and huge values, and string ids
+        base = transform(state, "centroid")
+        qi = base.qi_hat.copy()
+        qi[:4, 0] = [-0.0, 1e-310, 1.7976931348623157e308, 0.1 + 0.2]
+        anon = dataclasses.replace(base, qi_hat=qi,
+                                   record_ids=tuple(f"r{i}" for i in range(len(qi))))
+        p = tmp_path / "anon.csv"
+        write_anonymized_csv(anon, p, response_name="y")
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["record_id"] + [c.name for c in anon.columns] + ["y"])
+            for rid, row, y in zip(anon.record_ids, anon.qi_hat, anon.response):
+                writer.writerow([rid] + [repr(float(v)) for v in row] + [repr(float(y))])
+        assert p.read_bytes() == ref.read_bytes()
 
     def test_csv_floats_exact(self, tmp_path, state):
         anon = transform(state, "gaussian")

@@ -181,6 +181,23 @@ class TestReidTrials:
         b = reid_trials(table, k=5, method="resample", T=5, seed=4, state=state)
         assert a.to_json() == b.to_json()
 
+    def test_first_release_reused(self, table, monkeypatch):
+        # the caller's trial-0 release is matched instead of drawn again,
+        # with the same report
+        state = prepare(table, 5, seed=4)
+        a = reid_trials(table, k=5, method="gaussian", T=3, seed=4, state=state)
+        first = transform(state, "gaussian")
+        drawn = []
+
+        def counted(*args, **kwargs):
+            drawn.append(kwargs.get("trial"))
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr("dpkanon.reid.transform", counted)
+        b = reid_trials(table, k=5, method="gaussian", T=3, seed=4, state=state,
+                        first=first)
+        assert a.to_json() == b.to_json() and drawn == [1, 2]
+
     def test_trial_count_validated(self, table):
         with pytest.raises(DomainError, match="at least 1"):
             reid_trials(table, k=5, method="resample", T=0)

@@ -1,12 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from scipy.special import ndtr
+
+from dpkanon import rosenblatt
 from dpkanon.dataset import build_empirical_joint, standardize
-from dpkanon.dither import sample_gaussian_batch
+from dpkanon.dither import _loaded_cholesky, sample_gaussian_batch
 from dpkanon.errors import DomainError
 from dpkanon.kmember import greedy_k_member
 from dpkanon.rosenblatt import (
+    _BLOCK,
     conditional_moments,
     forward_gaussian,
     inverse_empirical,
@@ -15,6 +21,45 @@ from dpkanon.rosenblatt import (
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
+
+
+def reference_forward(X, model, alpha):
+    """Serial reference for forward_gaussian: one thread walks the _BLOCK-row
+    blocks in order, with the same arithmetic."""
+    L = _loaded_cholesky(model, alpha)
+    diag = np.diagonal(L, axis1=1, axis2=2)
+    prior = model.sizes / model.sizes.sum()
+    u = np.empty(X.shape)
+    for b in range(0, len(X), _BLOCK):
+        xb = X[b:b + _BLOCK]
+        z = []
+        logpost = np.log(prior)
+        for j in range(X.shape[1]):
+            resid = xb[:, None, j] - model.centroids[:, j]
+            for k, zk in enumerate(z):
+                resid -= zk * L[:, j, k]
+            zj = resid / diag[:, j]
+            z.append(zj)
+            if j == 0:
+                u[b:b + _BLOCK, 0] = ndtr(zj) @ prior
+            else:
+                w = np.exp(logpost - logpost.max(axis=1, keepdims=True))
+                u[b:b + _BLOCK, j] = np.einsum("nc,nc->n", w, ndtr(zj)) / w.sum(axis=1)
+            logpost = logpost - 0.5 * zj * zj - np.log(diag[:, j])
+    return np.clip(u, np.finfo(float).tiny, 1.0)
+
+
+@pytest.fixture(scope="module")
+def dithered():
+    """8 full blocks and a partial one of dither samples from a 3-d mixture
+    of 300 clusters, large enough that a block's BLAS product may itself
+    run on several BLAS threads."""
+    t = synthetic_table(1500, [8, 6, 5], dep=0.4, seed=14)
+    std, _ = standardize(t)
+    model = greedy_k_member(std, k=5, seed=3)
+    rng = np.random.default_rng(8)
+    recs = rng.integers(0, t.n, size=8 * _BLOCK + 19)
+    return sample_gaussian_batch(model, 1 / 3, recs, rng), model
 
 
 class TestConditionalMoments:
@@ -78,6 +123,36 @@ class TestForwardGaussian:
         model = greedy_k_member(t, k=2, seed=0)
         with pytest.raises(DomainError, match="row 1, dimension 0"):
             forward_gaussian(np.array([[0.0, 0.0], [np.nan, 0.0]]), model, 1.0)
+
+
+class TestForwardGaussianBlocks:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_matches_serial_reference_whatever_the_cpu_count(self, dithered,
+                                                             monkeypatch, cpus):
+        # from one thread to more threads than cores, switching the GIL often
+        # so that the threads interleave within blocks
+        xt, model = dithered
+        monkeypatch.setattr(rosenblatt, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            u = forward_gaussian(xt, model, 1 / 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert u.tobytes() == reference_forward(xt, model, 1 / 3).tobytes()
+
+    @pytest.mark.parametrize("a, b", [
+        (5, 5 + _BLOCK), (_BLOCK - 1, 3 * _BLOCK - 1), (17, 7 * _BLOCK + 17),
+        (2 * _BLOCK, 6 * _BLOCK), (8 * _BLOCK, 8 * _BLOCK + 19),
+    ])
+    def test_row_slices_cross_block_edges(self, dithered, a, b):
+        # A row's u does not depend on where the block edges fall. The BLAS
+        # product with the prior may round the rows of a partial block apart
+        # from those of a full one, so every block these rows fall in is full
+        # both in the slice and in the whole input, or partial in both.
+        xt, model = dithered
+        u = forward_gaussian(xt, model, 1 / 3)
+        assert u[a:b].tobytes() == forward_gaussian(xt[a:b], model, 1 / 3).tobytes()
 
 
 class TestInverseEmpirical:
