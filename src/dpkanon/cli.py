@@ -15,17 +15,25 @@ import numpy as np
 from . import __version__
 from .dataset import TableSchema, build_empirical_joint, load_table
 from .errors import ConvergenceError, DegenerateError, DomainError, DpkError
-from .pipeline import anonymize, prepare, transform, write_anonymized_csv, write_sidecar
+from .dither import check_alpha
+from .pipeline import (
+    RELEASED_BY,
+    anonymize,
+    prepare,
+    transform,
+    write_anonymized_csv,
+    write_sidecar,
+)
 from .reid import reid_trials
 from .shiftlearn import (
+    apply_design,
     build_design,
+    distinct_row_least_squares,
     histogram_intersection,
     logistic_weights,
     nonparametric_weights,
-    predict,
     r_squared,
     relative_bias,
-    weighted_least_squares,
 )
 from .synth import synthetic_table
 
@@ -161,6 +169,47 @@ def _shift_weights(tag: str, anon_qi, anon_joint, test_qi, test_joint):
     return sw.per_record, False
 
 
+def _sweep_rows(args, state, method, shifts, test, test_joint, test_pmf) -> list:
+    """Similarity, reidentification average and one regression fit per
+    shift estimator for one release; one result row per shift."""
+    anon = transform(state, method, alpha=args.alpha)
+    anon_joint = build_empirical_joint(anon.qi_hat)
+    similarity = histogram_intersection(anon_joint.pmf(), test_pmf)
+    reid_avg = None
+    if args.trials > 0:
+        reid_avg = reid_trials(state.table, state.k, method, args.trials,
+                               seed=args.seed, w=args.w, alpha=args.alpha,
+                               state=state, first=anon).average
+    # Every shift estimator weights a record through its QI row only, so
+    # each fit runs on the release's distinct rows, encoded once.
+    rows, inverse = np.unique(anon.qi_hat, axis=0, return_inverse=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        design, info = build_design(rows, args.coding)
+        test_design = apply_design(info, test.qi)
+    out = []
+    for shift in shifts:
+        wts, degenerate = _shift_weights(shift, anon.qi_hat, anon_joint, test.qi, test_joint)
+        try:
+            model = distinct_row_least_squares(design, inverse, anon.response, wts, info=info)
+            yhat = test_design @ model.coef
+            bias = relative_bias(yhat, test.response)
+            r2 = r_squared(yhat, test.response)
+        except (DegenerateError, DomainError):
+            bias, r2 = None, None
+        out.append({
+            "k": state.k,
+            "shift": shift,
+            "coding": args.coding,
+            "relative_bias_pct": bias,
+            "r_squared": r2,
+            "similarity": similarity,
+            "reid_average": reid_avg,
+            "degenerate_shift": degenerate,
+        })
+    return out
+
+
 def run_experiment(args) -> int:
     k_grid = _int_list("--k-grid", args.k_grid, least=2)
     levels = _int_list("--levels", args.levels, least=1)
@@ -171,6 +220,7 @@ def run_experiment(args) -> int:
                                ("--trials", args.trials, 0)):
         if value < least:
             raise _UsageError(f"{flag}: must be at least {least}, got {value}")
+    check_alpha(args.alpha)
 
     train = synthetic_table(args.n, levels, dep=args.dep, tilt=0.0, seed=args.seed)
     test = synthetic_table(args.test_n, levels, dep=args.dep, tilt=args.tilt,
@@ -181,43 +231,14 @@ def run_experiment(args) -> int:
     results = []
     for k in k_grid:
         state = prepare(train, k, w=args.w, seed=args.seed)
+        # a method released by another's draw repeats its rows, relabelled
+        by_draw = {}
         for method in methods:
-            anon = transform(state, method, alpha=args.alpha)
-            anon_joint = build_empirical_joint(anon.qi_hat)
-            similarity = histogram_intersection(anon_joint.pmf(), test_pmf)
-            reid_avg = None
-            if args.trials > 0:
-                report = reid_trials(train, k, method, args.trials,
-                                     seed=args.seed, w=args.w, alpha=args.alpha,
-                                     state=state, first=anon)
-                reid_avg = report.average
-            for shift in shifts:
-                wts, degenerate = _shift_weights(
-                    shift, anon.qi_hat, anon_joint, test.qi, test_joint
-                )
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    design, info = build_design(anon.qi_hat, args.coding)
-                    try:
-                        model = weighted_least_squares(
-                            design, anon.response, wts, info=info
-                        )
-                        yhat = predict(model, test.qi)
-                        bias = relative_bias(yhat, test.response)
-                        r2 = r_squared(yhat, test.response)
-                    except (DegenerateError, DomainError):
-                        bias, r2 = None, None
-                results.append({
-                    "k": k,
-                    "method": method,
-                    "shift": shift,
-                    "coding": args.coding,
-                    "relative_bias_pct": bias,
-                    "r_squared": r2,
-                    "similarity": similarity,
-                    "reid_average": reid_avg,
-                    "degenerate_shift": degenerate,
-                })
+            draw = RELEASED_BY.get(method, method)
+            if draw not in by_draw:
+                by_draw[draw] = _sweep_rows(args, state, method, shifts,
+                                            test, test_joint, test_pmf)
+            results.extend({**row, "method": method} for row in by_draw[draw])
 
     payload = {
         "spec_version": SPEC_VERSION,

@@ -218,24 +218,24 @@ def load_table(path, schema: TableSchema) -> DataTable:
 def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
     """Center and scale every column to mean 0, variance 1 (denominator n-1).
 
-    Constant columns (and a constant response) are flagged and passed through
-    with scale 1 so downstream distances stay well defined.
+    A constant column (or a constant response), one whose values all equal
+    its first, is flagged, centred at that value and given scale 1, so it
+    standardizes to exactly 0. Its computed mean may differ from the value
+    in the last bits, and a raw value left in place would add its rounding
+    to every expanded-form distance. A column whose computed sd underflows
+    to 0 also gets scale 1.
     """
-    n = table.n
-    means = table.qi.mean(axis=0)
-    if n > 1:
-        scales = table.qi.std(axis=0, ddof=1)
-    else:
-        scales = np.zeros(table.d)
-    const = scales == 0.0
-    scales = np.where(const, 1.0, scales)
-    means = np.where(const, 0.0, means)
+    qi, y = table.qi, table.response
+    const = np.all(qi == qi[0], axis=0)
+    means = np.where(const, qi[0], qi.mean(axis=0))
+    scales = qi.std(axis=0, ddof=1) if table.n > 1 else np.ones(table.d)
+    scales = np.where(const | (scales == 0.0), 1.0, scales)
 
-    y_mean = float(table.response.mean())
-    y_scale = float(table.response.std(ddof=1)) if n > 1 else 0.0
-    y_const = y_scale == 0.0
+    y_const = bool(np.all(y == y[0]))
     if y_const:
-        y_mean, y_scale = 0.0, 1.0
+        y_mean, y_scale = float(y[0]), 1.0
+    else:
+        y_mean, y_scale = float(y.mean()), float(y.std(ddof=1)) or 1.0
 
     std = Standardizer(means, scales, const, y_mean, y_scale, y_const)
     out = DataTable(

@@ -22,13 +22,18 @@ def substream(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a dither loading that is not positive and finite."""
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+
+
 def _loaded_cholesky(model: ClusterModel, alpha: float) -> np.ndarray:
     """Cholesky factors L_l of Sigma_l + alpha I for all clusters at once,
     column by column. The squared diagonal entry L_l[j, j] is the
     conditional variance of dimension j given the dimensions before it,
     which must exceed _PD_TOL."""
-    if not 0 < alpha < np.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    check_alpha(alpha)
     d = model.centroids.shape[1]
     lam = model.covariances + alpha * np.eye(d)
     L = np.zeros_like(lam)

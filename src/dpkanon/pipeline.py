@@ -23,12 +23,18 @@ from .dataset import (
     standardize,
     value_indices,
 )
-from .dither import sample_gaussian_batch, substream
+from .dither import check_alpha, sample_gaussian_batch, substream
 from .errors import DomainError
 from .kmember import ClusterModel, greedy_k_member
 from .rosenblatt import forward_gaussian, inverse_empirical_indices
 
 METHODS = ("centroid", "resample", "permute", "cell_dither", "gaussian")
+
+# Methods released by another method's draw. cell_dither's dither -> forward
+# -> inverse chain lands back in the cell it drew, and it draws cell v with
+# probability n_l(v)/n_l: resample's law, so it is released by resample's
+# draw and its output equals resample's byte for byte.
+RELEASED_BY = {"cell_dither": "resample"}
 
 # substream channels
 _CH_DITHER = 0
@@ -116,22 +122,23 @@ def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
 
     `trial` keys the method's random stream, so repeated trials on a fixed
     clustering draw fresh randomness deterministically. Each call draws from
-    one stream per (seed, channel, trial), in record order.
+    one stream per (seed, channel, trial), in record order. `alpha`, the
+    Gaussian dither's loading, must be positive and finite for every method,
+    since every release records it.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_alpha(alpha)
     seed = state.seed
+    drawn = RELEASED_BY.get(method, method)
 
-    if method == "centroid":
+    if drawn == "centroid":
         qi_std = state.model.centroids[state.model.assignment]
         qi_hat = state.standardizer.revert_qi(qi_std)
-    elif method in ("resample", "permute", "cell_dither"):
-        # cell_dither's dither -> forward -> inverse chain lands back in the
-        # cell it drew, and it draws cell v with probability n_l(v)/n_l:
-        # resample's law, so it is released by resample's draw.
+    elif drawn in ("resample", "permute"):
         rng = substream(seed, _CH_RESAMPLE, trial)
         src = resample_within_clusters(state.model, rng,
-                                       with_replacement=(method != "permute"))
+                                       with_replacement=(drawn == "resample"))
         qi_hat = state.table.qi[src].copy()
     else:  # gaussian: dither, forward Rosenblatt transform, inverse empirical CDF
         rng = substream(seed, _CH_DITHER, trial)

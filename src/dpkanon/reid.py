@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,16 +100,51 @@ def match_min_distance(original: DataTable, anon: AnonymizedTable,
 
 @dataclass(frozen=True)
 class ReidReport:
-    """Per-equivalence-class and overall reidentification frequencies."""
+    """Per-equivalence-class and overall reidentification frequencies.
 
-    class_keys: tuple          # distinct original quasi-identifier tuples
-    class_sizes: np.ndarray
-    class_freq: np.ndarray     # mean per-record frequency within each class
-    class_band: np.ndarray     # 3-sigma binomial band at the nominal 1/k level
+    The per-class statistics are computed from the per-record frequencies
+    on first read."""
+
+    qi: np.ndarray             # original quasi-identifiers, one row per record
+    frequency: np.ndarray      # per-record reidentification frequency
     average: float             # record-weighted mean frequency
     trials: int
     k: int
     method: str
+
+    @cached_property
+    def _classes(self):
+        # classes in sorted key order, each keyed by its first record's tuple
+        # and averaged over its records in record order
+        rounded = round_sig(self.qi)
+        _, inv, sizes = np.unique(rounded, axis=0, return_inverse=True,
+                                  return_counts=True)
+        order = np.argsort(inv, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        keys = tuple(tuple(r) for r in rounded[order[starts]].tolist())
+        freq = np.array([f.mean() for f in np.split(self.frequency[order], starts[1:])])
+        p0 = 1.0 / self.k
+        band = 3.0 * np.sqrt(p0 * (1 - p0) / (self.trials * sizes))
+        return keys, sizes, freq, band
+
+    @property
+    def class_keys(self) -> tuple:
+        """Distinct original quasi-identifier tuples."""
+        return self._classes[0]
+
+    @property
+    def class_sizes(self) -> np.ndarray:
+        return self._classes[1]
+
+    @property
+    def class_freq(self) -> np.ndarray:
+        """Mean per-record frequency within each class."""
+        return self._classes[2]
+
+    @property
+    def class_band(self) -> np.ndarray:
+        """3-sigma binomial band at the nominal 1/k level."""
+        return self._classes[3]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -165,22 +201,9 @@ def reid_trials(original: DataTable, k: int, method: str, T: int,
         matched = match_min_distance(original, anon, rng)
         successes += matched == np.arange(n)
     freq = successes / T
-
-    # classes in sorted key order, each keyed by its first record's tuple
-    # and averaged over its records in record order
-    keys = round_sig(original.qi)
-    _, inv, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    order = np.argsort(inv, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    classes = [tuple(r) for r in keys[order[starts]].tolist()]
-    cfreq = np.array([f.mean() for f in np.split(freq[order], starts[1:])])
-    p0 = 1.0 / k
-    band = 3.0 * np.sqrt(p0 * (1 - p0) / (T * sizes))
     return ReidReport(
-        class_keys=tuple(classes),
-        class_sizes=sizes,
-        class_freq=cfreq,
-        class_band=band,
+        qi=original.qi,
+        frequency=freq,
         average=float(freq.mean()),
         trials=T,
         k=k,

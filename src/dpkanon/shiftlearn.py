@@ -246,8 +246,9 @@ def apply_design(info: DesignInfo, qi) -> np.ndarray:
 
 def weighted_least_squares(design, y, weights, ridge: float = 1e-8,
                            info: DesignInfo | None = None) -> RegressionModel:
-    """Ridge-stabilized weighted least squares via QR of the sqrt-weight
-    scaled system.  The intercept is not penalized.
+    """Ridge-stabilized weighted least squares: np.linalg.lstsq (LAPACK
+    gelsd, an SVD-based solver) on the sqrt-weight scaled system with the
+    ridge rows appended.  The intercept is not penalized.
 
     Weights are normalized to mean one internally so the fit is invariant to
     their overall scale.
@@ -278,6 +279,35 @@ def weighted_least_squares(design, y, weights, ridge: float = 1e-8,
     if info is None:
         info = DesignInfo("numeric", columns=tuple(), d=X.shape[1] - 1)
     return RegressionModel(info.coding, coef, info, ridge)
+
+
+def distinct_row_least_squares(rows, inverse, y, weights, ridge: float = 1e-8,
+                               info: DesignInfo | None = None) -> RegressionModel:
+    """weighted_least_squares over n records whose design rows repeat,
+    solved on the G distinct rows.
+
+    `rows` holds the (G, p) distinct design rows and `inverse` the row of
+    each record. Row g carries the summed weight W_g of its records and
+    their weight-averaged response ybar_g. With S = sum(w), the per-record
+    objective is sum_i w_i (y_i - x_i b)^2 n / S + ridge |b[1:]|^2. Times
+    G/n, less a term free of b, it is sum_g W_g (ybar_g - x_g b)^2 G / S +
+    ridge (G/n) |b[1:]|^2, which weighted_least_squares minimizes on the
+    distinct rows with ridge * G / n. Both fits have one minimizer; this one
+    solves a (G, p) system instead of an (n, p) one. A row whose weights are
+    all zero gets response 0, and its zero weight leaves it out of the fit.
+    """
+    inverse = np.asarray(inverse)
+    w = np.asarray(weights, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if w.shape != inverse.shape or y.shape != inverse.shape:
+        raise ShapeError("row indices, response, and weights must align")
+    if np.any(w < 0):
+        raise DomainError("weights must be nonnegative")
+    g = len(rows)
+    W = np.bincount(inverse, weights=w, minlength=g)
+    wy = np.bincount(inverse, weights=w * y, minlength=g)
+    ybar = np.divide(wy, W, out=np.zeros(g), where=W > 0)
+    return weighted_least_squares(rows, ybar, W, ridge=ridge * g / len(w), info=info)
 
 
 def predict(model: RegressionModel, qi) -> np.ndarray:

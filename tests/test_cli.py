@@ -196,16 +196,25 @@ class TestAnonymizeCommand:
         (("--w", "inf"), "distortion weight w must be positive and finite, got inf"),
         (("--method", "gaussian", "--alpha", "inf"),
          "alpha must be positive and finite, got inf"),
+        # every release records alpha, so every method rejects a bad one
+        (("--alpha", "inf"), "alpha must be positive and finite, got inf"),
+        (("--method", "centroid", "--alpha", "nan"),
+         "alpha must be positive and finite, got nan"),
+        (("--method", "permute", "--alpha", "0"),
+         "alpha must be positive and finite, got 0.0"),
+        (("--method", "cell-dither", "--alpha", "-1"),
+         "alpha must be positive and finite, got -1.0"),
     ])
     def test_nonfinite_weight_or_alpha_data_error(self, tmp_path, capsys, input_csv,
                                                   extra, where):
         # the value itself is named, not an overflow or a singular loading
+        out = tmp_path / "o.csv"
         rc = main([
-            "anonymize", "--input", str(input_csv), "--output", str(tmp_path / "o.csv"),
+            "anonymize", "--input", str(input_csv), "--output", str(out),
             "--qi-cols", "x0,x1", "--response-col", "cost",
             "--k", "2", "--method", "resample", *extra,
         ])
-        assert rc == 1
+        assert rc == 1 and not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
@@ -284,6 +293,50 @@ class TestExperimentCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "tilt 1e+308 overflows the tilted PMF" in err[0]
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+    def test_bad_alpha_data_error(self, tmp_path, capsys, monkeypatch, alpha):
+        def no_work(*args, **kwargs):
+            raise AssertionError("data drawn before alpha was checked")
+
+        monkeypatch.setattr("dpkanon.cli.synthetic_table", no_work)
+        rc, out = self.run(tmp_path, "m.json", extra=("--alpha", alpha))
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0] == f"error: alpha must be positive and finite, got {float(alpha)}"
+
+    def test_cell_dither_rows_repeat_resample_rows(self, tmp_path, monkeypatch):
+        # cell_dither is released by resample's draw: whichever of the two
+        # comes first is released once per k, and both get an independent
+        # run's rows
+        from dpkanon.pipeline import transform
+
+        released = []
+
+        def counted(state, method, **kwargs):
+            released.append(method)
+            return transform(state, method, **kwargs)
+
+        monkeypatch.setattr("dpkanon.cli.transform", counted)
+
+        def rows(name, methods):
+            released.clear()
+            rc, out = self.run(tmp_path, name, extra=(
+                "--methods", methods, "--shift", "none,nonparametric,logistic",
+                "--trials", "2"))
+            assert rc == 0
+            return json.loads(out.read_text())["results"]
+
+        alone = rows("alone.json", "cell-dither")
+        assert all(r["reid_average"] is not None for r in alone)
+        for methods, first in (("resample,cell-dither,centroid", "resample"),
+                               ("cell-dither,centroid,resample", "cell_dither")):
+            got = rows("both.json", methods)
+            assert sorted(released) == sorted([first, "centroid"] * 2)
+            for method in ("resample", "cell_dither"):
+                mine = [r for r in got if r["method"] == method]
+                assert [{**r, "method": "cell_dither"} for r in mine] == alone
 
     def test_empty_k_grid(self, tmp_path):
         rc = main([

@@ -95,12 +95,17 @@ class TestStandardize:
         assert np.isclose(std.scales[0], np.sqrt(2))
         assert np.isclose(std.means[0], 1.0)
 
-    def test_constant_column_passes_through(self):
-        t = make_table([[5.0], [5.0], [5.0]], y=[1, 2, 3])
+    @pytest.mark.parametrize("value", [5.0, 0.1, 2017.0, 1e7])
+    def test_constant_column_standardizes_to_zero(self, value):
+        # three copies of 0.1 have a computed mean 2 ulp above 0.1 and a
+        # nonzero computed sd; the column is still flagged and maps to 0
+        t = make_table([[value, 0.0], [value, 1.0], [value, 3.0]], y=[value] * 3)
         out, std = standardize(t)
-        assert std.constant_flags[0]
-        assert np.array_equal(out.qi, t.qi)
-        assert std.scales[0] == 1.0
+        assert list(std.constant_flags) == [True, False] and std.response_constant
+        assert std.scales[0] == 1.0 and std.means[0] == value
+        assert np.all(out.qi[:, 0] == 0.0) and np.all(out.response == 0.0)
+        assert np.array_equal(std.revert_qi(out.qi), t.qi)
+        assert np.array_equal(std.revert_response(out.response), t.response)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)

@@ -1,12 +1,13 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkanon.dataset import standardize
+from dpkanon.dataset import round_sig, standardize
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import prepare, transform
 from dpkanon.reid import _TIE_TOL, match_min_distance, reid_trials
@@ -216,7 +217,44 @@ class TestReidTrials:
         assert rows[0] == ("class", "size", "frequency", "band_3sigma")
         assert len(rows) == len(rep.class_keys) + 1
 
+    @pytest.mark.parametrize("method", ["centroid", "gaussian"])
+    def test_lazy_class_statistics_serialize_as_eager_ones(self, table, method):
+        # reference: the class statistics computed eagerly from the
+        # per-record frequencies, as the report did before they became lazy
+        rep = reid_trials(table, k=5, method=method, T=4, seed=7)
+        keys = round_sig(table.qi)
+        _, inv, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        order = np.argsort(inv, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        classes = [tuple(r) for r in keys[order[starts]].tolist()]
+        freq = [f.mean() for f in np.split(rep.frequency[order], starts[1:])]
+        band = 3.0 * np.sqrt(0.2 * 0.8 / (4 * sizes))
+        assert "_classes" not in vars(rep)
+        assert rep.to_json() == json.dumps({
+            "k": 5, "method": method, "trials": 4, "average": rep.average,
+            "classes": [{"key": list(c), "size": int(s), "frequency": float(f),
+                         "band_3sigma": float(b)}
+                        for c, s, f, b in zip(classes, sizes, freq, band)],
+        }, indent=2, sort_keys=True)
+        assert list(rep.to_csv_rows())[1:] == [
+            (";".join(repr(v) for v in c), int(s), float(f), float(b))
+            for c, s, f, b in zip(classes, sizes, freq, band)]
+        assert rep.average == float(np.mean(rep.frequency))
+
     def test_csv_class_key_holds_plain_numbers(self):
         t = make_table([[0.0, 1.0], [0.0, 1.0], [2.0, 3.5], [2.0, 3.5]])
         rows = list(reid_trials(t, k=2, method="resample", T=2, seed=1).to_csv_rows())
         assert [r[0] for r in rows[1:]] == ["0.0;1.0", "2.0;3.5"]
+
+
+@pytest.mark.parametrize("value", [2017.0, 1e7])
+def test_constant_column_leaves_matches_unchanged(value):
+    # a constant column standardizes to 0, so it adds no rounding to the
+    # expanded-form distances and declares no false ties
+    rng = np.random.default_rng(31)
+    t = make_table(np.round(rng.normal(size=(400, 3)), 3), rng.normal(size=400))
+    anon = transform(prepare(t, 5, seed=1), "resample")
+    want = match_min_distance(t, anon, np.random.default_rng(2))
+    widened = make_table(np.column_stack([t.qi, np.full(t.n, value)]), t.response)
+    anon = replace(anon, qi_hat=np.column_stack([anon.qi_hat, np.full(t.n, value)]))
+    assert np.array_equal(match_min_distance(widened, anon, np.random.default_rng(2)), want)

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dpkanon.dataset import build_empirical_joint
 from dpkanon.errors import (
@@ -12,6 +16,7 @@ from dpkanon.shiftlearn import (
     TransferSpec,
     apply_design,
     build_design,
+    distinct_row_least_squares,
     histogram_intersection,
     logistic_weights,
     nonparametric_weights,
@@ -212,6 +217,40 @@ class TestWeightedLeastSquares:
             mask = t.qi[:, 0] == lv
             got = predict(model, np.array([[lv]]))[0]
             assert got == pytest.approx(t.response[mask].mean(), abs=1e-3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coding=st.sampled_from(["dummy", "numeric"]),
+       levels=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-3, 7.5, 1e3]))
+def test_distinct_row_fit_matches_per_record_fit(coding, levels, seed, scale):
+    # every level combination repeated 1-5 times in shuffled order, some
+    # combinations weighted zero, the distinct-row fit given rescaled weights
+    rng = np.random.default_rng(seed)
+    grid = np.array(list(itertools.product(*[range(L) for L in levels])), dtype=float)
+    qi = np.repeat(grid, rng.integers(1, 6, size=len(grid)), axis=0)
+    qi = qi[rng.permutation(len(qi))]
+    rows, inverse = np.unique(qi, axis=0, return_inverse=True)
+    row_w = np.where(rng.random(len(rows)) < 0.25, 0.0, rng.uniform(0.2, 3.0, len(rows)))
+    w = row_w[inverse] * rng.uniform(0.5, 2.0, len(qi))
+    y = rng.normal(size=len(qi)) + qi.sum(axis=1)
+    X, info = build_design(qi, coding)
+    used = X[w > 0] * np.sqrt(w[w > 0])[:, None]
+    assume(len(used) >= X.shape[1] and np.linalg.cond(used) < 1e6)
+
+    want = weighted_least_squares(X, y, w, info=info).coef
+    design, _ = build_design(rows, coding)
+    got = distinct_row_least_squares(design, inverse, y, scale * w, info=info).coef
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_distinct_row_fit_checks_its_inputs():
+    design, _ = build_design(np.array([[0.0], [1.0]]), "numeric")
+    with pytest.raises(DomainError):
+        distinct_row_least_squares(design, [0, 0, 1], np.zeros(3), [2.0, -1.0, 1.0])
+    with pytest.raises(ShapeError):
+        distinct_row_least_squares(design, [0, 1], np.zeros(3), np.ones(3))
 
 
 class TestMetrics:
