@@ -14,15 +14,11 @@ from .dataset import (
     Standardizer,
     TableSchema,
     build_empirical_joint,
-    conditional_cdf,
-    inverse_conditional_cdf,
     load_table,
     standardize,
 )
-from .dither import substream
 from .kmember import (
     ClusterModel,
-    distortion,
     greedy_k_member,
     total_distortion,
     validate_k_anonymous,
@@ -31,11 +27,10 @@ from .pipeline import (
     AnonymizedTable,
     anonymize,
     prepare,
-    resample_within_clusters,
     transform,
 )
 from .reid import ReidReport, match_min_distance, reid_trials
-from .rosenblatt import forward_gaussian, inverse_empirical
+from .rosenblatt import forward_gaussian, inverse_empirical_indices
 from .shiftlearn import (
     RegressionModel,
     ShiftWeights,
@@ -44,6 +39,7 @@ from .shiftlearn import (
     histogram_intersection,
     logistic_weights,
     nonparametric_weights,
+    predict,
     r_squared,
     relative_bias,
     transfer_weights,
@@ -66,24 +62,20 @@ __all__ = [
     "anonymize",
     "build_design",
     "build_empirical_joint",
-    "conditional_cdf",
-    "distortion",
     "forward_gaussian",
     "greedy_k_member",
     "histogram_intersection",
-    "inverse_conditional_cdf",
-    "inverse_empirical",
+    "inverse_empirical_indices",
     "load_table",
     "logistic_weights",
     "match_min_distance",
     "nonparametric_weights",
+    "predict",
     "prepare",
     "r_squared",
     "reid_trials",
     "relative_bias",
-    "resample_within_clusters",
     "standardize",
-    "substream",
     "synthetic_table",
     "total_distortion",
     "transfer_weights",

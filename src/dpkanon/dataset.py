@@ -1,10 +1,10 @@
 """Tabular microdata loading, standardization, and the empirical joint
-distribution of the quasi-identifiers with its conditional CDFs.
+distribution of the quasi-identifiers with its conditional CDF tables.
 
 Values are grouped by exact equality after rounding to 12 significant
 digits, so ordinal/binary codes group exactly and continuous inputs are
-robust to floating-point noise. The conditional CDFs of a joint are read
-from one flat prefix tree over its index tuples, built on first use.
+robust to floating-point noise. The conditional CDF tables of a joint form
+one flat prefix tree over its index tuples, built on first use.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    EmptyConditionError,
     EmptyInputError,
     ParseError,
     SchemaError,
@@ -123,9 +122,6 @@ class Standardizer:
 
     def apply_response(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.response_mean) / self.response_scale
-
-    def revert_response(self, y_std: np.ndarray) -> np.ndarray:
-        return np.asarray(y_std, dtype=float) * self.response_scale + self.response_mean
 
 
 def load_table(path, schema: TableSchema) -> DataTable:
@@ -251,8 +247,8 @@ class EmpiricalJoint:
     """Distinct per-dimension values plus sparse joint counts.
 
     Index tuples are 0-based. One prefix tree over the index tuples,
-    flat_trie, backs both the scalar conditional CDF queries and the batched
-    inverse; it is built on first use.
+    flat_trie, holds the conditional CDF tables that the batched inverse
+    (rosenblatt.inverse_empirical_indices) walks; it is built on first use.
     """
 
     def __init__(self, values, counts, total):
@@ -293,30 +289,6 @@ class EmpiricalJoint:
             if np.any(np.diff(v) <= 0):
                 raise DomainError(f"values of dimension {j} must be strictly increasing")
 
-    # -- lookups ---------------------------------------------------------
-
-    def value_index(self, j: int, x: float) -> int:
-        """Index of observed value x in dimension j, or -1 if unobserved."""
-        v = self.values[j]
-        x = round_sig(x)
-        i = int(np.searchsorted(v, x))
-        if i < len(v) and v[i] == x:
-            return i
-        return -1
-
-    def _prefix_indices(self, j: int, prefix) -> tuple:
-        if len(prefix) != j:
-            raise DomainError(f"prefix of length {len(prefix)} for dimension {j}")
-        idx = []
-        for jj, x in enumerate(prefix):
-            i = self.value_index(jj, x)
-            if i < 0:
-                raise EmptyConditionError(
-                    f"prefix value {x} unobserved in dimension {jj}"
-                )
-            idx.append(i)
-        return tuple(idx)
-
     @cached_property
     def flat_trie(self) -> tuple:
         """The prefix tree as flat per-dimension arrays, for batched walks.
@@ -348,24 +320,6 @@ class EmpiricalJoint:
             n_nodes = len(first)
         return tuple(levels)
 
-    def cond_table(self, prefix_idx: tuple):
-        """(sorted next indices, cumulative fractions) for an index prefix:
-        its slices of flat_trie, found by walking the prefix level by level."""
-        if len(prefix_idx) >= self.d:
-            raise DomainError(
-                f"index prefix {prefix_idx} has {len(prefix_idx)} dimensions; "
-                f"a condition on this joint has fewer than {self.d}")
-        node = 0
-        for j, i in enumerate(prefix_idx):
-            idx, _, starts, lengths = self.flat_trie[j]
-            s, e = starts[node], starts[node] + lengths[node]
-            node = s + int(np.searchsorted(idx[s:e], i))
-            if node == e or idx[node] != i:
-                raise EmptyConditionError(f"index prefix {prefix_idx} has zero count")
-        idx, cumfrac, starts, lengths = self.flat_trie[len(prefix_idx)]
-        s, e = starts[node], starts[node] + lengths[node]
-        return idx[s:e], cumfrac[s:e]
-
     def pmf(self) -> dict:
         """Joint PMF as {value tuple: probability}."""
         out = {}
@@ -395,30 +349,9 @@ def build_empirical_joint(qi: np.ndarray) -> EmpiricalJoint:
     return EmpiricalJoint(values, counts, qi.shape[0])
 
 
-def conditional_cdf(joint: EmpiricalJoint, j: int, prefix, x: float) -> float:
-    """F_{X_j | X^{j-1}}(x | prefix): right-continuous empirical step CDF."""
-    key = joint._prefix_indices(j, prefix)
-    idx, cumfrac = joint.cond_table(key)
-    pos = int(np.searchsorted(joint.values[j], round_sig(x), side="right"))
-    m = int(np.searchsorted(idx, pos, side="left"))  # entries with value index < pos
-    if m == 0:
-        return 0.0
-    return float(cumfrac[m - 1])
-
-
 # Comparing u against cumulative fractions tolerates 1-ulp excess from the
 # forward transform's float addition; real probability gaps are >= 1/n.
 _U_TOL = 1e-12
-
-
-def inverse_conditional_cdf(joint: EmpiricalJoint, j: int, prefix, u: float) -> float:
-    """Generalized inverse of the conditional CDF: smallest observed value v
-    with F(v | prefix) >= u."""
-    if not 0.0 < u <= 1.0:
-        raise DomainError(f"u must be in (0, 1], got {u}")
-    key = joint._prefix_indices(j, prefix)
-    i = _inverse_index(joint, j, key, u)
-    return float(joint.values[j][i])
 
 
 def segment_cumfrac(counts, segment, n_segments: int) -> tuple:
@@ -453,10 +386,3 @@ def searchsorted_segments(a, starts, lengths, v) -> np.ndarray:
         right = x < v
         lo = np.where(active & right, mid + 1, lo)
         hi = np.where(active & ~right, mid, hi)
-
-
-def _inverse_index(joint: EmpiricalJoint, j: int, prefix_idx: tuple, u: float) -> int:
-    idx, cumfrac = joint.cond_table(prefix_idx)
-    pos = int(np.searchsorted(cumfrac, u - _U_TOL, side="left"))
-    pos = min(pos, len(idx) - 1)
-    return int(idx[pos])

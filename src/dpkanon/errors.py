@@ -22,10 +22,6 @@ class EmptyInputError(DpkError):
     """The input contains no data rows."""
 
 
-class EmptyConditionError(DpkError):
-    """A conditioning prefix matches zero records."""
-
-
 class DomainError(DpkError, ValueError):
     """An argument is outside its mathematical domain."""
 

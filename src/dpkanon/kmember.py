@@ -22,26 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataTable
-from .errors import DomainError, InfeasibleError, ShapeError
+from .errors import DomainError, InfeasibleError
 
 # candidate pool size per cluster, as a multiple of k
 _POOL_PER_K = 4
 # float64 squares below this lose their relative precision
 _TINY = np.finfo(float).tiny
-
-
-def distortion(a, b, w: float) -> float:
-    """Weighted squared Euclidean distance between (x, y) points:
-    ||x - x'||^2 + w (y - y')^2."""
-    (xa, ya), (xb, yb) = a, b
-    xa = np.asarray(xa, dtype=float)
-    xb = np.asarray(xb, dtype=float)
-    if xa.shape != xb.shape:
-        raise ShapeError(f"dimension mismatch: {xa.shape} vs {xb.shape}")
-    if w <= 0:
-        raise DomainError(f"distortion weight must be positive, got {w}")
-    diff = xa - xb
-    return float(diff @ diff + w * (float(ya) - float(yb)) ** 2)
 
 
 @dataclass(frozen=True)

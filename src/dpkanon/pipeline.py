@@ -7,10 +7,7 @@ clustering distance but is passed through untouched.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,22 +93,6 @@ def resample_within_clusters(model: ClusterModel, rng: np.random.Generator,
     return out
 
 
-def resample_pmf(state: PipelineState) -> dict:
-    """Analytic output PMF of the resample method in exact rational
-    arithmetic: sum_l (n_l/n)(n_l(v)/n_l)."""
-    n = state.model.n
-    cells = value_indices(state.joint.values, round_sig(state.std_table.qi))
-    out: dict[tuple, Fraction] = {}
-    for members in state.model.members:
-        for cell, cnt in Counter(map(tuple, cells[members].tolist())).items():
-            out[cell] = out.get(cell, Fraction(0)) + Fraction(cnt, n)
-    return out
-
-
-def empirical_pmf_exact(joint: EmpiricalJoint) -> dict:
-    return {t: Fraction(c, joint.total) for t, c in joint.counts.items()}
-
-
 def _indices_to_original(state: PipelineState, idx: np.ndarray) -> np.ndarray:
     return np.column_stack([v[idx[:, j]] for j, v in enumerate(state.orig_values)])
 
@@ -187,7 +168,6 @@ def write_sidecar(anon: AnonymizedTable, path):
         "w": anon.w,
         "n": int(len(anon.response)),
         "d": int(anon.qi_hat.shape[1]),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

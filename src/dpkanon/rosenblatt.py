@@ -33,16 +33,6 @@ def _samples(xt, d: int) -> np.ndarray:
     return x
 
 
-def conditional_moments(model: ClusterModel, alpha: float, ell: int, j: int,
-                        x_prefix) -> tuple[float, float]:
-    """Conditional mean and variance of dimension j given the first j
-    coordinates of the cluster-ell Gaussian dither."""
-    L = _loaded_cholesky(model, alpha)[ell]
-    c = model.centroids[ell]
-    z = np.linalg.solve(L[:j, :j], np.asarray(x_prefix, dtype=float) - c[:j])
-    return float(c[j] + L[j, :j] @ z), float(L[j, j] ** 2)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -139,8 +129,11 @@ def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
     """Sequential inverse conditional CDFs for an (N, d) array of uniforms;
     returns the (N, d) value indices into joint.values.
 
-    Each step is _inverse_index's lookup: the first cumulative fraction of
-    the row's prefix that reaches u - _U_TOL, clamped to the last entry.
+    Step j looks up the conditional CDF table of the row's length-j prefix
+    in joint.flat_trie and takes the first entry whose cumulative fraction
+    reaches u_j - _U_TOL, or the last entry if none does; that entry's
+    index is the row's value index in dimension j. Exact zeros in u count
+    as the smallest positive float.
     """
     u = _samples(u, joint.d)
     bad = ~((u >= 0) & (u <= 1))
@@ -159,9 +152,3 @@ def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
         node = s + np.minimum(pos, n_next - 1)
         out[:, j] = idx[node]
     return out
-
-
-def inverse_empirical(u, joint: EmpiricalJoint) -> np.ndarray:
-    """Map an (N, d) array of uniforms onto observed per-dimension values."""
-    idx = inverse_empirical_indices(u, joint)
-    return np.column_stack([joint.values[j][idx[:, j]] for j in range(joint.d)])

@@ -56,8 +56,9 @@ def nonparametric_weights(source: EmpiricalJoint, target: EmpiricalJoint,
 
     per_record = None
     if source_rows is not None:
-        keys = _rows_to_keys(source_rows)
-        per_record = np.array([point[key] for key in keys])
+        rows = round_sig(np.atleast_2d(np.asarray(source_rows, float)))
+        keys, inverse = np.unique(rows, axis=0, return_inverse=True)
+        per_record = np.array([point[key] for key in map(tuple, keys.tolist())])[inverse]
         if normalize and per_record.mean() > 0:
             per_record = per_record / per_record.mean()
     return ShiftWeights(per_record, "nonparametric", normalize, point)

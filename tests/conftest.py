@@ -1,7 +1,10 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from dpkanon.dataset import Column, DataTable
+from dpkanon.dataset import Column, DataTable, round_sig, value_indices
 
 
 def make_table(qi, y=None):
@@ -12,6 +15,22 @@ def make_table(qi, y=None):
         y = np.zeros(qi.shape[0])
     cols = tuple(Column(f"x{j}") for j in range(qi.shape[1]))
     return DataTable(qi, np.asarray(y, dtype=float), cols, tuple(range(qi.shape[0])))
+
+
+def resample_pmf(state) -> dict:
+    """Analytic output PMF of the resample method over the joint's index
+    tuples, in exact rational arithmetic: sum_l (n_l/n)(n_l(v)/n_l)."""
+    n = state.model.n
+    cells = value_indices(state.joint.values, round_sig(state.std_table.qi))
+    out = {}
+    for members in state.model.members:
+        for cell, cnt in Counter(map(tuple, cells[members].tolist())).items():
+            out[cell] = out.get(cell, Fraction(0)) + Fraction(cnt, n)
+    return out
+
+
+def empirical_pmf_exact(joint) -> dict:
+    return {t: Fraction(c, joint.total) for t, c in joint.counts.items()}
 
 
 @pytest.fixture

@@ -1,15 +1,13 @@
 """The flat prefix tree against a dict-of-Counters reference built from
-`joint.counts`: its conditional tables, and the batched inverse conditional
-CDF chain against a scalar walk over the reference tables."""
+`joint.counts`: its conditional CDF tables, and the batched inverse
+conditional CDF chain against a scalar walk over the reference tables."""
 from collections import Counter
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpkanon.dataset import _U_TOL, build_empirical_joint, round_sig
-from dpkanon.errors import DomainError, EmptyConditionError
 from dpkanon.rosenblatt import inverse_empirical_indices
 
 
@@ -26,6 +24,20 @@ def reference_tables(joint):
         cnt = np.array([ctr[i] for i in idx], dtype=float)
         ref[prefix] = (idx, np.cumsum(cnt) / cnt.sum())
     return ref
+
+
+def trie_tables(joint):
+    """{index prefix: (next indices, cumulative fractions)} read off
+    joint.flat_trie by walking it level by level from the root."""
+    tables, nodes = {}, {(): 0}
+    for idx, cumfrac, starts, lengths in joint.flat_trie:
+        children = {}
+        for prefix, node in nodes.items():
+            s, e = starts[node], starts[node] + lengths[node]
+            tables[prefix] = (idx[s:e], cumfrac[s:e])
+            children.update((prefix + (int(idx[i]),), i) for i in range(s, e))
+        nodes = children
+    return tables
 
 
 def reference_inverse(u, ref, d):
@@ -67,16 +79,11 @@ def test_cond_table_equals_reference(case):
     qi, _ = case
     joint = build_empirical_joint(qi)
     ref = reference_tables(joint)
+    got = trie_tables(joint)
+    assert got.keys() == ref.keys()  # no prefix that no record has
     for prefix, (idx, cumfrac) in ref.items():
-        got_idx, got_cumfrac = joint.cond_table(prefix)
-        assert np.array_equal(got_idx, idx)
-        assert np.array_equal(got_cumfrac, cumfrac)
-        if len(prefix) + 1 < joint.d:  # children that no record has
-            for i in set(range(int(idx[-1]) + 2)) - set(idx.tolist()):
-                with pytest.raises(EmptyConditionError):
-                    joint.cond_table(prefix + (i,))
-    with pytest.raises(DomainError):
-        joint.cond_table(next(iter(joint.counts)))
+        assert np.array_equal(got[prefix][0], idx)
+        assert np.array_equal(got[prefix][1], cumfrac)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,19 +6,17 @@ from dpkanon.dataset import (
     EmpiricalJoint,
     TableSchema,
     build_empirical_joint,
-    conditional_cdf,
-    inverse_conditional_cdf,
     load_table,
     standardize,
 )
 from dpkanon.errors import (
     DomainError,
-    EmptyConditionError,
     EmptyInputError,
     ParseError,
     SchemaError,
     ShapeError,
 )
+from dpkanon.rosenblatt import inverse_empirical_indices
 
 from conftest import make_table
 
@@ -105,14 +103,16 @@ class TestStandardize:
         assert std.scales[0] == 1.0 and std.means[0] == value
         assert np.all(out.qi[:, 0] == 0.0) and np.all(out.response == 0.0)
         assert np.array_equal(std.revert_qi(out.qi), t.qi)
-        assert np.array_equal(std.revert_response(out.response), t.response)
+        assert np.array_equal(out.response * std.response_scale + std.response_mean,
+                              t.response)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         t = make_table(rng.normal(size=(20, 3)) * 50 + 7, y=rng.normal(size=20))
         out, std = standardize(t)
         assert np.max(np.abs(std.revert_qi(out.qi) - t.qi)) < 1e-12
-        assert np.max(np.abs(std.revert_response(out.response) - t.response)) < 1e-12
+        y = out.response * std.response_scale + std.response_mean
+        assert np.max(np.abs(y - t.response)) < 1e-12
 
     def test_nonconstant_moments(self):
         rng = np.random.default_rng(1)
@@ -150,34 +150,46 @@ class TestEmpiricalJoint:
             EmpiricalJoint(values, counts, total)
 
 
+def inverse(joint, *u):
+    """Value indices the inverse chain gives for each row of uniforms."""
+    return inverse_empirical_indices(np.array(u, dtype=float), joint).tolist()
+
+
 class TestConditionalCdf:
+    """The inverse chain on table_3rows, whose values are 1 and 2 in both
+    dimensions: F(1 | ) = 2/3, F(1 | x0 = 1) = 1/2 and F(1 | x0 = 2) = 1."""
+
     @pytest.fixture
     def joint(self, table_3rows):
         return build_empirical_joint(table_3rows.qi)
 
     def test_marginal(self, joint):
-        assert conditional_cdf(joint, 0, (), 1.0) == pytest.approx(2 / 3)
+        below, above = np.nextafter(2 / 3, 0), 2 / 3 + 1e-9
+        assert inverse(joint, [0.3, 0.5], [below, 0.5], [above, 0.5]) == [
+            [0, 0], [0, 0], [1, 0]]
 
     def test_conditional(self, joint):
-        assert conditional_cdf(joint, 1, (1.0,), 1.0) == pytest.approx(1 / 2)
+        assert inverse(joint, [0.5, 0.3], [0.5, 0.5], [0.5, 0.5 + 1e-9]) == [
+            [0, 0], [0, 0], [0, 1]]
 
     def test_bounds(self, joint):
-        assert conditional_cdf(joint, 0, (), 0.5) == 0.0
-        assert conditional_cdf(joint, 0, (), 2.0) == 1.0
-        assert conditional_cdf(joint, 0, (), 99.0) == 1.0
+        assert inverse(joint, [1e-300, 1e-300], [1.0, 1.0], [0.5, 1.0]) == [
+            [0, 0], [1, 0], [0, 1]]
 
     def test_empty_condition(self, joint):
-        with pytest.raises(EmptyConditionError):
-            conditional_cdf(joint, 1, (99.0,), 1.0)
+        # no record has x0 = 2 and x1 = 2, so no u reaches that cell
+        us = [[0.9, u1] for u1 in np.linspace(0, 1, 11)]
+        assert inverse(joint, *us) == [[1, 0]] * 11
 
     def test_condition_on_every_dimension_rejected(self, joint):
-        with pytest.raises(DomainError, match="fewer than 2"):
-            conditional_cdf(joint, joint.d, (1.0, 1.0), 1.0)
+        with pytest.raises(ShapeError, match=r"expected an \(N, 2\) array"):
+            inverse(joint, [0.5, 0.5, 0.5])
 
     def test_monotone_in_x(self, joint):
-        xs = np.linspace(0, 3, 40)
-        fs = [conditional_cdf(joint, 0, (), x) for x in xs]
-        assert all(a <= b for a, b in zip(fs, fs[1:]))
+        us = np.linspace(0, 1, 40)
+        for got in (inverse(joint, *[[u, 0.5] for u in us]),
+                    inverse(joint, *[[0.5, u] for u in us])):
+            assert got == sorted(got)
 
 
 class TestInverseConditionalCdf:
@@ -186,30 +198,36 @@ class TestInverseConditionalCdf:
         return build_empirical_joint(table_3rows.qi)
 
     def test_bracket(self, joint):
-        assert inverse_conditional_cdf(joint, 0, (), 0.5) == 1.0
+        assert inverse(joint, [0.5, 0.5]) == [[0, 0]]
 
     def test_upper_boundary(self, joint):
-        assert inverse_conditional_cdf(joint, 0, (), 1.0) == 2.0
+        assert inverse(joint, [1.0, 0.5]) == [[1, 0]]
 
     def test_exact_boundary_inclusive(self, joint):
-        assert inverse_conditional_cdf(joint, 0, (), 2 / 3) == 1.0
+        assert inverse(joint, [2 / 3, 0.5]) == [[0, 0]]
 
     def test_domain_errors(self, joint):
-        with pytest.raises(DomainError):
-            inverse_conditional_cdf(joint, 0, (), 0.0)
-        with pytest.raises(DomainError):
-            inverse_conditional_cdf(joint, 0, (), 1.5)
+        with pytest.raises(DomainError, match="row 0, dimension 0"):
+            inverse(joint, [-0.1, 0.5])
+        with pytest.raises(DomainError, match="row 0, dimension 1"):
+            inverse(joint, [0.5, 1.5])
+        assert inverse(joint, [0.0, 0.0]) == [[0, 0]]  # exact zero clamped
 
     def test_round_trip_every_record(self):
+        # each record's conditional CDF values, counted from the rows
+        # themselves, map back onto the record
         rng = np.random.default_rng(4)
         qi = rng.integers(0, 4, size=(40, 3)).astype(float)
         joint = build_empirical_joint(qi)
-        for row in qi:
-            prefix = ()
+        u = np.empty(qi.shape)
+        for r, row in enumerate(qi):
+            same_prefix = np.ones(len(qi), dtype=bool)
             for j in range(3):
-                u = conditional_cdf(joint, j, prefix, row[j])
-                assert inverse_conditional_cdf(joint, j, prefix, u) == row[j]
-                prefix = prefix + (row[j],)
+                u[r, j] = np.mean(qi[same_prefix, j] <= row[j])
+                same_prefix &= qi[:, j] == row[j]
+        idx = inverse_empirical_indices(u, joint)
+        got = np.column_stack([joint.values[j][idx[:, j]] for j in range(3)])
+        assert np.array_equal(got, qi)
 
 
 def test_uniform_composition_matches_pmf():
@@ -218,14 +236,10 @@ def test_uniform_composition_matches_pmf():
     qi = rng.integers(0, 3, size=(60, 2)).astype(float)  # <= 9-cell support
     joint = build_empirical_joint(qi)
     n_draws = 100_000
-    counts = {}
-    for _ in range(n_draws):
-        prefix = ()
-        for j in range(2):
-            v = inverse_conditional_cdf(joint, j, prefix, rng.uniform(0, 1))
-            prefix = prefix + (v,)
-        counts[prefix] = counts.get(prefix, 0) + 1
-    pmf = joint.pmf()
-    obs = [counts.get(k, 0) for k in sorted(pmf)]
-    exp = [pmf[k] * n_draws for k in sorted(pmf)]
+    cells, hits = np.unique(inverse_empirical_indices(rng.random((n_draws, 2)), joint),
+                            axis=0, return_counts=True)
+    counts = dict(zip(map(tuple, cells.tolist()), hits.tolist()))
+    obs = [counts.get(t, 0) for t in sorted(joint.counts)]
+    exp = [joint.counts[t] / joint.total * n_draws for t in sorted(joint.counts)]
+    assert sum(obs) == n_draws
     assert stats.chisquare(obs, exp).pvalue > 0.01

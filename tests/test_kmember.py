@@ -3,50 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkanon.errors import DomainError, InfeasibleError, ShapeError
+from dpkanon.errors import DomainError, InfeasibleError
 from dpkanon.kmember import (
-    distortion,
     greedy_k_member,
     total_distortion,
     validate_k_anonymous,
 )
 
 from conftest import make_table
-
-
-class TestDistortion:
-    def test_identity(self):
-        a = (np.array([1.0, 2.0]), 3.0)
-        assert distortion(a, a, w=1.0) == 0.0
-
-    def test_direct_value(self):
-        a = (np.array([0.0, 0.0]), 0.0)
-        b = (np.array([3.0, 4.0]), 1.0)
-        assert distortion(a, b, w=2.0) == pytest.approx(27.0)
-
-    def test_symmetric(self):
-        a = (np.array([1.0, -2.0]), 0.5)
-        b = (np.array([0.3, 4.0]), -1.0)
-        assert distortion(a, b, 1.7) == distortion(b, a, 1.7)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            distortion((np.array([1.0]), 0.0), (np.array([1.0, 2.0]), 0.0), 1.0)
-
-    def test_weight_domain(self):
-        a = (np.array([1.0]), 0.0)
-        with pytest.raises(DomainError):
-            distortion(a, a, w=0.0)
-
-    @given(
-        x=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
-        y=st.floats(-1e3, 1e3),
-        w=st.floats(0.01, 100),
-    )
-    def test_nonnegative(self, x, y, w):
-        a = (np.array(x), y)
-        b = (np.zeros(2), 0.0)
-        assert distortion(a, b, w) >= 0.0
 
 
 def reference_assignment(table, k, w, seed):
@@ -199,6 +163,8 @@ class TestGreedyKMember:
             greedy_k_member(t, k=3)
         with pytest.raises(DomainError):
             greedy_k_member(t, k=1)
+        with pytest.raises(DomainError, match="distortion weight"):
+            greedy_k_member(t, k=2, w=0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

@@ -1,12 +1,39 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import dpkanon
 
 
 def test_every_exported_name_resolves():
     assert [name for name in dpkanon.__all__ if not hasattr(dpkanon, name)] == []
+
+
+def _names(tree) -> Counter:
+    """How often each identifier is named in a syntax tree: as a variable,
+    an attribute or an imported name."""
+    return Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_src_name_has_a_caller():
+    # a module-level function or class that no other code in the package
+    # names, and that the package does not export, is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(dpkanon.__file__).parent.glob("*.py"))]
+    named = sum(map(_names, trees), Counter())
+    dead = [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and named[node.name] == _names(node)[node.name]
+            and node.name not in dpkanon.__all__]
+    assert dead == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

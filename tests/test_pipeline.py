@@ -12,9 +12,7 @@ from dpkanon.errors import DomainError
 from dpkanon.pipeline import (
     METHODS,
     anonymize,
-    empirical_pmf_exact,
     prepare,
-    resample_pmf,
     resample_within_clusters,
     transform,
     write_anonymized_csv,
@@ -22,7 +20,7 @@ from dpkanon.pipeline import (
 )
 from dpkanon.synth import synthetic_table
 
-from conftest import make_table
+from conftest import empirical_pmf_exact, make_table, resample_pmf
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +178,9 @@ class TestOutputFiles:
         assert meta["method"] == "centroid"
         assert meta["k"] == state.k
         assert meta["n"] == state.table.n
-        assert "timestamp" in meta
+        again = tmp_path / "again.json"
+        write_sidecar(anon, again)
+        assert again.read_bytes() == p.read_bytes()
 
     def test_csv_bytes_match_per_cell_repr(self, tmp_path, state):
         # reference: the per-cell repr(float(v)) writer; signed zeros, tiny

@@ -11,13 +11,7 @@ from dpkanon.dataset import build_empirical_joint, standardize
 from dpkanon.dither import _loaded_cholesky, sample_gaussian_batch
 from dpkanon.errors import DomainError
 from dpkanon.kmember import greedy_k_member
-from dpkanon.rosenblatt import (
-    _BLOCK,
-    conditional_moments,
-    forward_gaussian,
-    inverse_empirical,
-    inverse_empirical_indices,
-)
+from dpkanon.rosenblatt import _BLOCK, forward_gaussian, inverse_empirical_indices
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
@@ -63,33 +57,37 @@ def dithered():
 
 
 class TestConditionalMoments:
-    def test_first_dimension(self):
+    """On one cluster, u_j is the normal CDF at x_j under the conditional
+    mean and variance of the loaded covariance Sigma + alpha I."""
+
+    @pytest.fixture
+    def model(self):
         t = synthetic_table(40, [3, 3], dep=0.5, seed=12)
         std, _ = standardize(t)
-        model = greedy_k_member(std, k=10, seed=0)
+        return greedy_k_member(std, k=40, seed=0)
+
+    def test_first_dimension(self, model):
         alpha = 0.5
         lam = model.covariances[0] + alpha * np.eye(2)
-        mu, var = conditional_moments(model, alpha, 0, 0, [])
-        assert mu == pytest.approx(model.centroids[0, 0])
-        assert var == pytest.approx(lam[0, 0])
+        c = model.centroids[0]
+        u = forward_gaussian(np.array([[0.7, -0.4]]), model, alpha)
+        assert u[0, 0] == pytest.approx(ndtr((0.7 - c[0]) / np.sqrt(lam[0, 0])), abs=1e-12)
 
-    def test_bivariate_closed_form(self):
-        t = synthetic_table(40, [3, 3], dep=0.5, seed=12)
-        std, _ = standardize(t)
-        model = greedy_k_member(std, k=10, seed=0)
+    def test_bivariate_closed_form(self, model):
         alpha = 0.5
-        lam = model.covariances[1] + alpha * np.eye(2)
-        c = model.centroids[1]
-        x0 = 0.7
-        mu, var = conditional_moments(model, alpha, 1, 1, [x0])
-        assert mu == pytest.approx(c[1] + lam[0, 1] / lam[0, 0] * (x0 - c[0]))
-        assert var == pytest.approx(lam[1, 1] - lam[0, 1] ** 2 / lam[0, 0])
+        lam = model.covariances[0] + alpha * np.eye(2)
+        c = model.centroids[0]
+        x0, x1 = 0.7, -0.4
+        mu = c[1] + lam[0, 1] / lam[0, 0] * (x0 - c[0])
+        var = lam[1, 1] - lam[0, 1] ** 2 / lam[0, 0]
+        u = forward_gaussian(np.array([[x0, x1]]), model, alpha)
+        assert u[0, 1] == pytest.approx(ndtr((x1 - mu) / np.sqrt(var)), abs=1e-12)
 
     def test_alpha_domain(self):
         t = make_table([[0.0, 0.0], [1.0, 1.0]])
         model = greedy_k_member(t, k=2, seed=0)
         with pytest.raises(DomainError):
-            conditional_moments(model, -1.0, 0, 0, [])
+            forward_gaussian(np.zeros((1, 2)), model, -1.0)
 
 
 class TestForwardGaussian:
@@ -158,16 +156,18 @@ class TestForwardGaussianBlocks:
 class TestInverseEmpirical:
     def test_values_from_indices(self, table_3rows):
         joint = build_empirical_joint(table_3rows.qi)
-        assert inverse_empirical(np.array([[0.5, 0.9]]), joint).tolist() == [[1.0, 2.0]]
-        assert inverse_empirical_indices(np.array([[0.9, 0.5]]), joint).tolist() == [[1, 0]]
+        idx = inverse_empirical_indices(np.array([[0.5, 0.9], [0.9, 0.5]]), joint)
+        assert idx.tolist() == [[0, 1], [1, 0]]
+        values = [joint.values[j][idx[:, j]].tolist() for j in range(2)]
+        assert values == [[1.0, 2.0], [2.0, 1.0]]
 
     def test_zero_clamped_to_first_value(self, table_3rows):
         joint = build_empirical_joint(table_3rows.qi)
-        assert inverse_empirical(np.array([[0.0, 0.0]]), joint).tolist() == [[1.0, 1.0]]
+        assert inverse_empirical_indices(np.array([[0.0, 0.0]]), joint).tolist() == [[0, 0]]
 
     def test_domain(self, table_3rows):
         joint = build_empirical_joint(table_3rows.qi)
         with pytest.raises(DomainError, match="row 1, dimension 1"):
-            inverse_empirical(np.array([[0.5, 0.5], [0.5, 1.2]]), joint)
+            inverse_empirical_indices(np.array([[0.5, 0.5], [0.5, 1.2]]), joint)
         with pytest.raises(DomainError, match="row 0, dimension 0"):
-            inverse_empirical(np.array([[np.nan, 0.5]]), joint)
+            inverse_empirical_indices(np.array([[np.nan, 0.5]]), joint)
