@@ -156,7 +156,7 @@ def _shift_weights(tag: str, anon_qi, anon_joint, test_qi, test_joint):
     if tag == "nonparametric":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sw = nonparametric_weights(anon_joint, test_joint, source_rows=anon_qi)
+            sw = nonparametric_weights(anon_joint, test_joint)
         if sw.per_record.sum() == 0:
             return np.ones(n), True
         return sw.per_record, False
@@ -177,9 +177,8 @@ def _sweep_rows(args, state, method, shifts, test, test_joint, test_pmf) -> list
     similarity = histogram_intersection(anon_joint.pmf(), test_pmf)
     reid_avg = None
     if args.trials > 0:
-        reid_avg = reid_trials(state.table, state.k, method, args.trials,
-                               seed=args.seed, w=args.w, alpha=args.alpha,
-                               state=state, first=anon).average
+        reid_avg = reid_trials(state, method, args.trials, alpha=args.alpha,
+                               first=anon).average
     # Every shift estimator weights a record through its QI row only, so
     # each fit runs on the release's distinct rows, encoded once.
     rows, inverse = np.unique(anon.qi_hat, axis=0, return_inverse=True)

@@ -3,26 +3,19 @@ distribution of the quasi-identifiers with its conditional CDF tables.
 
 Values are grouped by exact equality after rounding to 12 significant
 digits, so ordinal/binary codes group exactly and continuous inputs are
-robust to floating-point noise. The conditional CDF tables of a joint form
-one flat prefix tree over its index tuples, built on first use.
+robust to floating-point noise. A joint groups the records' index rows once
+(keys, counts, inverse); its PMF, its conditional CDF tables (one flat
+prefix tree over the keys, built on first use) and its callers read that.
 """
 from __future__ import annotations
 
 import csv
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyInputError,
-    ParseError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import EmptyInputError, ParseError, SchemaError
 
 SIG_DIGITS = 12
 
@@ -244,50 +237,24 @@ def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
 
 
 class EmpiricalJoint:
-    """Distinct per-dimension values plus sparse joint counts.
+    """The records grouped once by their index rows.
 
-    Index tuples are 0-based. One prefix tree over the index tuples,
-    flat_trie, holds the conditional CDF tables that the batched inverse
-    (rosenblatt.inverse_empirical_indices) walks; it is built on first use.
+    values[j] holds the sorted distinct values of dimension j, and a
+    record's index row the 0-based position of each of its values in them.
+    keys holds the (G, d) distinct index rows in lexicographic order, counts
+    the records on each and inverse each record's key, so keys[inverse] is
+    every record's index row. One prefix tree over the keys, flat_trie,
+    holds the conditional CDF tables that the batched inverse
+    (rosenblatt.inverse_empirical_indices) walks.
     """
 
-    def __init__(self, values, counts, total):
-        self.values = [np.asarray(v, dtype=float) for v in values]
-        self.counts = dict(counts)
-        self.total = int(total)
-        self.d = len(self.values)
-        self._validate()
-
-    def _validate(self):
-        counted = sum(self.counts.values())
-        if counted != self.total:
-            raise DomainError(f"counts sum to {counted}, not the total {self.total}")
-        keys = self.counts.keys()
-        sizes = [len(v) for v in self.values]
-        try:
-            idx = np.fromiter(itertools.chain.from_iterable(keys), dtype=float)
-            idx = idx.reshape(-1, self.d)
-            valid = (set(map(len, keys)) <= {self.d}
-                     and min(self.counts.values(), default=1) >= 1
-                     and ((idx >= 0) & (idx < sizes)).all())
-        except (TypeError, ValueError):  # non-numeric or ragged tuples
-            valid = False
-        if not valid:
-            # name the first bad tuple and dimension
-            for t, c in self.counts.items():
-                if c < 1:
-                    raise DomainError(f"index tuple {t}: count {c} must be positive")
-                if len(t) != self.d:
-                    raise ShapeError(
-                        f"index tuple {t} has {len(t)} dimensions, expected {self.d}")
-                for j, i in enumerate(t):
-                    if not 0 <= i < len(self.values[j]):
-                        raise DomainError(
-                            f"index tuple {t}: index {i} out of range in dimension "
-                            f"{j}, which has {len(self.values[j])} values")
-        for j, v in enumerate(self.values):
-            if np.any(np.diff(v) <= 0):
-                raise DomainError(f"values of dimension {j} must be strictly increasing")
+    def __init__(self, values, keys, counts, inverse):
+        self.values = values
+        self.keys = keys
+        self.counts = counts
+        self.inverse = inverse
+        self.total = len(inverse)
+        self.d = len(values)
 
     @cached_property
     def flat_trie(self) -> tuple:
@@ -301,10 +268,7 @@ class EmpiricalJoint:
         next level; the root is node 0 of level 0. Built on first use, so
         joints that are never inverted do not pay for it.
         """
-        keys = np.array(list(self.counts), dtype=np.intp).reshape(-1, self.d)
-        cnt = np.fromiter(self.counts.values(), dtype=float, count=len(keys))
-        order = np.lexsort(keys.T[::-1])
-        keys, cnt = keys[order], cnt[order]
+        keys = self.keys
         node = np.zeros(len(keys), dtype=np.intp)  # each key's length-j prefix
         n_nodes = 1
         levels = []
@@ -314,30 +278,21 @@ class EmpiricalJoint:
             new[1:] = (node[1:] != node[:-1]) | (keys[1:, j] != keys[:-1, j])
             first = np.flatnonzero(new)
             cumfrac, starts, lengths = segment_cumfrac(
-                np.add.reduceat(cnt, first), node[first], n_nodes)
+                np.add.reduceat(self.counts, first), node[first], n_nodes)
             levels.append((keys[first, j], cumfrac, starts, lengths))
             node = np.cumsum(new) - 1
             n_nodes = len(first)
         return tuple(levels)
 
     def pmf(self) -> dict:
-        """Joint PMF as {value tuple: probability}."""
-        out = {}
-        for t, c in self.counts.items():
-            key = tuple(self.values[j][i] for j, i in enumerate(t))
-            out[key] = c / self.total
-        return out
-
-
-def value_indices(values, rows) -> np.ndarray:
-    """(n, d) index of each row's value among the sorted distinct values of
-    its dimension. rows must be rounded by round_sig, and each of their
-    values must be among `values`."""
-    return np.column_stack([np.searchsorted(v, rows[:, j]) for j, v in enumerate(values)])
+        """Joint PMF as {value tuple: probability}, in key order."""
+        support = np.column_stack([v[self.keys[:, j]] for j, v in enumerate(self.values)])
+        return dict(zip(map(tuple, support.tolist()), (self.counts / self.total).tolist()))
 
 
 def build_empirical_joint(qi: np.ndarray) -> EmpiricalJoint:
-    """Tally sorted distinct values per dimension and sparse joint counts."""
+    """Group the records by their index rows: one lexsort of the rows, and
+    a new key wherever a sorted row differs from the one before it."""
     qi = np.asarray(qi, dtype=float)
     if qi.ndim == 1:
         qi = qi[:, None]
@@ -345,8 +300,16 @@ def build_empirical_joint(qi: np.ndarray) -> EmpiricalJoint:
         raise EmptyInputError("empty quasi-identifier matrix")
     rows = round_sig(qi)
     values = [np.unique(col) for col in rows.T]
-    counts = Counter(map(tuple, value_indices(values, rows).tolist()))
-    return EmpiricalJoint(values, counts, qi.shape[0])
+    idx = np.column_stack([np.searchsorted(v, col) for v, col in zip(values, rows.T)])
+    order = np.lexsort(idx.T[::-1])
+    idx = idx[order]
+    new = np.ones(len(idx), dtype=bool)
+    new[1:] = (idx[1:] != idx[:-1]).any(axis=1)
+    first = np.flatnonzero(new)
+    inverse = np.empty(len(idx), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    counts = np.diff(first, append=len(idx))
+    return EmpiricalJoint(values, idx[first], counts, inverse)
 
 
 # Comparing u against cumulative fractions tolerates 1-ulp excess from the

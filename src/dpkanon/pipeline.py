@@ -16,9 +16,7 @@ from .dataset import (
     EmpiricalJoint,
     Standardizer,
     build_empirical_joint,
-    round_sig,
     standardize,
-    value_indices,
 )
 from .dither import check_alpha, sample_gaussian_batch, substream
 from .errors import DomainError
@@ -56,7 +54,6 @@ class PipelineState:
     """Clustering-stage artifacts, reusable across dither trials."""
 
     table: DataTable
-    std_table: DataTable
     standardizer: Standardizer
     model: ClusterModel
     joint: EmpiricalJoint
@@ -73,10 +70,10 @@ def prepare(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> Pipeline
     # Standardizing and rounding are monotone, so the sorted original values
     # of a dimension fall in one block per joint value index. Each block's
     # first value (np.unique's pick among 0.0 and -0.0) aligns with joint.values.
-    idx = value_indices(joint.values, round_sig(std_table.qi))
+    idx = joint.keys[joint.inverse]
     sizes = [np.bincount(col) for col in idx.T]
     orig_values = tuple(np.sort(col)[np.cumsum(m) - m] for col, m in zip(table.qi.T, sizes))
-    return PipelineState(table, std_table, std, model, joint, orig_values, k, w, seed)
+    return PipelineState(table, std, model, joint, orig_values, k, w, seed)
 
 
 def resample_within_clusters(model: ClusterModel, rng: np.random.Generator,

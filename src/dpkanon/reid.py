@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import DataTable, round_sig, standardize
 from .dither import substream
 from .errors import DomainError
-from .pipeline import AnonymizedTable, PipelineState, prepare, transform
+from .pipeline import AnonymizedTable, PipelineState, transform
 
 _CH_MATCH = 1
 
@@ -177,19 +177,18 @@ class ReidReport:
             yield (";".join(repr(v) for v in key), int(s), float(f), float(b))
 
 
-def reid_trials(original: DataTable, k: int, method: str, T: int,
-                seed: int = 0, w: float = 1.0, alpha: float = 1.0 / 3.0,
-                state: PipelineState | None = None,
+def reid_trials(state: PipelineState, method: str, T: int,
+                alpha: float = 1.0 / 3.0,
                 first: AnonymizedTable | None = None) -> ReidReport:
-    """Re-run the dither and matching stages T times on a fixed clustering
-    and report reidentification frequencies.
+    """Re-run the dither and matching stages T times on the state's
+    clustering and report reidentification frequencies of its table. The
+    state's k sets the nominal level and its seed keys the match streams.
 
     `first`, if given, is the caller's release of trial 0, i.e.
     transform(state, method, alpha), and is matched instead of drawn again."""
     if T < 1:
         raise DomainError(f"trial count must be at least 1, got {T}")
-    if state is None:
-        state = prepare(original, k, w=w, seed=seed)
+    original = state.table
     n = original.n
     successes = np.zeros(n)
     for t in range(T):
@@ -197,7 +196,7 @@ def reid_trials(original: DataTable, k: int, method: str, T: int,
             anon = first
         else:
             anon = transform(state, method, alpha=alpha, trial=t)
-        rng = substream(seed, _CH_MATCH, t)
+        rng = substream(state.seed, _CH_MATCH, t)
         matched = match_min_distance(original, anon, rng)
         successes += matched == np.arange(n)
     freq = successes / T
@@ -206,6 +205,6 @@ def reid_trials(original: DataTable, k: int, method: str, T: int,
         frequency=freq,
         average=float(freq.mean()),
         trials=T,
-        k=k,
+        k=state.k,
         method=method,
     )

@@ -4,9 +4,10 @@ histogram intersection).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +19,18 @@ from .errors import ConvergenceError, DegenerateError, DomainError, ShapeError
 class ShiftWeights:
     """Per-record importance weights with their estimation provenance."""
 
-    per_record: np.ndarray | None
+    per_record: np.ndarray
     estimator: str  # none | nonparametric | logistic | transfer
     normalized: bool
     point_weights: dict | None = None  # value tuple -> weight, when discrete
 
     def __post_init__(self):
-        if self.per_record is not None:
-            w = np.asarray(self.per_record, dtype=float)
-            if not np.all(np.isfinite(w)):
-                raise DomainError("weights must be finite")
-            if np.any(w < 0):
-                raise DomainError("weights must be nonnegative")
-            self.per_record = w
+        w = np.asarray(self.per_record, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise DomainError("weights must be finite")
+        if np.any(w < 0):
+            raise DomainError("weights must be nonnegative")
+        self.per_record = w
 
 
 def _rows_to_keys(rows) -> list:
@@ -38,10 +38,11 @@ def _rows_to_keys(rows) -> list:
 
 
 def nonparametric_weights(source: EmpiricalJoint, target: EmpiricalJoint,
-                          source_rows=None, normalize: bool = False) -> ShiftWeights:
+                          normalize: bool = False) -> ShiftWeights:
     """Empirical density-ratio weights w(v) = q(v)/p(v) over the source
-    support; target support points unseen in the source are unreachable and
-    only produce a warning."""
+    support, and each source record's weight through source.inverse; target
+    support points unseen in the source are unreachable and only produce a
+    warning."""
     if source.d != target.d:
         raise ShapeError("source and target joints have different dimensions")
     p = source.pmf()
@@ -53,14 +54,10 @@ def nonparametric_weights(source: EmpiricalJoint, target: EmpiricalJoint,
             "probability and cannot be reached by reweighting"
         )
     point = {v: q.get(v, 0.0) / pv for v, pv in p.items()}
-
-    per_record = None
-    if source_rows is not None:
-        rows = round_sig(np.atleast_2d(np.asarray(source_rows, float)))
-        keys, inverse = np.unique(rows, axis=0, return_inverse=True)
-        per_record = np.array([point[key] for key in map(tuple, keys.tolist())])[inverse]
-        if normalize and per_record.mean() > 0:
-            per_record = per_record / per_record.mean()
+    # p, and so point, lists the source keys in key order
+    per_record = np.fromiter(point.values(), dtype=float, count=len(point))[source.inverse]
+    if normalize and per_record.mean() > 0:
+        per_record = per_record / per_record.mean()
     return ShiftWeights(per_record, "nonparametric", normalize, point)
 
 
@@ -188,10 +185,8 @@ class DesignInfo:
 
 @dataclass
 class RegressionModel:
-    coding: str
     coef: np.ndarray
     design: DesignInfo
-    ridge: float = field(default=1e-8)
 
 
 def build_design(table_or_qi, coding: str, levels=None):
@@ -279,7 +274,7 @@ def weighted_least_squares(design, y, weights, ridge: float = 1e-8,
     coef, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
     if info is None:
         info = DesignInfo("numeric", columns=tuple(), d=X.shape[1] - 1)
-    return RegressionModel(info.coding, coef, info, ridge)
+    return RegressionModel(coef, info)
 
 
 def distinct_row_least_squares(rows, inverse, y, weights, ridge: float = 1e-8,
@@ -339,6 +334,7 @@ def r_squared(predicted, actual) -> float:
 
 
 def histogram_intersection(p: dict, q: dict) -> float:
-    """Sum over the union support of min(p(v), q(v))."""
-    support = set(p) | set(q)
-    return float(sum(min(p.get(v, 0.0), q.get(v, 0.0)) for v in support))
+    """Sum over the union support of min(p(v), q(v)). A point in only one
+    support adds 0, so the sum runs over the shared points; math.fsum rounds
+    it once, whatever the order of the dicts."""
+    return math.fsum(min(p[v], q[v]) for v in p.keys() & q.keys())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dpkanon.dataset import Column, DataTable, round_sig, value_indices
+from dpkanon.dataset import Column, DataTable, round_sig
 
 
 def make_table(qi, y=None):
@@ -17,11 +17,18 @@ def make_table(qi, y=None):
     return DataTable(qi, np.asarray(y, dtype=float), cols, tuple(range(qi.shape[0])))
 
 
+def index_rows(qi) -> np.ndarray:
+    """(n, d) position of each value among the sorted distinct values of its
+    column after round_sig, found without the package's grouping."""
+    rows = round_sig(np.asarray(qi, dtype=float))
+    return np.column_stack([np.searchsorted(np.unique(col), col) for col in rows.T])
+
+
 def resample_pmf(state) -> dict:
     """Analytic output PMF of the resample method over the joint's index
     tuples, in exact rational arithmetic: sum_l (n_l/n)(n_l(v)/n_l)."""
     n = state.model.n
-    cells = value_indices(state.joint.values, round_sig(state.std_table.qi))
+    cells = index_rows(state.standardizer.apply_qi(state.table.qi))
     out = {}
     for members in state.model.members:
         for cell, cnt in Counter(map(tuple, cells[members].tolist())).items():
@@ -30,7 +37,8 @@ def resample_pmf(state) -> dict:
 
 
 def empirical_pmf_exact(joint) -> dict:
-    return {t: Fraction(c, joint.total) for t, c in joint.counts.items()}
+    return {tuple(t): Fraction(c, joint.total)
+            for t, c in zip(joint.keys.tolist(), joint.counts.tolist())}
 
 
 @pytest.fixture

@@ -146,7 +146,7 @@ def test_04_gaussian_end_to_end_total_variation():
     cells, hits = np.unique(inverse_empirical_indices(u, joint), axis=0,
                             return_counts=True)
     counts = dict(zip(map(tuple, cells.tolist()), hits.tolist()))
-    emp = {key: c / joint.total for key, c in joint.counts.items()}
+    emp = dict(zip(map(tuple, joint.keys.tolist()), joint.counts / joint.total))
     tv = 0.5 * sum(abs(counts.get(key, 0) / N - emp.get(key, 0.0))
                    for key in set(counts) | set(emp))
     _report(4, "gaussian end-to-end PMF within 0.02 total variation",
@@ -205,14 +205,12 @@ def test_06_reidentification_below_nominal():
         band = 3.0 * np.sqrt((1 / k) * (1 - 1 / k) / T)
         state = prepare(table, k, seed=0)
         for method in ("resample", "centroid"):
-            rep = reid_trials(table, k=k, method=method, T=T, seed=0,
-                              state=state)
+            rep = reid_trials(state, method, T=T)
             averages[(k, method)] = rep.average
             ok = ok and rep.average <= 1 / k + band
             details.append(f"k={k} {method}:{rep.average:.3f}<={1/k + band:.3f}")
     state = prepare(table, 5, seed=0)
-    gauss = reid_trials(table, k=5, method="gaussian", T=T, seed=0,
-                        state=state)
+    gauss = reid_trials(state, "gaussian", T=T)
     ok = ok and gauss.average < averages[(5, "resample")]
     details.append(f"gaussian@5:{gauss.average:.3f}")
     _report(6, "reidentification frequency within the nominal 1/k band",
@@ -227,7 +225,7 @@ def test_07_nonparametric_reweighting_identity():
     tgt_rows = src_rows[rng.integers(0, 80, size=120)]
     src = build_empirical_joint(src_rows)
     tgt = build_empirical_joint(tgt_rows)
-    sw = nonparametric_weights(src, tgt, source_rows=src_rows)
+    sw = nonparametric_weights(src, tgt)
     worst = 0.0
     for _ in range(20):
         a, b, c = rng.normal(size=3)

@@ -1,22 +1,25 @@
-"""The flat prefix tree against a dict-of-Counters reference built from
-`joint.counts`: its conditional CDF tables, and the batched inverse
-conditional CDF chain against a scalar walk over the reference tables."""
+"""The flat prefix tree against a dict-of-Counters reference tallied from
+the records' index rows, found without the joint's grouping: its
+conditional CDF tables, and the batched inverse conditional CDF chain
+against a scalar walk over the reference tables."""
 from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkanon.dataset import _U_TOL, build_empirical_joint, round_sig
+from dpkanon.dataset import _U_TOL, build_empirical_joint
 from dpkanon.rosenblatt import inverse_empirical_indices
 
+from conftest import index_rows
 
-def reference_tables(joint):
+
+def reference_tables(qi):
     """{index prefix: (sorted next indices, cumulative fractions)} for every
     prefix of length < d with a positive count, tallied per prefix."""
     children = {}
-    for t, c in joint.counts.items():
-        for j in range(joint.d):
+    for t, c in Counter(map(tuple, index_rows(qi).tolist())).items():
+        for j in range(len(t)):
             children.setdefault(t[:j], Counter())[t[j]] += c
     ref = {}
     for prefix, ctr in children.items():
@@ -78,7 +81,7 @@ def tables(draw):
 def test_cond_table_equals_reference(case):
     qi, _ = case
     joint = build_empirical_joint(qi)
-    ref = reference_tables(joint)
+    ref = reference_tables(qi)
     got = trie_tables(joint)
     assert got.keys() == ref.keys()  # no prefix that no record has
     for prefix, (idx, cumfrac) in ref.items():
@@ -91,10 +94,8 @@ def test_cond_table_equals_reference(case):
 def test_batched_inverse_matches_scalar_reference(case):
     qi, rng = case
     joint = build_empirical_joint(qi)
-    ref = reference_tables(joint)
-    rows = round_sig(qi)
-    cells = np.column_stack([np.searchsorted(joint.values[j], rows[:, j])
-                             for j in range(joint.d)])
+    ref = reference_tables(qi)
+    cells = index_rows(qi)
     edges = np.array([upper_edges(cell, ref) for cell in cells.tolist()])
     assert np.array_equal(inverse_empirical_indices(edges, joint), cells)
 

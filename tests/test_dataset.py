@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dpkanon.dataset import (
-    EmpiricalJoint,
     TableSchema,
     build_empirical_joint,
     load_table,
@@ -18,7 +21,7 @@ from dpkanon.errors import (
 )
 from dpkanon.rosenblatt import inverse_empirical_indices
 
-from conftest import make_table
+from conftest import index_rows, make_table
 
 
 SCHEMA = TableSchema(qi=("age", "sex"), response="cost")
@@ -122,32 +125,54 @@ class TestStandardize:
         assert np.allclose(out.qi.std(axis=0, ddof=1), 1, atol=1e-12)
 
 
+def cell_counts(joint) -> dict:
+    return dict(zip(map(tuple, joint.keys.tolist()), joint.counts.tolist()))
+
+
 class TestEmpiricalJoint:
     def test_three_rows(self, table_3rows):
         joint = build_empirical_joint(table_3rows.qi)
         assert [len(v) for v in joint.values] == [2, 2]
-        assert joint.counts == {(0, 0): 1, (0, 1): 1, (1, 0): 1}
+        assert cell_counts(joint) == {(0, 0): 1, (0, 1): 1, (1, 0): 1}
+        assert joint.inverse.tolist() == [0, 1, 2]
         assert joint.total == 3
 
     def test_singleton(self):
         joint = build_empirical_joint(np.array([[7.0]]))
-        assert joint.counts == {(0,): 1}
+        assert cell_counts(joint) == {(0,): 1}
 
     def test_all_equal(self):
         joint = build_empirical_joint(np.array([[3.0], [3.0], [3.0]]))
         assert len(joint.values[0]) == 1
-        assert joint.counts == {(0,): 3}
+        assert cell_counts(joint) == {(0,): 3}
+        assert joint.inverse.tolist() == [0, 0, 0]
 
-    @pytest.mark.parametrize("values, counts, total, error, match", [
-        ([[0.0, 1.0]], {(0,): 2, (1,): 1}, 4, DomainError, "sum to 3, not the total 4"),
-        ([[0.0, 1.0]], {(0,): 2, (1,): 0}, 2, DomainError, r"\(1,\): count 0"),
-        ([[0.0, 1.0]], {(0, 1): 2}, 2, ShapeError, r"\(0, 1\) has 2 dimensions, expected 1"),
-        ([[0.0], [0.0, 1.0]], {(0, 2): 1}, 1, DomainError, r"\(0, 2\): index 2 .* dimension 1"),
-        ([[0.0], [1.0, 0.0]], {(0, 0): 1}, 1, DomainError, "dimension 1 must be strictly"),
-    ])
-    def test_invalid_joint_names_tuple_and_dimension(self, values, counts, total, error, match):
-        with pytest.raises(error, match=match):
-            EmpiricalJoint(values, counts, total)
+
+# signed zeros, and pairs that differ only beyond 12 significant digits
+_GRID = (-0.0, 0.0, 1.0, 1.0 + 1e-13, -2.5, 7.0, 1e12, 1e12 + 0.25)
+
+
+@st.composite
+def grid_tables(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    cols = [draw(st.lists(st.sampled_from(_GRID), min_size=n, max_size=n))
+            for _ in range(d)]
+    if draw(st.booleans()):  # a constant column
+        cols[draw(st.integers(0, d - 1))] = [draw(st.sampled_from(_GRID))] * n
+    return np.array(cols, dtype=float).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_tables())
+def test_joint_groups_rows_like_a_counter(qi):
+    joint = build_empirical_joint(qi)
+    rows = index_rows(qi)
+    keys = joint.keys.tolist()
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert cell_counts(joint) == Counter(map(tuple, rows.tolist()))
+    assert np.array_equal(joint.keys[joint.inverse], rows)
+    assert joint.counts.min() >= 1 and joint.counts.sum() == len(qi)
 
 
 def inverse(joint, *u):
@@ -239,7 +264,7 @@ def test_uniform_composition_matches_pmf():
     cells, hits = np.unique(inverse_empirical_indices(rng.random((n_draws, 2)), joint),
                             axis=0, return_counts=True)
     counts = dict(zip(map(tuple, cells.tolist()), hits.tolist()))
-    obs = [counts.get(t, 0) for t in sorted(joint.counts)]
-    exp = [joint.counts[t] / joint.total * n_draws for t in sorted(joint.counts)]
+    obs = [counts.get(t, 0) for t in map(tuple, joint.keys.tolist())]
+    exp = joint.counts / joint.total * n_draws
     assert sum(obs) == n_draws
     assert stats.chisquare(obs, exp).pvalue > 0.01

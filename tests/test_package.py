@@ -23,16 +23,40 @@ def _names(tree) -> Counter:
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
 
 
+def _src_trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(pathlib.Path(dpkanon.__file__).parent.glob("*.py"))]
+
+
 def test_every_src_name_has_a_caller():
     # a module-level function or class that no other code in the package
     # names, and that the package does not export, is dead code
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(pathlib.Path(dpkanon.__file__).parent.glob("*.py"))]
+    trees = _src_trees()
     named = sum(map(_names, trees), Counter())
     dead = [node.name for tree in trees for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and named[node.name] == _names(node)[node.name]
             and node.name not in dpkanon.__all__]
+    assert dead == []
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None)
+               == "dataclass" for dec in node.decorator_list)
+
+
+def test_every_unexported_dataclass_field_is_read():
+    # a field of a dataclass the package does not export, that no attribute
+    # access in the package reads, is state that nothing uses
+    trees = _src_trees()
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = [f"{cls.name}.{stmt.target.id}" for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            and cls.name not in dpkanon.__all__
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
     assert dead == []
 
 

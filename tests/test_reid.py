@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpkanon.dataset import round_sig, standardize
+from dpkanon.dither import substream
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import prepare, transform
-from dpkanon.reid import _TIE_TOL, match_min_distance, reid_trials
+from dpkanon.reid import _CH_MATCH, _TIE_TOL, match_min_distance, reid_trials
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
@@ -158,7 +159,7 @@ class TestReidTrials:
         return reid_table
 
     def test_report_structure(self, table):
-        rep = reid_trials(table, k=5, method="resample", T=20, seed=1)
+        rep = reid_trials(prepare(table, 5, seed=1), "resample", T=20)
         assert rep.trials == 20 and rep.k == 5 and rep.method == "resample"
         assert rep.class_sizes.sum() == table.n
         assert 0.0 <= rep.average <= 1.0
@@ -168,25 +169,41 @@ class TestReidTrials:
     def test_centroid_near_nominal_rate(self, table):
         # centroid releases are constant within a cluster, so matching is a
         # pure tie-break among about k rows: hit rate near 1/k
-        rep = reid_trials(table, k=5, method="centroid", T=100, seed=2)
+        rep = reid_trials(prepare(table, 5, seed=2), "centroid", T=100)
         assert abs(rep.average - 1 / 5) < 0.06
 
     def test_deterministic(self, table):
-        a = reid_trials(table, k=5, method="gaussian", T=5, seed=3)
-        b = reid_trials(table, k=5, method="gaussian", T=5, seed=3)
+        a = reid_trials(prepare(table, 5, seed=3), "gaussian", T=5)
+        b = reid_trials(prepare(table, 5, seed=3), "gaussian", T=5)
         assert a.to_json() == b.to_json()
 
     def test_state_reuse_matches(self, table):
+        # a state that has already served other trials gives the report a
+        # fresh one does
         state = prepare(table, 5, seed=4)
-        a = reid_trials(table, k=5, method="resample", T=5, seed=4)
-        b = reid_trials(table, k=5, method="resample", T=5, seed=4, state=state)
+        reid_trials(state, "gaussian", T=2)
+        a = reid_trials(prepare(table, 5, seed=4), "resample", T=5)
+        b = reid_trials(state, "resample", T=5)
         assert a.to_json() == b.to_json()
+
+    def test_report_reads_k_and_seed_from_state(self, table):
+        # the nominal level, the clustering, the draws and the match
+        # streams all come from one prepared state
+        state = prepare(table, 25, seed=3)
+        rep = reid_trials(state, "centroid", T=4)
+        hits = sum(match_min_distance(table, transform(state, "centroid", trial=t),
+                                      substream(3, _CH_MATCH, t)) == np.arange(table.n)
+                   for t in range(4))
+        assert rep.k == 25
+        assert np.array_equal(rep.frequency, hits / 4)
+        assert np.array_equal(rep.class_band,
+                              3.0 * np.sqrt(0.04 * 0.96 / (4 * rep.class_sizes)))
 
     def test_first_release_reused(self, table, monkeypatch):
         # the caller's trial-0 release is matched instead of drawn again,
         # with the same report
         state = prepare(table, 5, seed=4)
-        a = reid_trials(table, k=5, method="gaussian", T=3, seed=4, state=state)
+        a = reid_trials(state, "gaussian", T=3)
         first = transform(state, "gaussian")
         drawn = []
 
@@ -195,21 +212,20 @@ class TestReidTrials:
             return transform(*args, **kwargs)
 
         monkeypatch.setattr("dpkanon.reid.transform", counted)
-        b = reid_trials(table, k=5, method="gaussian", T=3, seed=4, state=state,
-                        first=first)
+        b = reid_trials(state, "gaussian", T=3, first=first)
         assert a.to_json() == b.to_json() and drawn == [1, 2]
 
     def test_trial_count_validated(self, table):
         with pytest.raises(DomainError, match="at least 1"):
-            reid_trials(table, k=5, method="resample", T=0)
+            reid_trials(prepare(table, 5), "resample", T=0)
 
     def test_resample_near_nominal_rate(self, table):
         # identical release and fresh trials: hit rate should sit near 1/k
-        rep = reid_trials(table, k=5, method="resample", T=100, seed=5)
+        rep = reid_trials(prepare(table, 5, seed=5), "resample", T=100)
         assert rep.average <= 1 / 5 + 3 * np.sqrt(0.2 * 0.8 / 100) + 0.05
 
     def test_serialization(self, table):
-        rep = reid_trials(table, k=5, method="resample", T=5, seed=6)
+        rep = reid_trials(prepare(table, 5, seed=6), "resample", T=5)
         parsed = json.loads(rep.to_json())
         assert parsed["k"] == 5
         assert len(parsed["classes"]) == len(rep.class_keys)
@@ -221,7 +237,7 @@ class TestReidTrials:
     def test_lazy_class_statistics_serialize_as_eager_ones(self, table, method):
         # reference: the class statistics computed eagerly from the
         # per-record frequencies, as the report did before they became lazy
-        rep = reid_trials(table, k=5, method=method, T=4, seed=7)
+        rep = reid_trials(prepare(table, 5, seed=7), method, T=4)
         keys = round_sig(table.qi)
         _, inv, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
         order = np.argsort(inv, kind="stable")
@@ -243,7 +259,7 @@ class TestReidTrials:
 
     def test_csv_class_key_holds_plain_numbers(self):
         t = make_table([[0.0, 1.0], [0.0, 1.0], [2.0, 3.5], [2.0, 3.5]])
-        rows = list(reid_trials(t, k=2, method="resample", T=2, seed=1).to_csv_rows())
+        rows = list(reid_trials(prepare(t, 2, seed=1), "resample", T=2).to_csv_rows())
         assert [r[0] for r in rows[1:]] == ["0.0;1.0", "2.0;3.5"]
 
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestNonparametricWeights:
         tgt_rows = src_rows[rng.integers(0, 40, size=60)]
         src = build_empirical_joint(src_rows)
         tgt = build_empirical_joint(tgt_rows)
-        sw = nonparametric_weights(src, tgt, source_rows=src_rows)
+        sw = nonparametric_weights(src, tgt)
         for _ in range(5):
             a, b = rng.normal(size=2)
             f = lambda rows: np.cos(a * rows[:, 0] + b * rows[:, 1])
@@ -63,7 +64,7 @@ class TestNonparametricWeights:
         rows = np.array([[0.0], [0.0], [1.0]])
         src = build_empirical_joint(rows)
         tgt = build_empirical_joint(np.array([[1.0], [1.0], [0.0]]))
-        sw = nonparametric_weights(src, tgt, source_rows=rows, normalize=True)
+        sw = nonparametric_weights(src, tgt, normalize=True)
         assert sw.per_record.mean() == pytest.approx(1.0)
         assert sw.normalized
 
@@ -276,3 +277,21 @@ class TestMetrics:
         assert histogram_intersection(p, {(2,): 1.0}) == 0.0
         q = {(0,): 0.2, (1,): 0.8}
         assert histogram_intersection(p, q) == pytest.approx(0.7)
+
+    def test_histogram_intersection_is_exactly_rounded_in_any_order(self):
+        rng = np.random.default_rng(5)
+        keys = [(float(i), float(i % 7)) for i in range(300)]
+        p = dict(zip(keys, rng.dirichlet(np.ones(300)).tolist()))
+        q = dict(zip(keys[100:] + [(-1.0, 0.0)], rng.dirichlet(np.ones(201)).tolist()))
+        exact = sum(Fraction(min(p[v], q[v])) for v in keys[100:])
+        want = histogram_intersection(p, q)
+        assert want == float(exact)
+        shuffled = [dict(reversed(p.items())), dict(reversed(q.items()))]
+        for _ in range(3):
+            for d in (p, q):
+                items = list(d.items())
+                shuffled.append(dict(items[i] for i in rng.permutation(len(items))))
+        for a in (p, *shuffled[0::2]):
+            for b in (q, *shuffled[1::2]):
+                assert histogram_intersection(a, b) == want
+                assert histogram_intersection(b, a) == want
