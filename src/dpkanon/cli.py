@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .dataset import TableSchema, build_empirical_joint, load_table
+from .dataset import TableSchema, build_empirical_joint, group_rows, load_table
 from .errors import ConvergenceError, DegenerateError, DomainError, DpkError
 from .dither import check_alpha
 from .pipeline import (
@@ -181,7 +181,7 @@ def _sweep_rows(args, state, method, shifts, test, test_joint, test_pmf) -> list
                                first=anon).average
     # Every shift estimator weights a record through its QI row only, so
     # each fit runs on the release's distinct rows, encoded once.
-    rows, inverse = np.unique(anon.qi_hat, axis=0, return_inverse=True)
+    rows, inverse = group_rows(anon.qi_hat)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         design, info = build_design(rows, args.coding)

@@ -10,12 +10,13 @@ prefix tree over the keys, built on first use) and its callers read that.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyInputError, ParseError, SchemaError
+from .errors import DomainError, EmptyInputError, ParseError, SchemaError
 
 SIG_DIGITS = 12
 
@@ -25,9 +26,11 @@ def round_sig(x, digits: int = SIG_DIGITS):
     x = np.asarray(x, dtype=float)
     out = x.copy()
     nz = (x != 0) & np.isfinite(x)
-    mag = np.floor(np.log10(np.abs(x[nz])))
-    f = 10.0 ** (digits - 1 - mag)
-    out[nz] = np.round(x[nz] * f) / f
+    p = digits - 1 - np.floor(np.log10(np.abs(x[nz])))
+    # 10**p overflows for |x| below about 1e-297: scale by 10**(p - 308)
+    # first, which is 1 (and changes no bit) for every larger |x|
+    f, g = 10.0 ** np.minimum(p, 308), 10.0 ** np.maximum(p - 308, 0)
+    out[nz] = np.round(x[nz] * g * f) / f / g
     if out.ndim == 0:
         return float(out)
     return out
@@ -204,6 +207,23 @@ def load_table(path, schema: TableSchema) -> DataTable:
     return DataTable(qi, y, columns, tuple(ids))
 
 
+def _mean_sd(a: np.ndarray) -> tuple:
+    """Means and sds (denominator n - 1) along axis 0. Where the squares
+    overflow, or may underflow (an sd below 2**-500), they are computed
+    again on the values divided by a power of two near their largest
+    magnitude and scaled back: exact, but for values so much smaller than
+    the largest that the division makes them subnormal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = a.mean(axis=0), a.std(axis=0, ddof=1)
+        rescale = ~(np.isfinite(mean) & np.isfinite(sd) & (sd >= 2.0 ** -500))
+        if rescale.any():
+            e = np.frexp(np.abs(a).max(axis=0))[1]
+            scaled = np.ldexp(a, -e)
+            mean = np.where(rescale, np.ldexp(scaled.mean(axis=0), e), mean)
+            sd = np.where(rescale, np.ldexp(scaled.std(axis=0, ddof=1), e), sd)
+    return mean, sd
+
+
 def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
     """Center and scale every column to mean 0, variance 1 (denominator n-1).
 
@@ -211,29 +231,35 @@ def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
     its first, is flagged, centred at that value and given scale 1, so it
     standardizes to exactly 0. Its computed mean may differ from the value
     in the last bits, and a raw value left in place would add its rounding
-    to every expanded-form distance. A column whose computed sd underflows
-    to 0 also gets scale 1.
+    to every expanded-form distance. A column whose squared deviations
+    overflow or underflow gets its mean and sd from its values scaled by a
+    power of two, and one whose sd still computes to 0 gets scale 1. A
+    column whose sd or standardized values are not finite floats raises
+    DomainError naming it.
     """
     qi, y = table.qi, table.response
     const = np.all(qi == qi[0], axis=0)
-    means = np.where(const, qi[0], qi.mean(axis=0))
-    scales = qi.std(axis=0, ddof=1) if table.n > 1 else np.ones(table.d)
+    means, scales = _mean_sd(qi) if table.n > 1 else (qi[0], np.ones(table.d))
+    means = np.where(const, qi[0], means)
     scales = np.where(const | (scales == 0.0), 1.0, scales)
 
     y_const = bool(np.all(y == y[0]))
     if y_const:
         y_mean, y_scale = float(y[0]), 1.0
     else:
-        y_mean, y_scale = float(y.mean()), float(y.std(ddof=1)) or 1.0
+        y_mean, y_scale = map(float, _mean_sd(y))
+        y_scale = y_scale or 1.0
 
     std = Standardizer(means, scales, const, y_mean, y_scale, y_const)
-    out = DataTable(
-        std.apply_qi(table.qi),
-        std.apply_response(table.response),
-        table.columns,
-        table.record_ids,
-    )
-    return out, std
+    with np.errstate(over="ignore"):
+        qi_std, y_std = std.apply_qi(qi), std.apply_response(y)
+    if not (np.isfinite(scales).all() and np.isfinite(qi_std).all()):
+        bad = ~(np.isfinite(scales) & np.isfinite(qi_std).all(axis=0))
+        name = table.columns[int(np.argmax(bad))].name
+        raise DomainError(f"column {name!r}: values too far apart to standardize")
+    if not (math.isfinite(y_scale) and np.isfinite(y_std).all()):
+        raise DomainError("response: values too far apart to standardize")
+    return DataTable(qi_std, y_std, table.columns, table.record_ids), std
 
 
 class EmpiricalJoint:
@@ -291,8 +317,7 @@ class EmpiricalJoint:
 
 
 def build_empirical_joint(qi: np.ndarray) -> EmpiricalJoint:
-    """Group the records by their index rows: one lexsort of the rows, and
-    a new key wherever a sorted row differs from the one before it."""
+    """Group the records by their index rows (group_rows)."""
     qi = np.asarray(qi, dtype=float)
     if qi.ndim == 1:
         qi = qi[:, None]
@@ -301,15 +326,22 @@ def build_empirical_joint(qi: np.ndarray) -> EmpiricalJoint:
     rows = round_sig(qi)
     values = [np.unique(col) for col in rows.T]
     idx = np.column_stack([np.searchsorted(v, col) for v, col in zip(values, rows.T)])
-    order = np.lexsort(idx.T[::-1])
-    idx = idx[order]
-    new = np.ones(len(idx), dtype=bool)
-    new[1:] = (idx[1:] != idx[:-1]).any(axis=1)
-    first = np.flatnonzero(new)
-    inverse = np.empty(len(idx), dtype=np.intp)
+    keys, inverse = group_rows(idx)
+    return EmpiricalJoint(values, keys, np.bincount(inverse, minlength=len(keys)), inverse)
+
+
+def group_rows(rows: np.ndarray) -> tuple:
+    """The distinct rows of a 2-D array in lexicographic order, and each
+    row's index in them: one lexsort, and a new group wherever a sorted row
+    differs from the one before it. Each group is represented by its first
+    row in input order."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    counts = np.diff(first, append=len(idx))
-    return EmpiricalJoint(values, idx[first], counts, inverse)
+    return ordered[new], inverse
 
 
 # Comparing u against cumulative fractions tolerates 1-ulp excess from the

@@ -3,16 +3,26 @@
 Every cluster must contain at least k records; the cluster count is fixed to
 floor(n/k) and leftover records are absorbed by the nearest centroid.
 
-Cost: each cluster makes two scans over the records still unassigned, one
-to pick its seed and one to rank them by distance to that seed, which keeps
-the _POOL_PER_K * k nearest as a candidate pool. Each addition then scores
-only the pool. The pool's best record is taken when the triangle inequality
-in the [x, sqrt(w) y] norm proves that no record outside the pool is as
-close to the running centroid: its distance plus the centroid's drift from
-the seed must stay below the distance of the nearest record left out of the
+Metric: the records are the columns of one C-contiguous (d + 1, n) point
+matrix Z = [x, sqrt(w) y], built once, and a centroid is a point of the same
+space. A squared distance sums (Z[r] - c[r])^2 over the rows in row order,
+one in-place add per row, so a record's distance has the same bits whether
+it is scored alone or among thousands, on every numpy build. It equals
+|x - cx|^2 + w (y - cy)^2 up to rounding.
+
+Cost: each cluster gathers the records still unassigned into one matrix
+and makes two scans over it, one to pick its seed and one to rank the
+records by distance to that seed, which keeps the _POOL_PER_K * k nearest
+other records as a candidate pool. Each addition then scores only the pool,
+with the running centroid and its drift from the seed kept as Python floats;
+a taken record's column is set to +inf. The pool's best record is taken when
+the triangle inequality proves that no record outside the pool is as close
+to the running centroid: its distance plus the centroid's drift from the
+seed must stay below the distance of the nearest record left out of the
 pool. Otherwise the addition falls back to a full scan. Both paths give the
 assignment of a full scan per addition, lowest record index first on ties.
-That is O(n^2 / k + n k) work instead of O(n^2).
+That is O(n^2 / k + n k) work instead of O(n^2), in about ten numpy calls
+per addition.
 """
 from __future__ import annotations
 
@@ -85,6 +95,19 @@ def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: floa
     )
 
 
+def _sq_dist(P: np.ndarray, c) -> np.ndarray:
+    """Squared distance of every column of the (d + 1, m) point matrix P to
+    the point c: sum over r of (P[r] - c[r])^2, added row by row in row order,
+    so a column's value does not depend on how many columns are scored
+    with it."""
+    D = P - np.asarray(c)[:, None]
+    D *= D
+    d2 = D[0]
+    for row in D[1:]:
+        d2 += row
+    return d2
+
+
 def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> ClusterModel:
     """Greedy k-member clustering.
 
@@ -108,75 +131,69 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         i, j = np.argwhere(~np.isfinite(np.column_stack([X, y])))[0]
         raise DomainError(f"record {i}, column {j}: value is not finite")
-    # every distance below is at most the span's, with room for rounding
-    with np.errstate(over="ignore"):
-        span = 2.0 * np.ptp(X, axis=0)
-        reach = span @ span + w * (2.0 * np.ptp(y)) ** 2
+    # the points, one column per record: every clustering distance is a
+    # squared Euclidean distance between columns of Z and centroids
+    Z = np.empty((table.d + 1, n))
+    Z[:-1] = X.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z[-1] = math.sqrt(w) * y
+        # every distance below is at most the span's, with room for rounding;
+        # an entry of Z that overflowed makes its row's span inf or nan
+        span = 2.0 * np.ptp(Z, axis=1)
+        reach = span @ span
     if not np.isfinite(reach):
         raise DomainError("value ranges too wide: squared distances overflow")
     c = n // k
     pool_size = _POOL_PER_K * k
     assignment = np.full(n, -1, dtype=int)
-    unassigned = np.ones(n, dtype=bool)
     rng = np.random.default_rng(seed)
 
-    def dist_to(rows, ys, cx, cy):
-        diff = rows - cx
-        return np.einsum("ij,ij->i", diff, diff) + w * (ys - cy) ** 2
-
     for ell in range(c):
-        free = np.flatnonzero(unassigned)
-        Xf, yf = X[free], y[free]
+        free = np.flatnonzero(assignment < 0)
+        Zf = np.take(Z, free, axis=1)
         if ell == 0:
             s = int(rng.integers(len(free)))
         else:
-            s = int(np.argmax(dist_to(Xf, yf, cx, cy)))  # first max -> lowest index
+            s = int(np.argmax(_sq_dist(Zf, cz)))  # first max -> lowest index
         assignment[free[s]] = ell
-        unassigned[free[s]] = False
-        sx, sy = Xf[s].astype(float), float(yf[s])
+        sz = Zf[:, s].tolist()
+        # a taken column is set to +inf, which makes its distances +inf
+        Zf[0, s] = math.inf
 
-        d2 = dist_to(Xf, yf, sx, sy)
+        d2 = _sq_dist(Zf, sz)
         if len(free) > pool_size:
             part = np.argpartition(d2, pool_size)
             pool = np.sort(part[:pool_size])
-            r2 = d2[part[pool_size]]  # nearest record left out of the pool
+            r2 = float(d2[part[pool_size]])  # nearest record left out of the pool
             r = math.sqrt(r2) if r2 >= _TINY else 0.0
         else:
             pool, r = np.arange(len(free)), math.inf
-        ids, Xp, yp = free[pool], Xf[pool], yf[pool]
+        Zp = np.take(Zf, pool, axis=1)
 
-        taken = ~unassigned[ids]
-        cx, cy = sx, sy
+        cz = sz
         for size in range(2, k + 1):
-            d2 = dist_to(Xp, yp, cx, cy)
-            d2[taken] = np.inf
+            d2 = _sq_dist(Zp, cz)
             i = int(d2.argmin())
-            dx = cx - sx
-            drift = math.sqrt(dx @ dx + w * (cy - sy) ** 2)
             # the 1e-9 slack outweighs the rounding of all three distances;
             # strict, so a row left out at the same distance falls back
-            if (math.sqrt(d2[i]) + drift) * (1.0 + 1e-9) < r:
-                add = int(ids[i])
-                taken[i] = True
+            if (math.sqrt(d2[i]) + math.dist(cz, sz)) * (1.0 + 1e-9) < r:
+                j = int(pool[i])
             else:
-                d2 = dist_to(Xf, yf, cx, cy)
-                d2[~unassigned[free]] = np.inf
-                add = int(free[d2.argmin()])
-                taken |= ids == add
+                j = int(_sq_dist(Zf, cz).argmin())
+                i = int(np.searchsorted(pool, j))  # j's pool column, if any
+            if i < len(pool) and pool[i] == j:
+                Zp[0, i] = math.inf
+            Zf[0, j] = math.inf
+            add = int(free[j])
             assignment[add] = ell
-            unassigned[add] = False
-            cx = cx + (X[add] - cx) / size
-            cy = cy + (float(y[add]) - cy) / size
+            cz = [a + (b - a) / size for a, b in zip(cz, Z[:, add].tolist())]
 
     # leftovers: nearest centroid by the same distortion
-    if unassigned.any():
+    if (assignment < 0).any():
         members = _member_lists(assignment, c)
-        cents = np.array([X[idx].mean(axis=0) for idx in members])
-        cents_y = np.array([y[idx].mean() for idx in members])
-        for i in np.flatnonzero(unassigned):
-            diff = cents - X[i]
-            d2 = np.einsum("ij,ij->i", diff, diff) + w * (cents_y - y[i]) ** 2
-            assignment[i] = int(np.argmin(d2))
+        cents = np.column_stack([np.take(Z, idx, axis=1).mean(axis=1) for idx in members])
+        for i in np.flatnonzero(assignment < 0):
+            assignment[i] = int(np.argmin(_sq_dist(cents, Z[:, i])))
 
     return _summarize(table, assignment, c, k, w)
 

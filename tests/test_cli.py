@@ -137,6 +137,46 @@ class TestAnonymizeCommand:
                                           id_col="record_id"))
         assert set(back.qi[:, 0]) <= {1000000000001.0, 1000000000002.0}
 
+    @pytest.mark.parametrize("method", ["centroid", "gaussian"])
+    def test_wide_column_released_on_its_values(self, tmp_path, method):
+        # the squared deviations of 1e300 and 2e300 overflow; the sd of the
+        # column divided by a power of two does not
+        p = tmp_path / "wide.csv"
+        with open(p, "w", newline="") as fh:
+            fh.write("x0,cost\n")
+            for i in range(12):
+                fh.write(f"{(1e300, 2e300)[i % 2]!r},{i}\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "anonymize", "--input", str(p), "--output", str(out),
+                "--qi-cols", "x0", "--response-col", "cost",
+                "--k", "3", "--method", method,
+            ])
+        assert rc == 0
+        back = load_table(out, TableSchema(qi=("x0",), response="cost",
+                                          id_col="record_id"))
+        if method == "gaussian":
+            assert set(back.qi[:, 0]) == {1e300, 2e300}
+        else:
+            assert np.all((back.qi >= 1e300) & (back.qi <= 2e300))
+
+    def test_column_too_wide_to_standardize_data_error(self, tmp_path, capsys):
+        # one value 2.75e308 from the mean: its standardized value overflows
+        p = tmp_path / "wide.csv"
+        p.write_text("x0,x1,cost\n" + "".join(
+            f"{1.5e308 if i == 0 else -1.5e308!r},{i % 2},{i}\n" for i in range(12)))
+        out = tmp_path / "o.csv"
+        rc = main([
+            "anonymize", "--input", str(p), "--output", str(out),
+            "--qi-cols", "x0,x1", "--response-col", "cost",
+            "--k", "3", "--method", "centroid",
+        ])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: column 'x0': ")
+
     @pytest.mark.parametrize("bad_row, where", [
         ("1,2", "row 4, column 'cost'"),
         ("1,nan,3", "row 4, column 'x1'"),

@@ -9,7 +9,9 @@ from scipy import stats
 from dpkanon.dataset import (
     TableSchema,
     build_empirical_joint,
+    group_rows,
     load_table,
+    round_sig,
     standardize,
 )
 from dpkanon.errors import (
@@ -125,6 +127,62 @@ class TestStandardize:
         assert np.allclose(out.qi.std(axis=0, ddof=1), 1, atol=1e-12)
 
 
+    def test_ordinary_columns_keep_their_bits(self):
+        # the plain numpy moments, bit for bit, next to a column of 1e300s
+        # and one of 1e-300s that take the power-of-two path
+        rng = np.random.default_rng(2)
+        qi = rng.normal(size=(40, 3)) * [1e-100, 1.0, 1e100] + [3e-100, 7.0, -2e100]
+        y = rng.normal(size=40) * 1e150
+        wide = np.column_stack([qi, np.where(np.arange(40) % 2, 1e300, 2e300),
+                                np.where(np.arange(40) % 3, 1e-300, 2e-300)])
+        for t in (make_table(qi, y), make_table(wide, y)):
+            _, std = standardize(t)
+            assert np.array_equal(std.means[:3], qi.mean(axis=0))
+            assert np.array_equal(std.scales[:3], qi.std(axis=0, ddof=1))
+            assert std.response_mean == y.mean() and std.response_scale == y.std(ddof=1)
+
+    @pytest.mark.parametrize("scale, rtol", [(1e300, 1e-15), (1e-300, 1e-15),
+                                             (2.0 ** -1060, 1e-3)])
+    def test_wide_or_tiny_column_scaled_by_a_power_of_two(self, scale, rtol):
+        # squared deviations that overflow, or underflow to 0; the column
+        # standardizes as its codes do, up to rounding (a subnormal sd keeps
+        # only some 14 bits)
+        codes = np.array([1.0, 2.0] * 6)
+        t = make_table(codes[:, None] * scale, y=codes * scale)
+        with np.errstate(over="raise", invalid="raise"):
+            out, std = standardize(t)
+        unit, _ = standardize(make_table(codes[:, None], y=codes))
+        assert np.allclose(out.qi, unit.qi, rtol=rtol, atol=0)
+        assert np.allclose(out.response, unit.response, rtol=rtol, atol=0)
+        assert np.allclose(std.revert_qi(out.qi), t.qi, rtol=rtol, atol=0)
+
+    def test_column_too_wide_for_its_standardized_values(self):
+        t = make_table([[-1.5e308, 0.0]] * 11 + [[1.5e308, 1.0]])
+        with pytest.raises(DomainError, match="column 'x0'"):
+            standardize(t)
+        t = make_table([[0.0], [1.0], [2.0]], y=[-1.5e308, -1.5e308, 1.5e308])
+        with pytest.raises(DomainError, match="response"):
+            standardize(t)
+
+
+class TestRoundSig:
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda v: abs(v) >= 1e-290))
+    def test_bits_unchanged_above_1e_290(self, x):
+        # the one-step scaling, which is finite for these values, on arrays
+        # as before (numpy's scalar power can differ in the last bit)
+        a = np.array([x, -x])
+        f = 10.0 ** (11 - np.floor(np.log10(np.abs(a))))
+        assert np.array_equal(round_sig(a), np.round(a * f) / f)
+
+    @pytest.mark.parametrize("x", [5e-324, 3e-310, 1e-300, -2.5e-299, 2.2250738585072014e-308])
+    def test_finite_below_1e_297(self, x):
+        out = round_sig(x)
+        assert out == x or abs(out - x) <= 5e-12 * abs(x)
+        assert round_sig(np.array([x, 0.0, -x])).tolist() == [out, 0.0, -out]
+
+
 def cell_counts(joint) -> dict:
     return dict(zip(map(tuple, joint.keys.tolist()), joint.counts.tolist()))
 
@@ -173,6 +231,18 @@ def test_joint_groups_rows_like_a_counter(qi):
     assert cell_counts(joint) == Counter(map(tuple, rows.tolist()))
     assert np.array_equal(joint.keys[joint.inverse], rows)
     assert joint.counts.min() >= 1 and joint.counts.sum() == len(qi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_tables())
+def test_group_rows_groups_raw_rows_like_np_unique(qi):
+    # the raw rows, not rounded: 1 and 1 + 1e-13 stay apart, -0.0 and 0.0
+    # group together under the first one in input order
+    rows, inv = group_rows(qi)
+    want, want_inv = np.unique(qi, axis=0, return_inverse=True)
+    assert np.array_equal(rows, want) and np.array_equal(inv, want_inv.ravel())
+    first = np.unique(inv, return_index=True)[1]
+    assert np.array_equal(np.signbit(rows), np.signbit(qi[first]))
 
 
 def inverse(joint, *u):

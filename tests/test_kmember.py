@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpkanon.dataset import standardize
 from dpkanon.errors import DomainError, InfeasibleError
 from dpkanon.kmember import (
+    _sq_dist,
     greedy_k_member,
     total_distortion,
     validate_k_anonymous,
@@ -15,18 +19,21 @@ from conftest import make_table
 
 def reference_assignment(table, k, w, seed):
     """The greedy k-member loop with a full scan over all n records for every
-    seed and every addition: the reference the candidate pool must match."""
+    seed and every addition: the reference the candidate pool must match.
+    Records are the columns of Z = [x, sqrt(w) y], and a squared distance
+    adds the coordinates' squares in row order."""
     n = table.n
-    X = table.qi
-    y = table.response
+    Z = np.vstack([table.qi.T, np.sqrt(w) * table.response])
     c = n // k
     assignment = np.full(n, -1, dtype=int)
     unassigned = np.ones(n, dtype=bool)
     rng = np.random.default_rng(seed)
 
-    def dist_to(cx, cy):
-        diff = X - cx
-        return np.einsum("ij,ij->i", diff, diff) + w * (y - cy) ** 2
+    def dist_to(P, cz):
+        d2 = np.zeros(P.shape[1])
+        for row, cr in zip(P, cz):
+            d2 += (row - cr) ** 2
+        return d2
 
     prev_centroid = None
     for ell in range(c):
@@ -34,35 +41,29 @@ def reference_assignment(table, k, w, seed):
             candidates = np.flatnonzero(unassigned)
             seed_idx = int(candidates[rng.integers(len(candidates))])
         else:
-            d2 = dist_to(*prev_centroid)
+            d2 = dist_to(Z, prev_centroid)
             d2[~unassigned] = -np.inf
             seed_idx = int(np.argmax(d2))
         assignment[seed_idx] = ell
         unassigned[seed_idx] = False
-        cx, cy = X[seed_idx].astype(float), float(y[seed_idx])
+        cz = Z[:, seed_idx].copy()
         size = 1
         while size < k:
-            d2 = dist_to(cx, cy)
+            d2 = dist_to(Z, cz)
             d2[~unassigned] = np.inf
             add = int(np.argmin(d2))
             assignment[add] = ell
             unassigned[add] = False
             size += 1
-            cx = cx + (X[add] - cx) / size
-            cy = cy + (float(y[add]) - cy) / size
-        prev_centroid = (cx, cy)
+            cz = cz + (Z[:, add] - cz) / size
+        prev_centroid = cz
 
     if unassigned.any():
-        cents = np.empty((c, table.d))
-        cents_y = np.empty(c)
-        for ell in range(c):
-            idx = assignment == ell
-            cents[ell] = X[idx].mean(axis=0)
-            cents_y[ell] = y[idx].mean()
+        cents = np.column_stack([
+            np.take(Z, np.flatnonzero(assignment == ell), axis=1).mean(axis=1)
+            for ell in range(c)])
         for i in np.flatnonzero(unassigned):
-            diff = cents - X[i]
-            d2 = np.einsum("ij,ij->i", diff, diff) + w * (cents_y - y[i]) ** 2
-            assignment[i] = int(np.argmin(d2))
+            assignment[i] = int(np.argmin(dist_to(cents, Z[:, i])))
     return assignment
 
 
@@ -106,18 +107,26 @@ class TestGreedyKMember:
             assert np.array_equal(model.assignment, reference_assignment(t, k, 1.0, 3))
 
     def test_pool_bound_counts_centroid_drift(self):
-        # k = 3: the seed s pools its 12 nearest rows, a, p and nine fillers,
-        # and z is the nearest row left out, at r = 0.95. Once a joins, the
-        # centroid (0.35, 0) is 0.600 from z but 0.618 from p, the pool's
-        # best, so only a bound that adds the drift 0.35 lets z win.
+        # k = 3: the seed s pools the 12 nearest other rows, a, p and ten
+        # fillers, and z is the nearest row left out, at r = 0.95. Once a
+        # joins, the centroid (0.35, 0) is 0.600 from z but 0.618 from p, the
+        # pool's best, so only a bound that adds the drift 0.35 lets z win.
         s, a, p, z = [0.0, 0.0], [0.7, 0.0], [0.5, 0.6], [0.95, 0.0]
-        rows = [a, p] + [[-0.9, 0.0]] * 9 + [z] + [[-5.0, 0.0]] * 3
+        rows = [a, p] + [[-0.9, 0.0]] * 10 + [z] + [[-5.0, 0.0]] * 3
         first = int(np.random.default_rng(0).integers(len(rows) + 1))
         rows.insert(first, s)  # where the first random seed lands
         t = make_table(rows)
         model = greedy_k_member(t, k=3, seed=0)
         assert model.members[0].tolist() == sorted([first, rows.index(a), rows.index(z)])
         assert np.array_equal(model.assignment, reference_assignment(t, 3, 1.0, 0))
+
+    def test_fallback_row_leaves_the_pool(self):
+        # on these tables a fallback scan adds a row that the pool also
+        # holds; a pool that kept offering it would add it twice
+        for seed, k in ((261, 4), (555, 7), (1837, 7)):
+            t = make_table(np.round(np.random.default_rng(seed).normal(size=(80, 2)), 1))
+            model = greedy_k_member(t, k=k, seed=0)
+            assert np.array_equal(model.assignment, reference_assignment(t, k, 1.0, 0))
 
     def test_matches_full_scan_reference_below_normal_range(self):
         # squared distances near 1e-324 are subnormal and keep only a few
@@ -137,6 +146,11 @@ class TestGreedyKMember:
         t = make_table([[0.0], [1e200], [1.0], [2.0]])
         with pytest.raises(DomainError, match="overflow"):
             greedy_k_member(t, k=2)
+        # the points [x, sqrt(w) y] must be finite: here sqrt(w) y is inf,
+        # though w (y - cy)^2 would be 0
+        t = make_table([[0.0], [1.0], [2.0], [3.0]], y=[1e300] * 4)
+        with pytest.raises(DomainError, match="overflow"):
+            greedy_k_member(t, k=2, w=1e20)
 
     def test_separated_pairs(self):
         t = make_table([[0.0], [1.0], [10.0], [11.0]])
@@ -189,6 +203,65 @@ class TestGreedyKMember:
         model = greedy_k_member(t, k=3, seed=0)
         for ell, idx in enumerate(model.members):
             assert np.allclose(model.centroids[ell], t.qi[idx].mean(axis=0))
+
+
+class TestDistance:
+    def test_one_column_equals_many_column_call(self):
+        # a column's distance does not depend on how many columns are scored
+        # with it: the rows are added in row order, for a single column too,
+        # where a numpy reduction over the rows would add pairwise
+        rng = np.random.default_rng(13)
+        for rows in range(1, 13):
+            P = rng.normal(size=(rows, 64)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+            c = rng.normal(size=rows).tolist()
+            many = _sq_dist(P, c)
+            for j in range(P.shape[1]):
+                assert _sq_dist(P[:, j:j + 1], c)[0] == many[j]
+                total = 0.0
+                for r in range(rows):
+                    diff = float(P[r, j]) - c[r]
+                    total += diff * diff
+                assert total == many[j]
+
+    def test_close_to_the_weighted_form(self):
+        # with Z = [x, sqrt(w) y] the distance is |x - cx|^2 + w (y - cy)^2
+        # up to rounding: within 4 (d + 1) ulp of that value, plus the
+        # rounding of sqrt(w) y and sqrt(w) cy, which is none where sqrt(w)
+        # is exact
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(14)
+        for d in (1, 2, 3, 5, 11):
+            X = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-3, 4, d)
+            y = rng.normal(size=500)
+            for w in (0.25, 0.3, 1.0, 5.0):
+                Z = np.vstack([X.T, np.sqrt(w) * y])
+                for _ in range(10):
+                    idx = rng.choice(500, 10, replace=False)
+                    cx, cy = X[idx].mean(axis=0), y[idx].mean()
+                    diff = X - cx
+                    old = np.einsum("ij,ij->i", diff, diff) + w * (y - cy) ** 2
+                    new = _sq_dist(Z, [*cx, np.sqrt(w) * cy])
+                    slack = (0.0 if np.sqrt(w) ** 2 == w
+                             else w * np.abs(y - cy) * (np.abs(y) + abs(cy)))
+                    assert np.all(np.abs(new - old) <= 4 * (d + 1) * eps * (old + slack))
+
+    def test_assignment_digest_unchanged(self):
+        # two standardized 4000-row tables, as the pipeline clusters them;
+        # the digests were taken with the previous row-major einsum distance
+        rng = np.random.default_rng(20261018)
+        n = 4000
+        ordinal = np.column_stack([rng.integers(0, L, n) for L in (10, 8, 6)]).astype(float)
+        continuous = np.round(rng.normal(size=(n, 3)), 3)
+        digests = []
+        for qi in (ordinal, continuous):
+            y = np.round(qi.sum(axis=1) + rng.normal(size=n), 3)
+            table, _ = standardize(make_table(qi, y))
+            model = greedy_k_member(table, k=10, w=1.0, seed=0)
+            digests.append(hashlib.sha256(model.assignment.astype("<i8").tobytes()).hexdigest())
+        assert digests == [
+            "98f738460c6bc53206251e52f3cde172dea828b49a1b987dd4085f1a1c19803a",
+            "afc275b302145efac4a05d953b50501659efb1ef54f233854d83925f8fa9b3c0",
+        ]
 
 
 class TestValidate:

@@ -11,7 +11,7 @@ from dpkanon.dataset import round_sig, standardize
 from dpkanon.dither import substream
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import prepare, transform
-from dpkanon.reid import _CH_MATCH, _TIE_TOL, match_min_distance, reid_trials
+from dpkanon.reid import _CH_MATCH, _TIE_TOL, ReidReport, match_min_distance, reid_trials
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
@@ -256,6 +256,19 @@ class TestReidTrials:
             (";".join(repr(v) for v in c), int(s), float(f), float(b))
             for c, s, f, b in zip(classes, sizes, freq, band)]
         assert rep.average == float(np.mean(rep.frequency))
+
+    def test_tiny_values_give_valid_json(self):
+        # 1e-300 and 2e-300 once rounded to NaN keys, one class per record
+        qi = np.array([[1e-300], [2e-300]] * 6)
+        rep = ReidReport(qi=qi, frequency=np.full(12, 0.5), average=0.5,
+                         trials=2, k=3, method="centroid")
+
+        def reject(name):
+            raise ValueError(name)
+
+        parsed = json.loads(rep.to_json(), parse_constant=reject)
+        assert [(c["key"], c["size"]) for c in parsed["classes"]] == [([1e-300], 6),
+                                                                     ([2e-300], 6)]
 
     def test_csv_class_key_holds_plain_numbers(self):
         t = make_table([[0.0, 1.0], [0.0, 1.0], [2.0, 3.5], [2.0, 3.5]])
