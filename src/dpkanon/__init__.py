@@ -33,7 +33,6 @@ from .reid import ReidReport, match_min_distance, reid_trials
 from .rosenblatt import forward_gaussian, inverse_empirical_indices
 from .shiftlearn import (
     RegressionModel,
-    ShiftWeights,
     TransferSpec,
     build_design,
     histogram_intersection,
@@ -55,7 +54,6 @@ __all__ = [
     "EmpiricalJoint",
     "RegressionModel",
     "ReidReport",
-    "ShiftWeights",
     "Standardizer",
     "TableSchema",
     "TransferSpec",

@@ -156,17 +156,16 @@ def _shift_weights(tag: str, anon_qi, anon_joint, test_qi, test_joint):
     if tag == "nonparametric":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sw = nonparametric_weights(anon_joint, test_joint)
-        if sw.per_record.sum() == 0:
+            w = nonparametric_weights(anon_joint, test_joint)
+        if w.sum() == 0:
             return np.ones(n), True
-        return sw.per_record, False
+        return w, False
     try:  # logistic
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sw = logistic_weights(anon_qi, test_qi)
+            return logistic_weights(anon_qi, test_qi), False
     except ConvergenceError:
         return np.ones(n), True
-    return sw.per_record, False
 
 
 def _sweep_rows(args, state, method, shifts, test, test_joint, test_pmf) -> list:

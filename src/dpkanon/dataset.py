@@ -101,20 +101,25 @@ class DataTable:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-column location/scale with flags for constant columns."""
+    """Per-column location/scale with flags for constant columns. A tiny
+    column is scaled by 2**-e before centring (e = 0 elsewhere, where ldexp
+    changes no bit)."""
 
     means: np.ndarray
     scales: np.ndarray
+    exponents: np.ndarray
     constant_flags: np.ndarray
     response_mean: float
     response_scale: float
     response_constant: bool
 
     def apply_qi(self, qi: np.ndarray) -> np.ndarray:
-        return (np.asarray(qi, dtype=float) - self.means) / self.scales
+        qi = np.ldexp(np.asarray(qi, dtype=float), -self.exponents)
+        return (qi - self.means) / self.scales
 
     def revert_qi(self, qi_std: np.ndarray) -> np.ndarray:
-        return np.asarray(qi_std, dtype=float) * self.scales + self.means
+        return np.ldexp(np.asarray(qi_std, dtype=float) * self.scales + self.means,
+                        self.exponents)
 
     def apply_response(self, y: np.ndarray) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.response_mean) / self.response_scale
@@ -208,20 +213,24 @@ def load_table(path, schema: TableSchema) -> DataTable:
 
 
 def _mean_sd(a: np.ndarray) -> tuple:
-    """Means and sds (denominator n - 1) along axis 0. Where the squares
-    overflow, or may underflow (an sd below 2**-500), they are computed
-    again on the values divided by a power of two near their largest
-    magnitude and scaled back: exact, but for values so much smaller than
-    the largest that the division makes them subnormal."""
+    """Means and sds (denominator n - 1) along axis 0 of a / 2**e, and the
+    exponents e (0 on most columns). Where the squares overflow, or may
+    underflow (an sd below 2**-500), the moments are taken on the values
+    divided by a power of two near their largest magnitude: exact, but for
+    values so much smaller than the largest that the division makes them
+    subnormal. A wide column's moments are then scaled back (e = 0), so an
+    overflowing standardized value still shows; a tiny column keeps e < 0,
+    so its mean and sd stay normal floats."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean, sd = a.mean(axis=0), a.std(axis=0, ddof=1)
         rescale = ~(np.isfinite(mean) & np.isfinite(sd) & (sd >= 2.0 ** -500))
+        e = np.where(rescale, np.frexp(np.abs(a).max(axis=0))[1], 0)
+        kept = np.minimum(e, 0)
         if rescale.any():
-            e = np.frexp(np.abs(a).max(axis=0))[1]
             scaled = np.ldexp(a, -e)
-            mean = np.where(rescale, np.ldexp(scaled.mean(axis=0), e), mean)
-            sd = np.where(rescale, np.ldexp(scaled.std(axis=0, ddof=1), e), sd)
-    return mean, sd
+            mean = np.where(rescale, np.ldexp(scaled.mean(axis=0), e - kept), mean)
+            sd = np.where(rescale, np.ldexp(scaled.std(axis=0, ddof=1), e - kept), sd)
+    return mean, sd, kept
 
 
 def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
@@ -239,18 +248,19 @@ def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
     """
     qi, y = table.qi, table.response
     const = np.all(qi == qi[0], axis=0)
-    means, scales = _mean_sd(qi) if table.n > 1 else (qi[0], np.ones(table.d))
+    means, scales, exponents = _mean_sd(qi) if table.n > 1 else (qi[0], np.ones(table.d), 0)
     means = np.where(const, qi[0], means)
     scales = np.where(const | (scales == 0.0), 1.0, scales)
+    exponents = np.where(const, 0, exponents)
 
     y_const = bool(np.all(y == y[0]))
     if y_const:
         y_mean, y_scale = float(y[0]), 1.0
     else:
-        y_mean, y_scale = map(float, _mean_sd(y))
-        y_scale = y_scale or 1.0
+        m, s, e = _mean_sd(y)
+        y_mean, y_scale = float(np.ldexp(m, e)), float(np.ldexp(s, e)) or 1.0
 
-    std = Standardizer(means, scales, const, y_mean, y_scale, y_const)
+    std = Standardizer(means, scales, exponents, const, y_mean, y_scale, y_const)
     with np.errstate(over="ignore"):
         qi_std, y_std = std.apply_qi(qi), std.apply_response(y)
     if not (np.isfinite(scales).all() and np.isfinite(qi_std).all()):

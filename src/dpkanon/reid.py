@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataTable, round_sig, standardize
+from .dataset import DataTable, group_rows, round_sig, standardize
 from .dither import substream
 from .errors import DomainError
 from .pipeline import AnonymizedTable, PipelineState, transform
@@ -49,7 +49,8 @@ def match_min_distance(original: DataTable, anon: AnonymizedTable,
     Xh = std.apply_qi(anon.qi_hat)
     n, d = X.shape
     # distinct released tuples, each with its records in ascending order
-    tuples, inv, sizes = np.unique(Xh, axis=0, return_inverse=True, return_counts=True)
+    tuples, inv = group_rows(Xh)
+    sizes = np.bincount(inv)
     members = np.argsort(inv, kind="stable")
     first = np.cumsum(sizes) - sizes
     a = np.einsum("ij,ij->i", X, X)
@@ -116,12 +117,11 @@ class ReidReport:
     def _classes(self):
         # classes in sorted key order, each keyed by its first record's tuple
         # and averaged over its records in record order
-        rounded = round_sig(self.qi)
-        _, inv, sizes = np.unique(rounded, axis=0, return_inverse=True,
-                                  return_counts=True)
+        rows, inv = group_rows(round_sig(self.qi))
+        sizes = np.bincount(inv)
         order = np.argsort(inv, kind="stable")
         starts = np.cumsum(sizes) - sizes
-        keys = tuple(tuple(r) for r in rounded[order[starts]].tolist())
+        keys = tuple(map(tuple, rows.tolist()))
         freq = np.array([f.mean() for f in np.split(self.frequency[order], starts[1:])])
         p0 = 1.0 / self.k
         band = 3.0 * np.sqrt(p0 * (1 - p0) / (self.trials * sizes))

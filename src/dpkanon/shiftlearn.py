@@ -1,48 +1,33 @@
-"""Covariate-shift and transfer weights, weighted linear regression under
-dummy or numeric coding, and the utility metrics (relative bias, R²,
+"""Covariate-shift and transfer weights, each an array of one finite,
+nonnegative weight per source record; weighted linear regression under
+dummy or numeric coding; and the utility metrics (relative bias, R²,
 histogram intersection).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataTable, EmpiricalJoint, round_sig
+from .dataset import EmpiricalJoint, group_rows, round_sig
 from .errors import ConvergenceError, DegenerateError, DomainError, ShapeError
 
 
-@dataclass
-class ShiftWeights:
-    """Per-record importance weights with their estimation provenance."""
-
-    per_record: np.ndarray
-    estimator: str  # none | nonparametric | logistic | transfer
-    normalized: bool
-    point_weights: dict | None = None  # value tuple -> weight, when discrete
-
-    def __post_init__(self):
-        w = np.asarray(self.per_record, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise DomainError("weights must be finite")
-        if np.any(w < 0):
-            raise DomainError("weights must be nonnegative")
-        self.per_record = w
+def _checked(w: np.ndarray) -> np.ndarray:
+    """Per-record weights, once they are known to be finite and nonnegative."""
+    if not np.all(np.isfinite(w)):
+        raise DomainError("weights must be finite")
+    if np.any(w < 0):
+        raise DomainError("weights must be nonnegative")
+    return w
 
 
-def _rows_to_keys(rows) -> list:
-    return [tuple(r) for r in round_sig(np.atleast_2d(np.asarray(rows, float)))]
-
-
-def nonparametric_weights(source: EmpiricalJoint, target: EmpiricalJoint,
-                          normalize: bool = False) -> ShiftWeights:
+def nonparametric_weights(source: EmpiricalJoint, target: EmpiricalJoint) -> np.ndarray:
     """Empirical density-ratio weights w(v) = q(v)/p(v) over the source
-    support, and each source record's weight through source.inverse; target
-    support points unseen in the source are unreachable and only produce a
-    warning."""
+    support, per source record through source.inverse; target support points
+    unseen in the source are unreachable and only produce a warning."""
     if source.d != target.d:
         raise ShapeError("source and target joints have different dimensions")
     p = source.pmf()
@@ -53,12 +38,9 @@ def nonparametric_weights(source: EmpiricalJoint, target: EmpiricalJoint,
             f"{len(missing)} target support point(s) have zero source "
             "probability and cannot be reached by reweighting"
         )
-    point = {v: q.get(v, 0.0) / pv for v, pv in p.items()}
-    # p, and so point, lists the source keys in key order
-    per_record = np.fromiter(point.values(), dtype=float, count=len(point))[source.inverse]
-    if normalize and per_record.mean() > 0:
-        per_record = per_record / per_record.mean()
-    return ShiftWeights(per_record, "nonparametric", normalize, point)
+    # p lists the source keys in key order
+    point = np.fromiter((q.get(v, 0.0) / pv for v, pv in p.items()), dtype=float, count=len(p))
+    return _checked(point[source.inverse])
 
 
 def _sigmoid(z):
@@ -66,7 +48,7 @@ def _sigmoid(z):
 
 
 def logistic_weights(source_x, target_x, max_iter: int = 100,
-                     tol: float = 1e-8) -> ShiftWeights:
+                     tol: float = 1e-8) -> np.ndarray:
     """Density-ratio weights from a linear logistic discriminator fit by
     iteratively reweighted least squares on the pooled sample.
 
@@ -107,8 +89,7 @@ def logistic_weights(source_x, target_x, max_iter: int = 100,
 
     eta_s = X[:ns] @ beta
     w = np.exp(eta_s) * (ns / nt)
-    w = w / w.mean()
-    return ShiftWeights(w, "logistic", True)
+    return _checked(w / w.mean())
 
 
 @dataclass
@@ -135,42 +116,40 @@ class TransferSpec:
             raise DomainError("task priors must be positive and sum to 1")
 
 
-def transfer_weights(spec: TransferSpec, t, normalize: bool = False) -> ShiftWeights:
+def _shares(groups: np.ndarray, size: int) -> np.ndarray:
+    """Each of `size` groups' share of the entries of `groups` (0 if none)."""
+    return np.bincount(groups, minlength=size) / max(len(groups), 1)
+
+
+def transfer_weights(spec: TransferSpec, t) -> np.ndarray:
     """Plug-in transfer weights over the pooled training records:
-    [p(x,y|t) / sum_t' p_t' p(x,y|t')] * [q(x|t)/p(x|t)]."""
+    [p(x,y|t) / sum_t' p_t' p(x,y|t')] * [q(x|t)/p(x|t)].
+
+    Each PMF is a table of group shares (np.bincount) over rows grouped
+    after round_sig; the training and target x rows share one grouping. A
+    record whose x no task-t record has gets weight 0."""
     task_list = list(spec.priors)
     if t not in task_list:
         raise DomainError(f"task {t!r} not present in the spec")
+    n = len(spec.tasks)
+    target = np.atleast_2d(np.asarray(spec.targets[t], dtype=float))
+    if target.shape[1] != spec.x.shape[1]:
+        raise ShapeError("target and training covariate dimensions differ")
+    xy_keys, xy = group_rows(round_sig(np.column_stack([spec.x, spec.y])))
+    x_keys, x = group_rows(round_sig(np.vstack([spec.x, target])))
+    x, q = x[:n], _shares(x[n:], len(x_keys))
 
-    xy_keys = _rows_to_keys(np.column_stack([spec.x, spec.y]))
-    x_keys = _rows_to_keys(spec.x)
-
-    xy_pmf = {}
-    x_pmf = {}
+    mix = np.zeros(n)
     for tt in task_list:
         mask = spec.tasks == tt
-        n_t = int(mask.sum())
-        xy_pmf[tt] = {k: c / n_t
-                      for k, c in Counter(k for k, m in zip(xy_keys, mask) if m).items()}
-        x_pmf[tt] = {k: c / n_t
-                     for k, c in Counter(k for k, m in zip(x_keys, mask) if m).items()}
-
-    q_counter = Counter(_rows_to_keys(spec.targets[t]))
-    q_total = sum(q_counter.values())
-    q_pmf = {k: c / q_total for k, c in q_counter.items()}
-
-    w = np.empty(len(spec.tasks))
-    for i, (kxy, kx) in enumerate(zip(xy_keys, x_keys)):
-        mix = sum(spec.priors[tt] * xy_pmf[tt].get(kxy, 0.0) for tt in task_list)
-        p_t_xy = xy_pmf[t].get(kxy, 0.0)
-        p_t_x = x_pmf[t].get(kx, 0.0)
-        if p_t_x == 0.0:
-            w[i] = 0.0
-        else:
-            w[i] = (p_t_xy / mix) * (q_pmf.get(kx, 0.0) / p_t_x)
-    if normalize and w.mean() > 0:
-        w = w / w.mean()
-    return ShiftWeights(w, "transfer", normalize)
+        p_xy = _shares(xy[mask], len(xy_keys))[xy]
+        mix = mix + spec.priors[tt] * p_xy
+        if tt == t:
+            p_t_xy, p_t_x = p_xy, _shares(x[mask], len(x_keys))[x]
+    w = np.zeros(n)
+    seen = p_t_x > 0
+    w[seen] = (p_t_xy[seen] / mix[seen]) * (q[x[seen]] / p_t_x[seen])
+    return _checked(w)
 
 
 @dataclass
@@ -189,14 +168,13 @@ class RegressionModel:
     design: DesignInfo
 
 
-def build_design(table_or_qi, coding: str, levels=None):
+def build_design(qi, coding: str, levels=None):
     """Design matrix with intercept.
 
     numeric: one raw-valued column per variable.  dummy: one indicator per
     level except the lowest of each variable; levels default to those
     observed in the data.
     """
-    qi = table_or_qi.qi if isinstance(table_or_qi, DataTable) else table_or_qi
     qi = np.atleast_2d(np.asarray(qi, dtype=float))
     d = qi.shape[1]
     if coding == "numeric":
@@ -251,10 +229,7 @@ def weighted_least_squares(design, y, weights, ridge: float = 1e-8,
     """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float)
-    if isinstance(weights, ShiftWeights):
-        w = weights.per_record
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape[0] != X.shape[0] or y.shape[0] != X.shape[0]:
         raise ShapeError("design, response, and weights must align")
     if np.any(w < 0):

@@ -225,12 +225,12 @@ def test_07_nonparametric_reweighting_identity():
     tgt_rows = src_rows[rng.integers(0, 80, size=120)]
     src = build_empirical_joint(src_rows)
     tgt = build_empirical_joint(tgt_rows)
-    sw = nonparametric_weights(src, tgt)
+    w = nonparametric_weights(src, tgt)
     worst = 0.0
     for _ in range(20):
         a, b, c = rng.normal(size=3)
         f = lambda rows: np.cos(a * rows[:, 0] + b * rows[:, 1] + c)
-        lhs = float(np.mean(sw.per_record * f(src_rows)))
+        lhs = float(np.mean(w * f(src_rows)))
         rhs = float(np.mean(f(tgt_rows)))
         worst = max(worst, abs(lhs - rhs))
     _report(7, "nonparametric reweighting matches target expectations",

@@ -21,6 +21,7 @@ from dpkanon.errors import (
     SchemaError,
     ShapeError,
 )
+from dpkanon.pipeline import anonymize
 from dpkanon.rosenblatt import inverse_empirical_indices
 
 from conftest import index_rows, make_table
@@ -155,6 +156,21 @@ class TestStandardize:
         assert np.allclose(out.qi, unit.qi, rtol=rtol, atol=0)
         assert np.allclose(out.response, unit.response, rtol=rtol, atol=0)
         assert np.allclose(std.revert_qi(out.qi), t.qi, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1060, 2.0 ** -1040])
+    def test_subnormal_column_keeps_a_normal_scale(self, scale):
+        # the column's mean and sd stay normal floats beside its exponent, so
+        # it standardizes as its codes do, and centroid releases stay inside
+        # its range
+        codes = np.array([1.0, 2.0, 3.0, 5.0] * 3)
+        other = np.arange(12.0) % 3
+        t = make_table(np.column_stack([codes * scale, other]))
+        out, std = standardize(t)
+        unit, _ = standardize(make_table(np.column_stack([codes, other])))
+        assert np.all(np.abs(out.qi - unit.qi) <= 4 * np.spacing(np.abs(unit.qi)))
+        assert np.array_equal(std.revert_qi(out.qi), t.qi)
+        released = anonymize(t, 3, "centroid", seed=0).qi_hat[:, 0]
+        assert t.qi[:, 0].min() <= released.min() and released.max() <= t.qi[:, 0].max()
 
     def test_column_too_wide_for_its_standardized_values(self):
         t = make_table([[-1.5e308, 0.0]] * 11 + [[1.5e308, 1.0]])

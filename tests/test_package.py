@@ -23,9 +23,13 @@ def _names(tree) -> Counter:
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
 
 
+def _src_modules() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(pathlib.Path(dpkanon.__file__).parent.glob("*.py"))}
+
+
 def _src_trees() -> list:
-    return [ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(pathlib.Path(dpkanon.__file__).parent.glob("*.py"))]
+    return list(_src_modules().values())
 
 
 def test_every_src_name_has_a_caller():
@@ -58,6 +62,17 @@ def test_every_unexported_dataclass_field_is_read():
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
             and stmt.target.id not in read]
     assert dead == []
+
+
+def test_rows_are_grouped_only_by_group_rows():
+    # np.unique(..., axis=...) and collections.Counter each group rows a
+    # second way beside dataset.group_rows
+    found = [name for name, tree in _src_modules().items()
+             if "Counter" in _names(tree)
+             or any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "unique"
+                    and any(kw.arg == "axis" for kw in node.keywords)
+                    for node in ast.walk(tree))]
+    assert found == []
 
 
 def test_cli_import_leaves_scipy_unloaded():
