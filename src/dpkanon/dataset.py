@@ -102,8 +102,8 @@ class DataTable:
 @dataclass(frozen=True)
 class Standardizer:
     """Per-column location/scale with flags for constant columns. A tiny
-    column is scaled by 2**-e before centring (e = 0 elsewhere, where ldexp
-    changes no bit)."""
+    column, or a tiny response, is scaled by 2**-e before centring (e = 0
+    elsewhere, where ldexp changes no bit)."""
 
     means: np.ndarray
     scales: np.ndarray
@@ -112,6 +112,7 @@ class Standardizer:
     response_mean: float
     response_scale: float
     response_constant: bool
+    response_exponent: int
 
     def apply_qi(self, qi: np.ndarray) -> np.ndarray:
         qi = np.ldexp(np.asarray(qi, dtype=float), -self.exponents)
@@ -122,14 +123,20 @@ class Standardizer:
                         self.exponents)
 
     def apply_response(self, y: np.ndarray) -> np.ndarray:
-        return (np.asarray(y, dtype=float) - self.response_mean) / self.response_scale
+        y = np.ldexp(np.asarray(y, dtype=float), -self.response_exponent)
+        return (y - self.response_mean) / self.response_scale
 
 
 def load_table(path, schema: TableSchema) -> DataTable:
     """Load a CSV file per the declared schema.
 
-    First row is the header; rows are kept in file order. record_ids are row
-    ordinals unless schema.id_col is declared.
+    First row is the header; rows are kept in file order and rows of blank
+    fields are skipped. record_ids are row ordinals unless schema.id_col is
+    declared. The rows are read once and each declared column is parsed in
+    one pass; a malformed file raises for its first fault in row-major
+    order: on one row, a missing field before a number that does not parse
+    (in declared column order) before a repeated id. A value that is not
+    finite is reported only when no row has such a fault.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -151,65 +158,80 @@ def load_table(path, schema: TableSchema) -> DataTable:
                     f"{path}: declared column {name!r} appears twice in the "
                     f"header, at columns {where[0] + 1} and {where[1] + 1}")
             col_idx[name] = where[0]
+        # a row that cannot be read raises after the faults of the rows
+        # before it, which extend() keeps
+        rows, unread = [], None
+        try:
+            rows.extend(reader)
+        except (csv.Error, ValueError, OSError) as exc:
+            unread = exc
 
-        width = max(col_idx.values()) + 1
+    numbered = [(num, row) for num, row in enumerate(rows, start=2) if "".join(row).strip()]
+    rownums = [num for num, _ in numbered]
+    rows = [row for _, row in numbered]
+    width = max(col_idx.values()) + 1
+    short = next((r for r, row in enumerate(rows) if len(row) < width), len(rows))
+    good = rows[:short]  # every fault on a row above a short one comes first
 
-        qi_rows, y_vals, ids, rownums = [], [], [], []
-        id_row = {}  # declared id -> the row it was first read on
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) < width:
-                name = next(n for n in declared if col_idx[n] >= len(row))
-                raise ParseError(
-                    f"{path}: row {rownum}, column {name!r}: missing; the row "
-                    f"has {len(row)} of {len(header)} fields")
-            vals = []
-            for name in schema.qi:
-                cell = row[col_idx[name]].strip()
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {rownum}, column {name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    )
-            cell = row[col_idx[schema.response]].strip()
-            try:
-                y_vals.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {rownum}, column {schema.response!r}: "
-                    f"cannot parse {cell!r} as a number"
-                )
-            qi_rows.append(vals)
-            rownums.append(rownum)
-            if schema.id_col is not None:
-                rid = row[col_idx[schema.id_col]].strip()
-                if rid in id_row:
-                    raise ParseError(
-                        f"{path}: column {schema.id_col!r}: id {rid!r} repeats "
-                        f"on rows {id_row[rid]} and {rownum}")
-                id_row[rid] = rownum
-                ids.append(rid)
-            else:
-                ids.append(rownum - 2)
-
-    if not qi_rows:
+    numeric = list(schema.qi) + [schema.response]
+    cols, faults = [], []  # faults: (row, rank in the row, message)
+    for rank, name in enumerate(numeric):
+        cells = [row[col_idx[name]] for row in good]
+        col, bad = _parse_floats(cells)
+        cols.append(col)
+        if bad is not None:
+            faults.append((bad, rank, f"{path}: row {rownums[bad]}, column {name!r}: "
+                                      f"cannot parse {cells[bad].strip()!r} as a number"))
+    if schema.id_col is None:
+        ids = [num - 2 for num in rownums[:short]]
+    else:
+        ids = [row[col_idx[schema.id_col]].strip() for row in good]
+        if len(set(ids)) < len(ids):
+            first = {}  # declared id -> the row it was first read on
+            r = next(r for r, rid in enumerate(ids) if first.setdefault(rid, r) != r)
+            faults.append((r, len(numeric), (
+                f"{path}: column {schema.id_col!r}: id {ids[r]!r} repeats "
+                f"on rows {rownums[first[ids[r]]]} and {rownums[r]}")))
+    if faults:
+        raise ParseError(min(faults)[2])
+    if short < len(rows):
+        name = next(n for n in declared if col_idx[n] >= len(rows[short]))
+        raise ParseError(
+            f"{path}: row {rownums[short]}, column {name!r}: missing; the row "
+            f"has {len(rows[short])} of {len(header)} fields")
+    if unread is not None:
+        raise unread
+    if not rows:
         raise EmptyInputError(f"{path}: no data rows")
 
-    qi, y = np.array(qi_rows), np.array(y_vals)
-    values = np.column_stack([qi, y])
+    values = np.column_stack(cols)
     bad = ~np.isfinite(values)
     if bad.any():
         r, j = np.argwhere(bad)[0]
-        name = (list(schema.qi) + [schema.response])[j]
         raise ParseError(
-            f"{path}: row {rownums[r]}, column {name!r}: "
+            f"{path}: row {rownums[r]}, column {numeric[j]!r}: "
             f"value {float(values[r, j])!r} is not finite")
 
     columns = tuple(Column(name) for name in schema.qi)
-    return DataTable(qi, y, columns, tuple(ids))
+    return DataTable(np.column_stack(cols[:-1]), cols[-1], columns, tuple(ids))
+
+
+def _parse_floats(cells: list) -> tuple:
+    """The cells as a float array and None, or None and the index of the
+    first cell that does not parse. One pass of float() parses a clean
+    column; otherwise each cell is parsed as float(cell.strip()), which
+    also drops the whitespace that float() keeps."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), None
+    except ValueError:
+        pass
+    values = []
+    for i, cell in enumerate(cells):
+        try:
+            values.append(float(cell.strip()))
+        except ValueError:
+            return None, i
+    return np.array(values), None
 
 
 def _mean_sd(a: np.ndarray) -> tuple:
@@ -255,12 +277,12 @@ def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
 
     y_const = bool(np.all(y == y[0]))
     if y_const:
-        y_mean, y_scale = float(y[0]), 1.0
+        y_mean, y_scale, y_exp = float(y[0]), 1.0, 0
     else:
         m, s, e = _mean_sd(y)
-        y_mean, y_scale = float(np.ldexp(m, e)), float(np.ldexp(s, e)) or 1.0
+        y_mean, y_scale, y_exp = float(m), float(s) or 1.0, int(e)
 
-    std = Standardizer(means, scales, exponents, const, y_mean, y_scale, y_const)
+    std = Standardizer(means, scales, exponents, const, y_mean, y_scale, y_const, y_exp)
     with np.errstate(over="ignore"):
         qi_std, y_std = std.apply_qi(qi), std.apply_response(y)
     if not (np.isfinite(scales).all() and np.isfinite(qi_std).all()):

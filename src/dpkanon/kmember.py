@@ -74,16 +74,27 @@ def _member_lists(assignment: np.ndarray, c: int) -> list:
 
 
 def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: float):
+    """Members, means and population covariances of every cluster. The
+    clusters of one size m are summarized together: their members' rows
+    form one (clusters, m, d) array, reduced over its middle axis with the
+    same numpy calls that reduce one cluster's (m, d) rows, so each
+    cluster's values have the bits of a per-cluster loop. Sizes run from k
+    to 2k - 1, so there are at most k groups."""
     members = _member_lists(assignment, c)
+    sizes = np.bincount(assignment, minlength=c)
+    order = np.concatenate(members)
+    starts = np.cumsum(sizes) - sizes
     centroids = np.empty((c, table.d))
     centroids_y = np.empty(c)
     covs = np.empty((c, table.d, table.d))
-    for ell, idx in enumerate(members):
+    for m in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == m)
+        idx = order[starts[group, None] + np.arange(m)]
         rows = table.qi[idx]
-        centroids[ell] = rows.mean(axis=0)
-        centroids_y[ell] = table.response[idx].mean()
-        centered = rows - centroids[ell]
-        covs[ell] = centered.T @ centered / len(idx)  # population form
+        centroids[group] = rows.mean(axis=1)
+        centroids_y[group] = table.response[idx].mean(axis=1)
+        centered = rows - centroids[group, None, :]
+        covs[group] = np.matmul(centered.transpose(0, 2, 1), centered) / m  # population form
     return ClusterModel(
         assignment=assignment,
         members=tuple(members),

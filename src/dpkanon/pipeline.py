@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,29 +52,39 @@ class AnonymizedTable:
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Clustering-stage artifacts, reusable across dither trials."""
+    """Clustering-stage artifacts, reusable across dither trials. The
+    empirical joint and its original values, which only `gaussian` reads,
+    are built on first use."""
 
     table: DataTable
     standardizer: Standardizer
     model: ClusterModel
-    joint: EmpiricalJoint
-    orig_values: tuple  # per dimension, an original value for each joint value index
     k: int
     w: float
     seed: int
+
+    @cached_property
+    def joint(self) -> EmpiricalJoint:
+        # standardize's own call, so the same bits
+        return build_empirical_joint(self.standardizer.apply_qi(self.table.qi))
+
+    @cached_property
+    def orig_values(self) -> tuple:
+        """Per dimension, an original value for each joint value index.
+        Standardizing and rounding are monotone, so the sorted original
+        values of a dimension fall in one block per joint value index. Each
+        block's first value (np.unique's pick among 0.0 and -0.0) aligns
+        with joint.values."""
+        joint = self.joint
+        idx = joint.keys[joint.inverse]
+        sizes = [np.bincount(col) for col in idx.T]
+        return tuple(np.sort(col)[np.cumsum(m) - m] for col, m in zip(self.table.qi.T, sizes))
 
 
 def prepare(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> PipelineState:
     std_table, std = standardize(table)
     model = greedy_k_member(std_table, k, w=w, seed=seed)
-    joint = build_empirical_joint(std_table.qi)
-    # Standardizing and rounding are monotone, so the sorted original values
-    # of a dimension fall in one block per joint value index. Each block's
-    # first value (np.unique's pick among 0.0 and -0.0) aligns with joint.values.
-    idx = joint.keys[joint.inverse]
-    sizes = [np.bincount(col) for col in idx.T]
-    orig_values = tuple(np.sort(col)[np.cumsum(m) - m] for col, m in zip(table.qi.T, sizes))
-    return PipelineState(table, std, model, joint, orig_values, k, w, seed)
+    return PipelineState(table, std, model, k, w, seed)
 
 
 def resample_within_clusters(model: ClusterModel, rng: np.random.Generator,
@@ -94,6 +105,18 @@ def _indices_to_original(state: PipelineState, idx: np.ndarray) -> np.ndarray:
     return np.column_stack([v[idx[:, j]] for j, v in enumerate(state.orig_values)])
 
 
+def _centroids_in_original_units(state: PipelineState) -> np.ndarray:
+    """Each cluster's centroid in original units, clipped to its members'
+    range: the standardize round trip may round a mean of equal values off
+    them, and a cluster whose members share a code releases that code."""
+    model = state.model
+    order = np.concatenate(model.members)
+    starts = np.cumsum(model.sizes) - model.sizes
+    rows = state.table.qi[order]
+    return np.clip(state.standardizer.revert_qi(model.centroids),
+                   np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts))
+
+
 def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
               trial: int = 0) -> AnonymizedTable:
     """Apply one anonymization method on a prepared state.
@@ -111,8 +134,7 @@ def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
     drawn = RELEASED_BY.get(method, method)
 
     if drawn == "centroid":
-        qi_std = state.model.centroids[state.model.assignment]
-        qi_hat = state.standardizer.revert_qi(qi_std)
+        qi_hat = _centroids_in_original_units(state)[state.model.assignment]
     elif drawn in ("resample", "permute"):
         rng = substream(seed, _CH_RESAMPLE, trial)
         src = resample_within_clusters(state.model, rng,
@@ -147,13 +169,21 @@ def anonymize(table: DataTable, k: int, method: str, w: float = 1.0,
 def write_anonymized_csv(anon: AnonymizedTable, path, response_name: str = "response"):
     import csv
 
+    cols = [_float_reprs(col) for col in np.asarray(anon.qi_hat, dtype=float).T]
+    cols.append(_float_reprs(np.asarray(anon.response, dtype=float)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["record_id"] + [c.name for c in anon.columns] + [response_name])
-        # csv writes a Python float as its repr
-        qi = np.asarray(anon.qi_hat, dtype=float).tolist()
-        ys = np.asarray(anon.response, dtype=float).tolist()
-        writer.writerows([rid, *row, y] for rid, row, y in zip(anon.record_ids, qi, ys))
+        writer.writerows(zip(anon.record_ids, *cols))
+
+
+def _float_reprs(col: np.ndarray) -> list:
+    """Each value's repr, which is how csv writes a Python float. Each
+    distinct bit pattern (so -0.0 apart from 0.0) is formatted once, in one
+    repr of the list of them."""
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    reprs = repr(bits.view(float).tolist())[1:-1].split(", ")
+    return np.array(reprs, dtype=object)[inverse].tolist()
 
 
 def write_sidecar(anon: AnonymizedTable, path):

@@ -114,6 +114,9 @@ class TransferSpec:
         total = sum(self.priors.values())
         if not np.isclose(total, 1.0) or any(p <= 0 for p in self.priors.values()):
             raise DomainError("task priors must be positive and sum to 1")
+        for t in np.unique(self.tasks).tolist():
+            if t not in self.priors:
+                raise DomainError(f"task {t!r} has records but no prior")
 
 
 def _shares(groups: np.ndarray, size: int) -> np.ndarray:

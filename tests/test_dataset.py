@@ -91,6 +91,34 @@ class TestLoadTable:
             load_table(p, schema)
 
 
+    @pytest.mark.parametrize("text, message", [
+        # the earlier row names the fault, whatever the fault kinds
+        ("age,sex,cost\n30,0,100\n40,1\nabc,1,200\n", "row 3, column 'cost': missing"),
+        ("age,sex,cost\nabc,1,200\n40,1\n", "row 2, column 'age': cannot parse"),
+        ("age,sex,cost\n30,x,100\ny,0,100\n", "row 2, column 'sex': cannot parse"),
+        ("age,sex,cost\n30,nan,100\n40,zz,200\n", "row 3, column 'sex': cannot parse"),
+        # on one row: a missing field, then a number that does not parse
+        ("age,sex,cost\nabc,1\n", "row 2, column 'cost': missing"),
+        ("age,sex,cost\n30,zz,\n", "row 2, column 'sex': cannot parse"),
+    ])
+    def test_first_fault_in_row_major_order(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_table(write(tmp_path, text), SCHEMA)
+
+    def test_unparsed_value_before_repeated_id(self, tmp_path):
+        p = write(tmp_path, "id,age,sex,cost\na,30,0,100\nb,1,1,1\na,zz,0,300\nb,1,1,1\n")
+        schema = TableSchema(qi=("age", "sex"), response="cost", id_col="id")
+        with pytest.raises(ParseError, match="row 4, column 'age': cannot parse 'zz'"):
+            load_table(p, schema)
+
+    def test_cells_stripped_as_str_strip_does(self, tmp_path):
+        # float() keeps the \x1c separator that str.strip() removes
+        p = write(tmp_path, "age,sex,cost\n\x1c30 , 0,100\x1f\n,,\n40,1,200\n")
+        t = load_table(p, SCHEMA)
+        assert t.qi.tolist() == [[30, 0], [40, 1]] and t.response.tolist() == [100, 200]
+        assert t.record_ids == (0, 2) and t.qi.flags.c_contiguous
+
+
 class TestStandardize:
     def test_two_point_column(self):
         t = make_table([[0.0], [2.0]])
@@ -143,18 +171,20 @@ class TestStandardize:
             assert std.response_mean == y.mean() and std.response_scale == y.std(ddof=1)
 
     @pytest.mark.parametrize("scale, rtol", [(1e300, 1e-15), (1e-300, 1e-15),
-                                             (2.0 ** -1060, 1e-3)])
+                                             (2.0 ** -1060, 0.0)])
     def test_wide_or_tiny_column_scaled_by_a_power_of_two(self, scale, rtol):
-        # squared deviations that overflow, or underflow to 0; the column
-        # standardizes as its codes do, up to rounding (a subnormal sd keeps
-        # only some 14 bits)
+        # squared deviations that overflow, or underflow to 0; the column and
+        # the response standardize as their codes do, within 4 ulp (a tiny
+        # response keeps a normal mean and sd beside its exponent, as a tiny
+        # column does), and the column reverts within rtol
         codes = np.array([1.0, 2.0] * 6)
         t = make_table(codes[:, None] * scale, y=codes * scale)
         with np.errstate(over="raise", invalid="raise"):
             out, std = standardize(t)
         unit, _ = standardize(make_table(codes[:, None], y=codes))
-        assert np.allclose(out.qi, unit.qi, rtol=rtol, atol=0)
-        assert np.allclose(out.response, unit.response, rtol=rtol, atol=0)
+        assert np.all(np.abs(out.qi - unit.qi) <= 4 * np.spacing(np.abs(unit.qi)))
+        assert np.all(np.abs(out.response - unit.response)
+                      <= 4 * np.spacing(np.abs(unit.response)))
         assert np.allclose(std.revert_qi(out.qi), t.qi, rtol=rtol, atol=0)
 
     @pytest.mark.parametrize("scale", [2.0 ** -1060, 2.0 ** -1040])

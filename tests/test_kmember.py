@@ -9,6 +9,7 @@ from dpkanon.dataset import standardize
 from dpkanon.errors import DomainError, InfeasibleError
 from dpkanon.kmember import (
     _sq_dist,
+    _summarize,
     greedy_k_member,
     total_distortion,
     validate_k_anonymous,
@@ -203,6 +204,65 @@ class TestGreedyKMember:
         model = greedy_k_member(t, k=3, seed=0)
         for ell, idx in enumerate(model.members):
             assert np.allclose(model.centroids[ell], t.qi[idx].mean(axis=0))
+
+
+def reference_summaries(table, assignment, c):
+    """The per-cluster loop: each cluster's rows, their mean over axis 0,
+    and the population covariance as one BLAS product."""
+    d = table.d
+    cents, cents_y, covs = np.empty((c, d)), np.empty(c), np.empty((c, d, d))
+    for ell in range(c):
+        idx = np.flatnonzero(assignment == ell)
+        rows = table.qi[idx]
+        cents[ell] = rows.mean(axis=0)
+        cents_y[ell] = table.response[idx].mean()
+        centered = rows - cents[ell]
+        covs[ell] = centered.T @ centered / len(idx)
+    return cents, cents_y, covs
+
+
+@st.composite
+def cluster_assignments(draw):
+    """Tables cut into clusters of k to 2k - 1 records in random order, d in
+    {1, 2, 3, 5}: sizes from 2 to past numpy's 128-value pairwise block,
+    signed zeros and repeated values."""
+    k = draw(st.integers(2, 80))
+    sizes = draw(st.lists(st.integers(k, 2 * k - 1), min_size=1, max_size=12))
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    n = len(assignment)
+    qi = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-5, 6, d)
+    if draw(st.booleans()):
+        qi = np.round(qi, 1)
+    qi[:, 0] = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])), -0.0, qi[:, 0])
+    return make_table(qi, rng.normal(size=n)), assignment, k
+
+
+class TestSummaries:
+    @staticmethod
+    def assert_match(model, table):
+        cents, cents_y, covs = reference_summaries(table, model.assignment, model.c)
+        assert np.array_equal(model.centroids.view(np.int64), cents.view(np.int64))
+        assert np.array_equal(model.centroids_y.view(np.int64), cents_y.view(np.int64))
+        # the same BLAS product per cluster; 1e-15 of its largest entry
+        # allows a BLAS whose bits depend on where a matrix sits in memory
+        scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(model.covariances - covs) <= 1e-15 * scale)
+        assert [m.tolist() for m in model.members] == [
+            np.flatnonzero(model.assignment == ell).tolist() for ell in range(model.c)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cluster_assignments())
+    def test_match_per_cluster_reference(self, case):
+        table, assignment, k = case
+        self.assert_match(_summarize(table, assignment, assignment.max() + 1, k, 1.0), table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=clustering_cases())
+    def test_match_per_cluster_reference_after_clustering(self, case):
+        table, k, w, seed = case
+        self.assert_match(greedy_k_member(table, k, w=w, seed=seed), table)
 
 
 class TestDistance:

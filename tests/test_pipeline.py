@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,6 +107,28 @@ class TestTransform:
         with pytest.raises(DomainError):
             transform(state, "shuffle")
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_only_gaussian_builds_the_joint(self, table, method):
+        state = prepare(table, k=5, seed=3)
+        transform(state, method)
+        built = {"joint", "orig_values"} & set(vars(state))
+        assert built == ({"joint", "orig_values"} if method == "gaussian" else set())
+
+    def test_centroid_inside_each_cluster_range(self):
+        # a 0/1 column standardizes to codes whose round trip rounds, so a
+        # cluster of 0s would release 8.9e-16 without the clip
+        t = synthetic_table(60, [2, 3], dep=0.3, seed=6)
+        state = prepare(t, k=3, seed=0)
+        anon = transform(state, "centroid")
+        pure_zeros = 0
+        for idx in state.model.members:
+            rows, released = t.qi[idx], anon.qi_hat[idx]
+            assert np.all((rows.min(axis=0) <= released) & (released <= rows.max(axis=0)))
+            pure = np.all(rows == rows[0], axis=0)
+            assert np.array_equal(released[:, pure], rows[:, pure])
+            pure_zeros += bool(pure[0] and rows[0, 0] == 0.0)
+        assert pure_zeros > 0
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**16), st.sampled_from([1e-3, 1.0, 1e6]), st.integers(0, 6))
@@ -124,6 +149,57 @@ def test_orig_values_align_with_joint_values(seed, scale, decimals):
         std = state.standardizer
         assert np.array_equal(round_sig((v - std.means[j]) / std.scales[j]),
                               state.joint.values[j])
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of 2 to 30 rows and 1 to 3 columns, each column ordinal codes,
+    rounded normals, codes scaled near 1e+-300 or a constant; k from 2 to n,
+    with k = n drawn often."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 3))
+    k = draw(st.one_of(st.integers(2, n), st.just(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["ordinal", "normal", "extreme", "constant"]),
+                              min_size=d, max_size=d)):
+        if kind == "ordinal":
+            cols.append(rng.integers(0, draw(st.integers(1, 4)), n).astype(float))
+        elif kind == "normal":
+            cols.append(np.round(rng.normal(size=n) * 10.0, draw(st.integers(0, 3))))
+        elif kind == "extreme":
+            scale = draw(st.sampled_from([1e300, 1e-300, 2.0 ** -1060]))
+            cols.append(rng.integers(1, 4, n) * scale)
+        else:
+            cols.append(np.full(n, draw(st.sampled_from([0.0, 0.1, 7.0, -2017.5]))))
+    return make_table(np.column_stack(cols), np.round(rng.normal(size=n), 2)), k
+
+
+def tuples(a) -> Counter:
+    return Counter(map(tuple, np.asarray(a).tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_tables(), method=st.sampled_from(METHODS), seed=st.integers(0, 99))
+def test_release_guarantees(case, method, seed):
+    table, k = case
+    anon = anonymize(table, k, method, seed=seed)
+    assert np.array_equal(anon.response, table.response)
+    released = tuples(anon.qi_hat)
+    if method == "centroid":
+        assert min(released.values()) >= k
+    elif method == "permute":
+        assert released == tuples(table.qi)
+    elif method == "gaussian":  # a value stands for those equal to 12 digits
+        assert set(tuples(round_sig(anon.qi_hat))) <= set(tuples(round_sig(table.qi)))
+    else:
+        assert set(released) <= set(tuples(table.qi))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [os.path.join(tmp, name) for name in ("a.csv", "b.csv")]
+        write_anonymized_csv(anon, files[0])
+        write_anonymized_csv(anonymize(table, k, method, seed=seed), files[1])
+        with open(files[0], "rb") as a, open(files[1], "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestResampleHelpers:
@@ -183,22 +259,31 @@ class TestOutputFiles:
         assert again.read_bytes() == p.read_bytes()
 
     def test_csv_bytes_match_per_cell_repr(self, tmp_path, state):
-        # reference: the per-cell repr(float(v)) writer; signed zeros, tiny
-        # and huge values, and string ids
+        # reference: one csv.writer row per record with Python floats; -0.0
+        # beside 0.0 in a column, tiny and huge values, and string ids that
+        # csv must quote
         base = transform(state, "centroid")
         qi = base.qi_hat.copy()
-        qi[:4, 0] = [-0.0, 1e-310, 1.7976931348623157e308, 0.1 + 0.2]
-        anon = dataclasses.replace(base, qi_hat=qi,
-                                   record_ids=tuple(f"r{i}" for i in range(len(qi))))
+        qi[:6, 0] = [-0.0, 1e-310, 1.7976931348623157e308, 0.1 + 0.2, 0.0, -0.0]
+        y = base.response.copy()
+        y[:3] = [0.0, -0.0, 5e-324]
+        ids = tuple(f"r{i}" for i in range(len(qi) - 3)) + ("a,b", 'say "hi"', "x\ny")
+        anon = dataclasses.replace(base, qi_hat=qi, response=y, record_ids=ids)
         p = tmp_path / "anon.csv"
         write_anonymized_csv(anon, p, response_name="y")
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["record_id"] + [c.name for c in anon.columns] + ["y"])
-            for rid, row, y in zip(anon.record_ids, anon.qi_hat, anon.response):
-                writer.writerow([rid] + [repr(float(v)) for v in row] + [repr(float(y))])
+            for rid, row, v in zip(anon.record_ids, anon.qi_hat.tolist(), anon.response.tolist()):
+                writer.writerow([rid, *row, v])
         assert p.read_bytes() == ref.read_bytes()
+        with open(p, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[1] for r in rows[1:7]] == [
+            "-0.0", "1e-310", "1.7976931348623157e+308", "0.30000000000000004", "0.0", "-0.0"]
+        assert [r[-1] for r in rows[1:4]] == ["0.0", "-0.0", "5e-324"]
+        assert [r[0] for r in rows[-3:]] == list(ids[-3:])
 
     def test_csv_floats_exact(self, tmp_path, state):
         anon = transform(state, "gaussian")

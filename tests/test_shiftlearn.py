@@ -210,6 +210,13 @@ class TestTransferWeights:
             TransferSpec(np.zeros(4, dtype=int), np.zeros((4, 1)), np.zeros(4),
                          targets={0: np.zeros((4, 1))}, priors={0: 0.5})
 
+    def test_priors_missing_a_task(self):
+        # task 1's record would divide by a zero mixture
+        with pytest.raises(DomainError, match="task 1 has records but no prior"):
+            TransferSpec(np.array([0, 0, 1]), np.array([[0.0], [1.0], [0.0]]),
+                         np.array([0.0, 0.0, 5.0]), targets={0: np.zeros((2, 1))},
+                         priors={0: 1.0})
+
 
 class TestDesign:
     def test_numeric(self):
