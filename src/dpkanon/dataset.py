@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,8 @@ import numpy as np
 from .errors import DomainError, EmptyInputError, ParseError, SchemaError
 
 SIG_DIGITS = 12
+# the lone surrogates that errors="surrogateescape" reads undecodable bytes as
+_SURROGATE = re.compile("[\udc80-\udcff]")
 
 
 def round_sig(x, digits: int = SIG_DIGITS):
@@ -135,15 +138,34 @@ def load_table(path, schema: TableSchema) -> DataTable:
     declared. The rows are read once and each declared column is parsed in
     one pass; a malformed file raises for its first fault in row-major
     order: on one row, a missing field before a number that does not parse
-    (in declared column order) before a repeated id. A value that is not
-    finite is reported only when no row has such a fault.
+    (in declared column order) before a repeated id. A row that cannot be
+    read (bytes that are not UTF-8, or a csv error such as a field over
+    csv's size limit) ends the rows: its fault comes after those of the
+    rows above it. A value that is not finite is reported only when no row
+    has such a fault.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        return _read_table(path, schema, "strict")
+    except UnicodeDecodeError:
+        # The decoder fails on a whole chunk of the file, not on one row.
+        # Read again with each byte that is not UTF-8 as a lone surrogate,
+        # which finds the row it is on.
+        return _read_table(path, schema, "surrogateescape")
+
+
+def _read_table(path, schema: TableSchema, errors: str) -> DataTable:
+    """load_table, with the file decoded under the given error handler."""
+    escaped = errors == "surrogateescape"
+    with open(path, newline="", encoding="utf-8", errors=errors) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyInputError(f"{path}: file is empty")
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row 1: {exc}")
+        if escaped and (fault := _undecoded(header)) is not None:
+            raise ParseError(f"{path}: row 1: {fault}")
         header = [h.strip() for h in header]
         declared = list(schema.qi) + [schema.response]
         if schema.id_col is not None:
@@ -163,8 +185,16 @@ def load_table(path, schema: TableSchema) -> DataTable:
         rows, unread = [], None
         try:
             rows.extend(reader)
-        except (csv.Error, ValueError, OSError) as exc:
+        except csv.Error as exc:
+            unread = ParseError(f"{path}: row {len(rows) + 2}: {exc}")
+        except OSError as exc:
             unread = exc
+    if escaped:
+        for r, row in enumerate(rows):
+            if (fault := _undecoded(row)) is not None:  # rows from r on are unread
+                unread = ParseError(f"{path}: row {r + 2}: {fault}")
+                del rows[r:]
+                break
 
     numbered = [(num, row) for num, row in enumerate(rows, start=2) if "".join(row).strip()]
     rownums = [num for num, _ in numbered]
@@ -214,6 +244,14 @@ def load_table(path, schema: TableSchema) -> DataTable:
 
     columns = tuple(Column(name) for name in schema.qi)
     return DataTable(np.column_stack(cols[:-1]), cols[-1], columns, tuple(ids))
+
+
+def _undecoded(cells: list) -> str | None:
+    """Names the first byte of the cells that was not UTF-8, or None."""
+    found = _SURROGATE.search("".join(cells))
+    if found is None:
+        return None
+    return f"byte {ord(found.group()) - 0xDC00:#04x} is not UTF-8 text"
 
 
 def _parse_floats(cells: list) -> tuple:

@@ -4,8 +4,9 @@ records against an anonymized release, repeated over dither trials.
 Matching runs on standardized coordinates so scale differences between
 quasi-identifiers do not dominate the distance. Identical released tuples
 are matched once: a KD-tree over the distinct tuples finds each record's
-nearest distance and the few tuples near it, and only those pairs are
-scored, so no (n, m) distance matrix is built. A record's ties are every
+two nearest tuples, a ball query gathers the few tuples near the nearest
+for the records whose second tuple is that near too, and only those pairs
+are scored, so no (n, m) distance matrix is built. A record's ties are every
 released record within _TIE_TOL of its minimum squared distance, with
 distances computed in the same expanded form as a dense matrix, and the
 tie-breaks consume the random stream as one rng.choice over each record's
@@ -62,13 +63,20 @@ def match_min_distance(original: DataTable, anon: AnonymizedTable,
     # |xh|^2) per distance, so the candidates hold the expanded form's
     # minimum and its whole tie set.
     tree = cKDTree(tuples)
-    nearest, _ = tree.query(X, k=1)
+    dist, near = tree.query(X, k=2)
     slack = 8 * (d + 2) * np.finfo(float).eps * (a + c.max())
-    balls = tree.query_ball_point(X, np.sqrt(nearest**2 + _TIE_TOL + slack),
-                                  return_sorted=True)
-    lengths = np.fromiter(map(len, balls), dtype=np.intp, count=n)
-    cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
-                       count=int(lengths.sum()))
+    radius = np.sqrt(dist[:, 0]**2 + _TIE_TOL + slack)
+    # A record whose second-nearest tuple lies clearly outside its ball (a
+    # 1e-9 relative margin covers the tree's own rounding; a one-tuple
+    # release has it at inf) has its nearest tuple as its only candidate.
+    # Only the others need a ball query.
+    ball = dist[:, 1] <= radius * (1 + 1e-9)
+    balls = tree.query_ball_point(X[ball], radius[ball], return_sorted=True)
+    lengths = np.ones(n, dtype=np.intp)
+    lengths[ball] = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    cand = np.repeat(near[:, 0], lengths)
+    cand[np.repeat(ball, lengths)] = np.fromiter(itertools.chain.from_iterable(balls),
+                                                 dtype=np.intp, count=int(lengths[ball].sum()))
     row = np.repeat(np.arange(n), lengths)
     starts = np.cumsum(lengths) - lengths
 

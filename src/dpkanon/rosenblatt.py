@@ -15,9 +15,12 @@ from .dither import _loaded_cholesky
 from .errors import DomainError, ShapeError
 from .kmember import ClusterModel
 
-# Records per block of the Gaussian forward map; bounds the (block, c)
-# temporaries each thread holds, whatever n is.
-_BLOCK = 32
+# A block of the Gaussian forward map takes max(_MIN_BLOCK, _BLOCK_CELLS // c)
+# records, so its (block, c) temporaries stay near _BLOCK_CELLS cells however
+# many clusters there are, and each thread's work array is bounded whatever n
+# is.
+_MIN_BLOCK = 32
+_BLOCK_CELLS = 12800
 
 
 def _first(mask) -> tuple:
@@ -50,13 +53,15 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     time. Posteriors are carried in log space and normalized after a max
     shift, so far-from-centroid points do not underflow.
 
-    Records are processed in blocks of _BLOCK rows, over all clusters at
-    once. Blocks are independent, and the block kernel spends its time in
-    numpy calls that release the GIL (ndtr, exp, einsum and the BLAS
-    product with the prior), so the blocks run on every CPU the process may
-    use: with `share` such CPUs, the calling thread takes every share-th
-    block and share - 1 helper threads take the rest. The block edges are
-    fixed, so the output bits do not depend on the thread count.
+    Records are processed in blocks of max(_MIN_BLOCK, _BLOCK_CELLS // c)
+    rows, over all c clusters at once. Blocks are independent, and the block
+    kernel spends its time in numpy calls that release the GIL (ndtr, exp
+    and einsum), so the blocks run on every CPU the process may use: with
+    `share` such CPUs, the calling thread takes every share-th block and
+    share - 1 helper threads take the rest. Every sum over the clusters is an
+    einsum or a numpy reduction along one row, never a BLAS product, so a
+    record's u depends neither on the block it falls in nor on the thread
+    count nor on the BLAS build.
 
     Maps an (N, d) array of dither samples to an (N, d) array of uniforms.
     """
@@ -77,9 +82,10 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     log_prior = np.log(prior)
 
     u = np.empty(X.shape)
+    rows = max(_MIN_BLOCK, _BLOCK_CELLS // len(prior))
 
     def block(b: int, work: np.ndarray) -> None:
-        xb = X[b:b + _BLOCK]
+        xb = X[b:b + rows]
         # (block, c) slices of the thread's work array: the standardized
         # residuals of each dimension, a temporary product, the CDF terms and
         # the log posteriors
@@ -94,11 +100,11 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
             zj /= diag[:, j]
             ndtr(zj, out=phi)
             if j == 0:
-                u[b:b + _BLOCK, 0] = phi @ prior
+                u[b:b + rows, 0] = np.einsum("nc,c->n", phi, prior)
             else:
                 w = np.exp(np.subtract(logpost, logpost.max(axis=1, keepdims=True),
                                        out=tmp), out=tmp)
-                u[b:b + _BLOCK, j] = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
+                u[b:b + rows, j] = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
             if j + 1 < d:
                 np.multiply(zj, 0.5, out=tmp)
                 tmp *= zj
@@ -109,12 +115,12 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
         for b in blocks:
             block(b, work)
 
-    starts = range(0, len(X), _BLOCK)
+    starts = range(0, len(X), rows)
     share = max(1, min(len(starts), _usable_cpus()))
     # The calling thread allocates every thread's work array, so the
     # helpers' temporaries do not stay resident in per-thread malloc arenas
     # after they exit. A pool with nothing submitted starts no thread.
-    works = [np.empty((d + 3, _BLOCK, len(prior))) for _ in range(share)]
+    works = [np.empty((d + 3, rows, len(prior))) for _ in range(share)]
     with ThreadPoolExecutor(max_workers=max(1, share - 1)) as pool:
         helpers = [pool.submit(run, starts[i::share], works[i]) for i in range(1, share)]
         run(starts[0::share], works[0])

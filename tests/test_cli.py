@@ -194,6 +194,24 @@ class TestAnonymizeCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
+    @pytest.mark.parametrize("data, where", [
+        (b"x0\xff,x1,cost\n0,1,2\n", "row 1: byte 0xff is not UTF-8 text"),
+        (b"x0,x1,cost\nabc,1,2\n\xff3,0,4\n", "row 2, column 'x0': cannot parse 'abc'"),
+        (b"x0,x1,cost\n0,1,2\n" + b"9" * 131073 + b",0,4\n",
+         "row 3: field larger than field limit (131072)"),
+    ], ids=["byte-in-header", "parse-fault-first", "long-field"])
+    def test_unreadable_input_data_error(self, tmp_path, capsys, data, where):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        rc = main([
+            "anonymize", "--input", str(p), "--output", str(tmp_path / "o.csv"),
+            "--qi-cols", "x0,x1", "--response-col", "cost",
+            "--k", "2", "--method", "resample",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
     @pytest.mark.parametrize("text, id_col, where", [
         ("x0,x0,cost\n0,1,2\n1,0,3\n", None, "'x0' appears twice in the header, at columns 1 and 2"),
         ("id,x0,x1,cost\na,0,1,2\nb,1,0,3\na,1,1,4\n", "id", "id 'a' repeats on rows 2 and 4"),

@@ -111,6 +111,26 @@ class TestLoadTable:
         with pytest.raises(ParseError, match="row 4, column 'age': cannot parse 'zz'"):
             load_table(p, schema)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"age,sex\xff,cost\n30,0,100\n", "row 1: byte 0xff is not UTF-8 text"),
+        (b"age,sex,cost\n30,0,100\n\xff3,0,4\n", "row 3: byte 0xff is not UTF-8 text"),
+        # the earlier row's fault wins
+        (b"age,sex,cost\nabc,0,100\n\xff3,0,4\n", "row 2, column 'age': cannot parse"),
+        (b"age,sex,cost\n30,0,100\n\n40,\xc3,9\n", "row 4: byte 0xc3 is not UTF-8 text"),
+        (b"age,sex,cost,note\n30,0,100," + b"x" * 131073 + b"\n",
+         "row 2: field larger than field limit"),
+        (b"age,sex,cost\n30,zz,100\n40,0," + b"9" * 131073 + b"\n",
+         "row 2, column 'sex': cannot parse"),
+        (b"age,sex,cost," + b"x" * 131073 + b"\n30,0,100\n",
+         "row 1: field larger than field limit"),
+    ], ids=["byte-in-header", "byte-in-body", "parse-fault-first", "byte-after-blank-row",
+            "long-field", "parse-fault-before-long-field", "long-field-in-header"])
+    def test_unreadable_row_names_row(self, tmp_path, data, message):
+        p = tmp_path / "data.csv"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"data.csv: {message}"):
+            load_table(p, SCHEMA)
+
     def test_cells_stripped_as_str_strip_does(self, tmp_path):
         # float() keeps the \x1c separator that str.strip() removes
         p = write(tmp_path, "age,sex,cost\n\x1c30 , 0,100\x1f\n,,\n40,1,200\n")

@@ -75,6 +75,21 @@ def test_rows_are_grouped_only_by_group_rows():
     assert found == []
 
 
+def test_forward_map_calls_no_blas_product():
+    # A BLAS product's last bits depend on the BLAS build and on a row's
+    # place in its block, so the Gaussian forward map sums with einsum
+    # (without optimize, which may hand a product to BLAS) and reductions.
+    tree = _src_modules()["rosenblatt.py"]
+    found = sorted({"dot", "matmul", "inner", "vdot", "tensordot"} & set(_names(tree)))
+    found += [f"@ on line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.MatMult)]
+    found += [f"einsum optimize= on line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+              and any(kw.arg == "optimize" for kw in node.keywords)]
+    assert found == []
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the matcher imports its KD-tree and the Gaussian forward map its ndtr
     # on first use, so a fresh start of the command line loads no scipy

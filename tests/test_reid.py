@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from dpkanon.dataset import round_sig, standardize
 from dpkanon.dither import substream
@@ -72,7 +73,8 @@ def match_cases(draw):
             qi[:, j] = round(float(rng.uniform(-50, 50)), 2)
     t = make_table(qi, y=rng.normal(size=n))
     kind = draw(st.sampled_from(
-        ["centroid", "resample", "permute", "gaussian", "grid", "wide"]))
+        ["centroid", "resample", "permute", "gaussian", "grid", "wide", "edge",
+         "single"]))
     if kind == "grid":
         # half-step offsets: records sit equidistant from several tuples
         return t, as_anon(t, qi + rng.choice([-0.5, 0.5], size=qi.shape))
@@ -83,6 +85,21 @@ def match_cases(draw):
         big = round(float(rng.uniform(1e5, 1e7)), 2)
         t = make_table(np.full((n, 1), big), y=rng.normal(size=n))
         return t, as_anon(t, big + 0.01 * rng.integers(-6, 7, size=(n, 1)))
+    if kind == "edge":
+        # A column of p -2s, p 2s and 6p + 1 zeros has mean 0 and sd 1
+        # exactly, so standardizing changes no bit. Each record at 0 sees
+        # one tuple `near` away and one at squared distance near^2 +
+        # _TIE_TOL, give or take a few ulp: the edge of the tie set.
+        p = draw(st.integers(1, 4))
+        col = rng.permutation(np.repeat([-2.0, 0.0, 2.0], [p, 6 * p + 1, p]))
+        t = make_table(col[:, None], y=rng.normal(size=len(col)))
+        near = draw(st.sampled_from([0.0, 1e-6, 1e-5, 3e-5, 1e-3]))
+        far = np.sqrt(near**2 + _TIE_TOL) * (1 + draw(st.integers(-8, 8)) * 2.0**-53)
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        tuples = [sign * near, -sign * far, -2.0, 2.0]
+        return t, as_anon(t, rng.choice(tuples, size=(len(col), 1)))
+    if kind == "single":
+        return t, as_anon(t, np.repeat(qi[rng.integers(0, n)][None], n, axis=0))
     k = draw(st.integers(2, n))
     state = prepare(t, k, seed=draw(st.integers(0, 9)))
     return t, transform(state, kind, trial=draw(st.integers(0, 3)))
@@ -96,6 +113,43 @@ def test_matches_dense_reference(case, seed):
     assert match_min_distance(t, anon, rng).tolist() == \
         reference_match(t, anon, ref_rng).tolist()
     assert rng.random() == ref_rng.random()
+
+
+class CountingTree(cKDTree):
+    """cKDTree that records how many rows each ball query takes."""
+
+    rows = []
+
+    def query_ball_point(self, x, r, **kwargs):
+        CountingTree.rows.append(len(x))
+        return super().query_ball_point(x, r, **kwargs)
+
+
+@pytest.mark.parametrize("kind, ball_rows", [
+    # each record's copy is its only near tuple, and a one-tuple release
+    # has no second tuple, so neither needs a ball query
+    ("isolated", 0), ("single", 0),
+    # half-step offsets put two tuples at one distance from every record
+    ("grid", 60),
+])
+def test_ball_query_only_where_a_second_tuple_is_near(monkeypatch, kind, ball_rows):
+    rng = np.random.default_rng(41)
+    if kind == "grid":
+        # every record has tuples half a step away on either side
+        qi = np.repeat(rng.integers(0, 4, size=(30, 2)).astype(float), 2, axis=0)
+        qi_hat = qi + np.array([[0.5, 0.0], [-0.5, 0.0]] * 30)
+    else:
+        qi = rng.normal(size=(60, 3))
+        qi_hat = qi[rng.permutation(60)] + 1e-6 * rng.normal(size=(60, 3))
+        if kind == "single":
+            qi_hat = np.repeat(qi_hat[:1], 60, axis=0)
+    t = make_table(qi, y=rng.normal(size=60))
+    anon = as_anon(t, qi_hat)
+    monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
+    monkeypatch.setattr(CountingTree, "rows", [])
+    got = match_min_distance(t, anon, np.random.default_rng(2))
+    assert got.tolist() == reference_match(t, anon, np.random.default_rng(2)).tolist()
+    assert sum(CountingTree.rows) == ball_rows
 
 
 def test_all_rows_tie_without_dense_matrix():

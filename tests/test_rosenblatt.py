@@ -11,49 +11,60 @@ from dpkanon.dataset import build_empirical_joint, standardize
 from dpkanon.dither import _loaded_cholesky, sample_gaussian_batch
 from dpkanon.errors import DomainError
 from dpkanon.kmember import greedy_k_member
-from dpkanon.rosenblatt import _BLOCK, forward_gaussian, inverse_empirical_indices
+from dpkanon.rosenblatt import forward_gaussian, inverse_empirical_indices
 from dpkanon.synth import synthetic_table
 
 from conftest import make_table
 
 
-def reference_forward(X, model, alpha):
-    """Serial reference for forward_gaussian: one thread walks the _BLOCK-row
-    blocks in order, with the same arithmetic."""
+def block_rows(c):
+    """Rows per block of the forward map over c clusters."""
+    return max(rosenblatt._MIN_BLOCK, rosenblatt._BLOCK_CELLS // c)
+
+
+def reference_forward(X, model, alpha, gemv=False):
+    """Serial reference for forward_gaussian: every row at once, with the
+    same arithmetic. With gemv=True, u[:, 0] is summed as the forward map
+    once did, by a BLAS product with the prior over blocks of 32 rows."""
     L = _loaded_cholesky(model, alpha)
     diag = np.diagonal(L, axis1=1, axis2=2)
     prior = model.sizes / model.sizes.sum()
     u = np.empty(X.shape)
-    for b in range(0, len(X), _BLOCK):
-        xb = X[b:b + _BLOCK]
-        z = []
-        logpost = np.log(prior)
-        for j in range(X.shape[1]):
-            resid = xb[:, None, j] - model.centroids[:, j]
-            for k, zk in enumerate(z):
-                resid -= zk * L[:, j, k]
-            zj = resid / diag[:, j]
-            z.append(zj)
-            if j == 0:
-                u[b:b + _BLOCK, 0] = ndtr(zj) @ prior
-            else:
-                w = np.exp(logpost - logpost.max(axis=1, keepdims=True))
-                u[b:b + _BLOCK, j] = np.einsum("nc,nc->n", w, ndtr(zj)) / w.sum(axis=1)
-            logpost = logpost - 0.5 * zj * zj - np.log(diag[:, j])
+    z = []
+    logpost = np.log(prior)
+    for j in range(X.shape[1]):
+        resid = X[:, None, j] - model.centroids[:, j]
+        for k, zk in enumerate(z):
+            resid -= zk * L[:, j, k]
+        zj = resid / diag[:, j]
+        z.append(zj)
+        phi = ndtr(zj)
+        if j == 0 and gemv:
+            u[:, 0] = np.concatenate([phi[b:b + 32] @ prior for b in range(0, len(X), 32)])
+        elif j == 0:
+            u[:, 0] = np.einsum("nc,c->n", phi, prior)
+        else:
+            w = np.exp(logpost - logpost.max(axis=1, keepdims=True))
+            u[:, j] = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
+        logpost = logpost - 0.5 * zj * zj - np.log(diag[:, j])
     return np.clip(u, np.finfo(float).tiny, 1.0)
+
+
+def dither_samples(n, k, extra):
+    """8 full blocks and `extra` rows of dither samples from a 3-d mixture of
+    n / k clusters."""
+    t = synthetic_table(n, [8, 6, 5], dep=0.4, seed=14)
+    std, _ = standardize(t)
+    model = greedy_k_member(std, k=k, seed=3)
+    rng = np.random.default_rng(8)
+    recs = rng.integers(0, t.n, size=8 * block_rows(len(model.sizes)) + extra)
+    return sample_gaussian_batch(model, 1 / 3, recs, rng), model
 
 
 @pytest.fixture(scope="module")
 def dithered():
-    """8 full blocks and a partial one of dither samples from a 3-d mixture
-    of 300 clusters, large enough that a block's BLAS product may itself
-    run on several BLAS threads."""
-    t = synthetic_table(1500, [8, 6, 5], dep=0.4, seed=14)
-    std, _ = standardize(t)
-    model = greedy_k_member(std, k=5, seed=3)
-    rng = np.random.default_rng(8)
-    recs = rng.integers(0, t.n, size=8 * _BLOCK + 19)
-    return sample_gaussian_batch(model, 1 / 3, recs, rng), model
+    """300 clusters, 42-row blocks."""
+    return dither_samples(1500, 5, 19)
 
 
 class TestConditionalMoments:
@@ -139,18 +150,34 @@ class TestForwardGaussianBlocks:
             sys.setswitchinterval(interval)
         assert u.tobytes() == reference_forward(xt, model, 1 / 3).tobytes()
 
-    @pytest.mark.parametrize("a, b", [
-        (5, 5 + _BLOCK), (_BLOCK - 1, 3 * _BLOCK - 1), (17, 7 * _BLOCK + 17),
-        (2 * _BLOCK, 6 * _BLOCK), (8 * _BLOCK, 8 * _BLOCK + 19),
-    ])
+    def test_near_the_blas_product(self, dithered):
+        # The einsum and the BLAS product sum u[:, 0]'s c nonnegative terms
+        # in different orders, each within c eps / 2 of the exact sum. They
+        # differ by up to 19 ulp at c = 300; the other coordinates share
+        # every operation.
+        xt, model = dithered
+        u = forward_gaussian(xt, model, 1 / 3)
+        old = reference_forward(xt, model, 1 / 3, gemv=True)
+        bound = len(model.sizes) * np.finfo(float).eps * old[:, 0]
+        assert np.all(np.abs(u[:, 0] - old[:, 0]) <= bound)
+        assert u[:, 1:].tobytes() == old[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("a, b", [(5, 37), (31, 95), (17, 241), (64, 192), (256, 275),
+                                      (31, 33), (41, 43), (39, 125), (1, 354)])
     def test_row_slices_cross_block_edges(self, dithered, a, b):
-        # A row's u does not depend on where the block edges fall. The BLAS
-        # product with the prior may round the rows of a partial block apart
-        # from those of a full one, so every block these rows fall in is full
-        # both in the slice and in the whole input, or partial in both.
+        # a row's u does not depend on where the 42-row block edges fall
         xt, model = dithered
         u = forward_gaussian(xt, model, 1 / 3)
         assert u[a:b].tobytes() == forward_gaussian(xt[a:b], model, 1 / 3).tobytes()
+
+    @pytest.mark.parametrize("n, k, rows", [(400, 5, 160), (2000, 5, 32)])
+    def test_every_row_alone(self, n, k, rows):
+        # c = 80 and c = 400: each row's u equals its u in a one-row call
+        xt, model = dither_samples(n, k, 5)
+        assert block_rows(len(model.sizes)) == rows
+        u = forward_gaussian(xt, model, 1 / 3)
+        for i in range(len(xt)):
+            assert u[i].tobytes() == forward_gaussian(xt[i:i + 1], model, 1 / 3)[0].tobytes()
 
 
 class TestInverseEmpirical:
