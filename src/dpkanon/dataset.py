@@ -414,6 +414,16 @@ def group_rows(rows: np.ndarray) -> tuple:
     return ordered[new], inverse
 
 
+def segments(labels, count: int) -> tuple:
+    """The records grouped by a label in 0..count-1, as (order, starts,
+    sizes): group g's records are order[starts[g]:starts[g] + sizes[g]], in
+    ascending index order. One stable argsort and a searchsorted of the
+    group bounds; records whose label is outside 0..count-1 are left out."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(count + 1))
+    return order[bounds[0]:bounds[-1]], bounds[:-1] - bounds[0], np.diff(bounds)
+
+
 # Comparing u against cumulative fractions tolerates 1-ulp excess from the
 # forward transform's float addition; real probability gaps are >= 1/n.
 _U_TOL = 1e-12

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataTable
+from .dataset import DataTable, segments
 from .errors import DomainError, InfeasibleError
 
 # candidate pool size per cluster, as a multiple of k
@@ -45,7 +46,6 @@ class ClusterModel:
     """k-member assignment plus per-cluster summaries."""
 
     assignment: np.ndarray   # (n,) cluster index in 0..c-1
-    members: tuple           # c arrays of record indices
     centroids: np.ndarray    # (c, d) mean quasi-identifiers
     centroids_y: np.ndarray  # (c,) mean responses
     covariances: np.ndarray  # (c, d, d) population covariances of the members' rows
@@ -54,36 +54,30 @@ class ClusterModel:
 
     @property
     def c(self) -> int:
-        return len(self.members)
+        return len(self.centroids)
 
     @property
     def n(self) -> int:
         return len(self.assignment)
 
+    @cached_property
+    def segments(self) -> tuple:
+        """The clusters' (order, starts, sizes), from dataset.segments."""
+        return segments(self.assignment, self.c)
+
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([len(m) for m in self.members])
-
-
-def _member_lists(assignment: np.ndarray, c: int) -> list:
-    """Record indices of clusters 0..c-1, each ascending, from one stable
-    argsort; unassigned records (-1) sort first and are left out."""
-    order = np.argsort(assignment, kind="stable")
-    bounds = np.searchsorted(assignment[order], np.arange(c + 1))
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return self.segments[2]
 
 
 def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: float):
-    """Members, means and population covariances of every cluster. The
-    clusters of one size m are summarized together: their members' rows
-    form one (clusters, m, d) array, reduced over its middle axis with the
-    same numpy calls that reduce one cluster's (m, d) rows, so each
-    cluster's values have the bits of a per-cluster loop. Sizes run from k
-    to 2k - 1, so there are at most k groups."""
-    members = _member_lists(assignment, c)
-    sizes = np.bincount(assignment, minlength=c)
-    order = np.concatenate(members)
-    starts = np.cumsum(sizes) - sizes
+    """Means and population covariances of every cluster. The clusters of
+    one size m are summarized together: their members' rows form one
+    (clusters, m, d) array, reduced over its middle axis with the same
+    numpy calls that reduce one cluster's (m, d) rows, so each cluster's
+    values have the bits of a per-cluster loop. Sizes run from k to 2k - 1,
+    so there are at most k groups."""
+    order, starts, sizes = segments(assignment, c)
     centroids = np.empty((c, table.d))
     centroids_y = np.empty(c)
     covs = np.empty((c, table.d, table.d))
@@ -97,7 +91,6 @@ def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: floa
         covs[group] = np.matmul(centered.transpose(0, 2, 1), centered) / m  # population form
     return ClusterModel(
         assignment=assignment,
-        members=tuple(members),
         centroids=centroids,
         centroids_y=centroids_y,
         covariances=covs,
@@ -199,10 +192,10 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
             assignment[add] = ell
             cz = [a + (b - a) / size for a, b in zip(cz, Z[:, add].tolist())]
 
-    # leftovers: nearest centroid by the same distortion
+    # leftovers: nearest centroid by the same distortion (clusters have k members)
     if (assignment < 0).any():
-        members = _member_lists(assignment, c)
-        cents = np.column_stack([np.take(Z, idx, axis=1).mean(axis=1) for idx in members])
+        order, _, _ = segments(assignment, c)
+        cents = np.take(Z, order.reshape(c, k), axis=1).mean(axis=2)
         for i in np.flatnonzero(assignment < 0):
             assignment[i] = int(np.argmin(_sq_dist(cents, Z[:, i])))
 
@@ -210,26 +203,17 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
 
 
 def validate_k_anonymous(model: ClusterModel):
-    """Check the k-member constraints: every cluster >= k members and the
-    member lists form an exact partition.  Returns (ok, violations)."""
+    """Check the k-member constraints: every label in 0..c-1, every cluster
+    >= k members and c <= floor(n/k).  Returns (ok, violations)."""
     violations = []
-    n = model.n
-    seen = np.zeros(n, dtype=int)
-    for ell, idx in enumerate(model.members):
-        if len(idx) < model.k:
-            violations.append(
-                f"cluster {ell} has {len(idx)} members, fewer than k={model.k}"
-            )
-        seen[idx] += 1
-        if np.any(model.assignment[idx] != ell):
-            violations.append(f"cluster {ell} member list disagrees with assignment")
-    dup = np.flatnonzero(seen > 1)
-    if dup.size:
-        violations.append(f"records {dup.tolist()} appear in more than one cluster")
-    missing = np.flatnonzero(seen == 0)
-    if missing.size:
-        violations.append(f"records {missing.tolist()} are unassigned")
-    if model.c > n // model.k:
+    outside = np.flatnonzero((model.assignment < 0) | (model.assignment >= model.c))
+    if outside.size:
+        violations.append(f"records {outside.tolist()} are in no cluster 0..{model.c - 1}")
+    small = np.flatnonzero(model.sizes < model.k)
+    if small.size:
+        violations.append(f"clusters {small.tolist()} have {model.sizes[small].tolist()} "
+                          f"members, fewer than k={model.k}")
+    if model.c > model.n // model.k:
         violations.append(f"cluster count {model.c} exceeds floor(n/k)")
     return (not violations), violations
 

@@ -91,13 +91,15 @@ def resample_within_clusters(model: ClusterModel, rng: np.random.Generator,
                              with_replacement: bool) -> np.ndarray:
     """Per-record source indices: independent uniform member draws (with
     replacement) or a uniformly random permutation of each cluster's members
-    (without)."""
+    (without), in one draw for all clusters. The draw with replacement
+    consumes the stream as one rng.choice per cluster, in cluster order."""
+    order, starts, sizes = model.segments
+    if with_replacement:
+        pos = np.repeat(starts, sizes) + rng.integers(0, np.repeat(sizes, sizes))
+    else:
+        pos = np.lexsort((rng.permutation(len(order)), model.assignment[order]))
     out = np.empty(model.n, dtype=int)
-    for idx in model.members:
-        if with_replacement:
-            out[idx] = rng.choice(idx, size=len(idx), replace=True)
-        else:
-            out[idx] = rng.permutation(idx)
+    out[order] = order[pos]
     return out
 
 
@@ -109,11 +111,9 @@ def _centroids_in_original_units(state: PipelineState) -> np.ndarray:
     """Each cluster's centroid in original units, clipped to its members'
     range: the standardize round trip may round a mean of equal values off
     them, and a cluster whose members share a code releases that code."""
-    model = state.model
-    order = np.concatenate(model.members)
-    starts = np.cumsum(model.sizes) - model.sizes
+    order, starts, _ = state.model.segments
     rows = state.table.qi[order]
-    return np.clip(state.standardizer.revert_qi(model.centroids),
+    return np.clip(state.standardizer.revert_qi(state.model.centroids),
                    np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts))
 
 

@@ -21,9 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataTable, group_rows, round_sig, standardize
+from .dataset import DataTable, group_rows, round_sig, segments, standardize
 from .dither import substream
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .pipeline import AnonymizedTable, PipelineState, transform
 
 _CH_MATCH = 1
@@ -45,15 +45,17 @@ def match_min_distance(original: DataTable, anon: AnonymizedTable,
     """
     from scipy.spatial import cKDTree
 
+    shape = np.shape(anon.qi_hat)
+    if len(shape) != 2 or shape[1] != original.d:
+        raise ShapeError(f"release has quasi-identifier shape {shape}; the table "
+                         f"has {original.d} columns")
     _, std = standardize(original)
     X = std.apply_qi(original.qi)
     Xh = std.apply_qi(anon.qi_hat)
     n, d = X.shape
     # distinct released tuples, each with its records in ascending order
     tuples, inv = group_rows(Xh)
-    sizes = np.bincount(inv)
-    members = np.argsort(inv, kind="stable")
-    first = np.cumsum(sizes) - sizes
+    members, first, sizes = segments(inv, len(tuples))
     a = np.einsum("ij,ij->i", X, X)
     c = np.einsum("ij,ij->i", tuples, tuples)
 
@@ -124,13 +126,16 @@ class ReidReport:
     @cached_property
     def _classes(self):
         # classes in sorted key order, each keyed by its first record's tuple
-        # and averaged over its records in record order
+        # and averaged over its records in record order; the classes of one
+        # size m are one (classes, m) block, so each mean has a 1-d mean's bits
         rows, inv = group_rows(round_sig(self.qi))
-        sizes = np.bincount(inv)
-        order = np.argsort(inv, kind="stable")
-        starts = np.cumsum(sizes) - sizes
+        order, starts, sizes = segments(inv, len(rows))
         keys = tuple(map(tuple, rows.tolist()))
-        freq = np.array([f.mean() for f in np.split(self.frequency[order], starts[1:])])
+        ordered = self.frequency[order]
+        freq = np.empty(len(rows))
+        for m in np.unique(sizes).tolist():
+            group = np.flatnonzero(sizes == m)
+            freq[group] = ordered[starts[group, None] + np.arange(m)].mean(axis=1)
         p0 = 1.0 / self.k
         band = 3.0 * np.sqrt(p0 * (1 - p0) / (self.trials * sizes))
         return keys, sizes, freq, band

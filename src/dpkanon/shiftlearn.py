@@ -134,6 +134,8 @@ def transfer_weights(spec: TransferSpec, t) -> np.ndarray:
     task_list = list(spec.priors)
     if t not in task_list:
         raise DomainError(f"task {t!r} not present in the spec")
+    if t not in spec.targets:
+        raise DomainError(f"task {t!r} has no target covariates in the spec")
     n = len(spec.tasks)
     target = np.atleast_2d(np.asarray(spec.targets[t], dtype=float))
     if target.shape[1] != spec.x.shape[1]:

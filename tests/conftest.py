@@ -24,13 +24,19 @@ def index_rows(qi) -> np.ndarray:
     return np.column_stack([np.searchsorted(np.unique(col), col) for col in rows.T])
 
 
+def cluster_members(model) -> list:
+    """Each cluster's records in ascending order, cut from model.segments."""
+    order, starts, _ = model.segments
+    return np.split(order, starts[1:])
+
+
 def resample_pmf(state) -> dict:
     """Analytic output PMF of the resample method over the joint's index
     tuples, in exact rational arithmetic: sum_l (n_l/n)(n_l(v)/n_l)."""
     n = state.model.n
     cells = index_rows(state.standardizer.apply_qi(state.table.qi))
     out = {}
-    for members in state.model.members:
+    for members in cluster_members(state.model):
         for cell, cnt in Counter(map(tuple, cells[members].tolist())).items():
             out[cell] = out.get(cell, Fraction(0)) + Fraction(cnt, n)
     return out

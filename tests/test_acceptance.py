@@ -38,7 +38,7 @@ from dpkanon.shiftlearn import (
 )
 from dpkanon.synth import synthetic_table
 
-from conftest import empirical_pmf_exact, resample_pmf
+from conftest import cluster_members, empirical_pmf_exact, resample_pmf
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -78,7 +78,7 @@ def test_01_cell_dither_releases_resample_law():
             want = transform(state, "resample", trial=trial).qi_hat
             trials += 1
             same += got.tobytes() == want.tobytes()
-            for idx in state.model.members:
+            for idx in cluster_members(state.model):
                 rows = set(map(tuple, t.qi[idx].tolist()))
                 inside += sum(tuple(r) in rows for r in got[idx].tolist())
             total += t.n
@@ -167,7 +167,6 @@ def test_05_gaussian_conditioning_matches_integration():
         mu = rng.normal(size=d)
         model = ClusterModel(
             assignment=np.zeros(1, dtype=int),
-            members=(np.array([0]),),
             centroids=mu[None, :],
             centroids_y=np.zeros(1),
             covariances=cov[None, :, :],

@@ -7,7 +7,7 @@ from dpkanon.errors import DegenerateError, DomainError
 from dpkanon.kmember import greedy_k_member
 from dpkanon.synth import synthetic_table
 
-from conftest import make_table
+from conftest import cluster_members, make_table
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +26,9 @@ class TestSampleGaussian:
         alpha = 1 / 3
         n_draws = 100_000
         rng = np.random.default_rng(3)
-        draws = sample_gaussian_batch(
-            model, alpha, np.full(n_draws, model.members[0][0]), rng
-        )
-        ell = model.assignment[model.members[0][0]]
+        record = cluster_members(model)[0][0]
+        draws = sample_gaussian_batch(model, alpha, np.full(n_draws, record), rng)
+        ell = model.assignment[record]
         lam = model.covariances[ell] + alpha * np.eye(2)
         sd = np.sqrt(np.diag(lam))
         assert np.all(

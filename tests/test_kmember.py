@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -15,7 +16,7 @@ from dpkanon.kmember import (
     validate_k_anonymous,
 )
 
-from conftest import make_table
+from conftest import cluster_members, make_table
 
 
 def reference_assignment(table, k, w, seed):
@@ -118,7 +119,8 @@ class TestGreedyKMember:
         rows.insert(first, s)  # where the first random seed lands
         t = make_table(rows)
         model = greedy_k_member(t, k=3, seed=0)
-        assert model.members[0].tolist() == sorted([first, rows.index(a), rows.index(z)])
+        assert cluster_members(model)[0].tolist() == sorted(
+            [first, rows.index(a), rows.index(z)])
         assert np.array_equal(model.assignment, reference_assignment(t, 3, 1.0, 0))
 
     def test_fallback_row_leaves_the_pool(self):
@@ -156,7 +158,7 @@ class TestGreedyKMember:
     def test_separated_pairs(self):
         t = make_table([[0.0], [1.0], [10.0], [11.0]])
         model = greedy_k_member(t, k=2, w=1.0, seed=0)
-        groups = {frozenset(m.tolist()) for m in model.members}
+        groups = {frozenset(m.tolist()) for m in cluster_members(model)}
         assert groups == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_k_equals_n(self):
@@ -202,7 +204,7 @@ class TestGreedyKMember:
         rng = np.random.default_rng(7)
         t = make_table(rng.normal(size=(20, 3)), y=rng.normal(size=20))
         model = greedy_k_member(t, k=3, seed=0)
-        for ell, idx in enumerate(model.members):
+        for ell, idx in enumerate(cluster_members(model)):
             assert np.allclose(model.centroids[ell], t.qi[idx].mean(axis=0))
 
 
@@ -249,7 +251,7 @@ class TestSummaries:
         # allows a BLAS whose bits depend on where a matrix sits in memory
         scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(model.covariances - covs) <= 1e-15 * scale)
-        assert [m.tolist() for m in model.members] == [
+        assert [m.tolist() for m in cluster_members(model)] == [
             np.flatnonzero(model.assignment == ell).tolist() for ell in range(model.c)]
 
     @settings(max_examples=200, deadline=None)
@@ -335,23 +337,25 @@ class TestValidate:
         rng = np.random.default_rng(9)
         t = make_table(rng.normal(size=(10, 2)), y=rng.normal(size=10))
         model = greedy_k_member(t, k=5, seed=0)
-        import dataclasses
-        bad = dataclasses.replace(
-            model, members=(model.members[0][:-1], model.members[1])
-        )
-        ok, violations = validate_k_anonymous(bad)
+        moved = model.assignment.copy()
+        moved[cluster_members(model)[0][-1]] = 1
+        ok, violations = validate_k_anonymous(dataclasses.replace(model, assignment=moved))
         assert not ok
-        assert any("cluster 0" in v for v in violations)
+        assert violations == ["clusters [0] have [4] members, fewer than k=5"]
 
-    def test_duplicate_record_reported(self):
+    @pytest.mark.parametrize("label", [-1, 2, 7])
+    def test_record_outside_every_cluster_reported(self, label):
+        # -1 is an unassigned record; 2 and 7 name no cluster of the two
         rng = np.random.default_rng(10)
-        t = make_table(rng.normal(size=(10, 2)), y=rng.normal(size=10))
-        model = greedy_k_member(t, k=5, seed=0)
-        import dataclasses
-        dup = np.append(model.members[0], model.members[1][0])
-        bad = dataclasses.replace(model, members=(dup, model.members[1]))
-        ok, violations = validate_k_anonymous(bad)
+        t = make_table(rng.normal(size=(12, 2)), y=rng.normal(size=12))
+        model = greedy_k_member(t, k=6, seed=0)
+        record = cluster_members(model)[1][0]
+        bad = model.assignment.copy()
+        bad[record] = label
+        ok, violations = validate_k_anonymous(dataclasses.replace(model, assignment=bad))
         assert not ok
+        assert violations == [f"records [{record}] are in no cluster 0..1",
+                              "clusters [1] have [5] members, fewer than k=6"]
 
 
 class TestTotalDistortion:

@@ -75,6 +75,25 @@ def test_rows_are_grouped_only_by_group_rows():
     assert found == []
 
 
+def test_records_are_grouped_by_label_only_by_segments():
+    # a stable argsort or np.split rebuilds the (order, starts, sizes) of a
+    # grouping beside dataset.segments
+    def hand_built(node) -> bool:
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            return False
+        if node.func.attr == "argsort":
+            return any(kw.arg == "kind" for kw in node.keywords)
+        return node.func.attr == "split" and getattr(node.func.value, "id", None) == "np"
+
+    modules = _src_modules()
+    allowed = {id(node) for fn in modules["dataset.py"].body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "segments"
+               for node in ast.walk(fn)}
+    found = [f"{name} line {node.lineno}" for name, tree in modules.items()
+             for node in ast.walk(tree) if hand_built(node) and id(node) not in allowed]
+    assert found == []
+
+
 def test_forward_map_calls_no_blas_product():
     # A BLAS product's last bits depend on the BLAS build and on a row's
     # place in its block, so the Gaussian forward map sums with einsum

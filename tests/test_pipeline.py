@@ -23,7 +23,7 @@ from dpkanon.pipeline import (
 )
 from dpkanon.synth import synthetic_table
 
-from conftest import empirical_pmf_exact, make_table, resample_pmf
+from conftest import cluster_members, empirical_pmf_exact, make_table, resample_pmf
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +58,17 @@ class TestTransform:
 
     def test_centroid_constant_within_cluster(self, table, state):
         anon = transform(state, "centroid")
-        for idx in state.model.members:
+        for idx in cluster_members(state.model):
             assert np.allclose(anon.qi_hat[idx], anon.qi_hat[idx[0]])
 
     def test_permute_preserves_cluster_multisets(self, table, state):
         anon = transform(state, "permute")
-        for idx in state.model.members:
+        for idx in cluster_members(state.model):
             assert row_multiset(anon.qi_hat[idx]) == row_multiset(table.qi[idx])
 
     def test_resample_stays_within_cluster(self, table, state):
         anon = transform(state, "resample")
-        for idx in state.model.members:
+        for idx in cluster_members(state.model):
             rows = set(map(tuple, table.qi[idx].tolist()))
             for r in idx:
                 assert tuple(anon.qi_hat[r].tolist()) in rows
@@ -121,7 +121,7 @@ class TestTransform:
         state = prepare(t, k=3, seed=0)
         anon = transform(state, "centroid")
         pure_zeros = 0
-        for idx in state.model.members:
+        for idx in cluster_members(state.model):
             rows, released = t.qi[idx], anon.qi_hat[idx]
             assert np.all((rows.min(axis=0) <= released) & (released <= rows.max(axis=0)))
             pure = np.all(rows == rows[0], axis=0)
@@ -202,19 +202,87 @@ def test_release_guarantees(case, method, seed):
             assert a.read() == b.read()
 
 
+def loop_draw(model, rng, with_replacement):
+    """The per-cluster reference: one rng.choice or rng.permutation call
+    per cluster, in cluster order."""
+    out = np.empty(model.n, dtype=int)
+    for idx in cluster_members(model):
+        if with_replacement:
+            out[idx] = rng.choice(idx, size=len(idx), replace=True)
+        else:
+            out[idx] = rng.permutation(idx)
+    return out
+
+
+class CountingGenerator:
+    """A Generator that counts the calls made on it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
 class TestResampleHelpers:
     def test_permutation_is_bijection(self, state):
         rng = np.random.default_rng(0)
         src = resample_within_clusters(state.model, rng, with_replacement=False)
         assert sorted(src.tolist()) == list(range(state.model.n))
-        for idx in state.model.members:
+        for idx in cluster_members(state.model):
             assert sorted(src[idx].tolist()) == sorted(idx.tolist())
 
     def test_with_replacement_stays_in_cluster(self, state):
         rng = np.random.default_rng(1)
         src = resample_within_clusters(state.model, rng, with_replacement=True)
-        for idx in state.model.members:
+        for idx in cluster_members(state.model):
             assert set(src[idx].tolist()) <= set(idx.tolist())
+
+    @pytest.mark.parametrize("k", [2, 5, 7, 13])
+    def test_with_replacement_equals_per_cluster_loop(self, table, k):
+        # k = 7 and 13 leave clusters of two sizes; the draws run on after
+        # one another from one stream
+        model = prepare(table, k=k, seed=3).model
+        batched, loop = np.random.default_rng(k), np.random.default_rng(k)
+        for _ in range(3):
+            got = resample_within_clusters(model, batched, with_replacement=True)
+            want = loop_draw(model, loop, with_replacement=True)
+            assert got.tobytes() == want.tobytes()
+
+    def test_permute_orders_uniform_within_clusters(self):
+        # 30 records, k = 3: ten clusters of three, each drawn in one of six
+        # orders; over 600 draws each order of each cluster is seen
+        # 100 +- 5 binomial sds (sd = sqrt(600 (1/6) (5/6)) = 9.1) times
+        t = make_table(np.random.default_rng(4).normal(size=(30, 2)))
+        model = prepare(t, k=3, seed=0).model
+        assert model.sizes.tolist() == [3] * 10
+        members = np.array(cluster_members(model))
+        rng = np.random.default_rng(5)
+        trials = 600
+        counts = Counter()
+        for _ in range(trials):
+            src = resample_within_clusters(model, rng, with_replacement=False)[members]
+            assert np.array_equal(np.sort(src, axis=1), members)
+            ranks = np.argsort(src, axis=1)
+            counts.update((ell, tuple(r)) for ell, r in enumerate(ranks.tolist()))
+        assert len(counts) == 10 * 6
+        sd = np.sqrt(trials * (1 / 6) * (5 / 6))
+        assert max(abs(c - trials / 6) for c in counts.values()) <= 5 * sd
+
+    @pytest.mark.parametrize("with_replacement", [True, False])
+    def test_generator_calls_do_not_grow_with_clusters(self, table, with_replacement):
+        calls = set()
+        for k in (2, 5, 20):  # 30, 12 and 3 clusters
+            rng = CountingGenerator(0)
+            resample_within_clusters(prepare(table, k=k, seed=3).model, rng, with_replacement)
+            calls.add(rng.calls)
+        assert calls == {1}
 
     def test_resample_pmf_equals_empirical(self, state):
         # mixture of within-cluster empirical laws collapses to the overall

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from dpkanon.dataset import round_sig, standardize
 from dpkanon.dither import substream
-from dpkanon.errors import DomainError
+from dpkanon.errors import DomainError, ShapeError
 from dpkanon.pipeline import prepare, transform
 from dpkanon.reid import _CH_MATCH, _TIE_TOL, ReidReport, match_min_distance, reid_trials
 from dpkanon.synth import synthetic_table
@@ -192,6 +192,13 @@ class TestMatchMinDistance:
         ]
         frac = np.mean(np.array(picks) == 0)
         assert 0.35 < frac < 0.65
+
+    def test_release_width_must_match_table(self):
+        # a 1-column release against a 2-column table would broadcast
+        t = make_table([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        anon = as_anon(t, t.qi[:, :1])
+        with pytest.raises(ShapeError, match=r"shape \(4, 1\); the table has 2 columns"):
+            match_min_distance(t, anon, np.random.default_rng(0))
 
     def test_deterministic_given_rng(self):
         rng_t = np.random.default_rng(1)

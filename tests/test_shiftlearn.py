@@ -199,6 +199,12 @@ class TestTransferWeights:
         with pytest.raises(DomainError):
             transfer_weights(spec, 7)
 
+    def test_task_without_target(self):
+        spec = TransferSpec(np.array([0, 0, 1, 1]), np.zeros((4, 1)),
+                            np.zeros(4), targets={0: np.zeros((4, 1))})
+        with pytest.raises(DomainError, match="task 1 has no target"):
+            transfer_weights(spec, 1)
+
     def test_target_width_mismatch(self):
         spec = TransferSpec(np.zeros(4, dtype=int), np.zeros((4, 1)),
                             np.zeros(4), targets={0: np.zeros((4, 2))})
