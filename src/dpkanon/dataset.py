@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +56,8 @@ class TableSchema:
     id_col: str | None = None
 
     def __post_init__(self):
+        if not self.qi:
+            raise SchemaError("no quasi-identifier column is declared")
         roles = [(name, "a quasi-identifier") for name in self.qi]
         roles.append((self.response, "the response"))
         if self.id_col is not None:
@@ -196,17 +199,22 @@ def _read_table(path, schema: TableSchema, errors: str) -> DataTable:
                 del rows[r:]
                 break
 
-    numbered = [(num, row) for num, row in enumerate(rows, start=2) if "".join(row).strip()]
-    rownums = [num for num, _ in numbered]
-    rows = [row for _, row in numbered]
+    # rows of blank fields are skipped; a first cell that is not blank
+    # settles most rows without joining them
+    rownums = [num for num, row in enumerate(rows, start=2)
+               if row and (row[0].strip() or "".join(row).strip())]
+    if len(rownums) < len(rows):
+        rows = [rows[num - 2] for num in rownums]
     width = max(col_idx.values()) + 1
-    short = next((r for r, row in enumerate(rows) if len(row) < width), len(rows))
+    short = len(rows)
+    if rows and min(map(len, rows)) < width:
+        short = next(r for r, row in enumerate(rows) if len(row) < width)
     good = rows[:short]  # every fault on a row above a short one comes first
 
     numeric = list(schema.qi) + [schema.response]
     cols, faults = [], []  # faults: (row, rank in the row, message)
     for rank, name in enumerate(numeric):
-        cells = [row[col_idx[name]] for row in good]
+        cells = list(map(operator.itemgetter(col_idx[name]), good))
         col, bad = _parse_floats(cells)
         cols.append(col)
         if bad is not None:
@@ -215,7 +223,7 @@ def _read_table(path, schema: TableSchema, errors: str) -> DataTable:
     if schema.id_col is None:
         ids = [num - 2 for num in rownums[:short]]
     else:
-        ids = [row[col_idx[schema.id_col]].strip() for row in good]
+        ids = [cell.strip() for cell in map(operator.itemgetter(col_idx[schema.id_col]), good)]
         if len(set(ids)) < len(ids):
             first = {}  # declared id -> the row it was first read on
             r = next(r for r, rid in enumerate(ids) if first.setdefault(rid, r) != r)

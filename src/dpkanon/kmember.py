@@ -13,19 +13,23 @@ it is scored alone or among thousands, on every numpy build. It equals
 Cost: each cluster gathers the records still unassigned into one matrix
 and makes two scans over it, one to pick its seed and one to rank the
 records by distance to that seed, which keeps the _POOL_PER_K * k nearest
-other records as a candidate pool. Each addition then scores only the pool,
-with the running centroid and its drift from the seed kept as Python floats;
-a taken record's column is set to +inf. The pool's best record is taken when
-the triangle inequality proves that no record outside the pool is as close
-to the running centroid: its distance plus the centroid's drift from the
-seed must stay below the distance of the nearest record left out of the
-pool. Otherwise the addition falls back to a full scan. Both paths give the
+other records as a candidate pool. The first addition is the rank scan's
+argmin, since the centroid is still the seed. Each later addition scores
+only the pool, in place in buffers allocated once per call: one write of
+the running centroid into a column, one subtract and one square into the
+difference buffer, the row adds into its first row and one argmin. The
+centroid and its drift from the seed are kept as Python floats; a taken
+record's column is set to +inf. The pool's best record is taken when the
+triangle inequality proves that no record outside the pool is as close to
+the running centroid: its distance plus the centroid's drift from the seed
+must stay below the distance of the nearest record left out of the pool.
+Otherwise the addition falls back to a full scan. Both paths give the
 assignment of a full scan per addition, lowest record index first on ties.
-That is O(n^2 / k + n k) work instead of O(n^2), in about ten numpy calls
-per addition.
+That is O(n^2 / k + n k) work instead of O(n^2).
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,7 +92,9 @@ def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: floa
         centroids[group] = rows.mean(axis=1)
         centroids_y[group] = table.response[idx].mean(axis=1)
         centered = rows - centroids[group, None, :]
-        covs[group] = np.matmul(centered.transpose(0, 2, 1), centered) / m  # population form
+        # population form; einsum, not a BLAS product, whose bits depend on
+        # the BLAS build
+        covs[group] = np.einsum("gmi,gmj->gij", centered, centered) / m
     return ClusterModel(
         assignment=assignment,
         centroids=centroids,
@@ -99,16 +105,21 @@ def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: floa
     )
 
 
-def _sq_dist(P: np.ndarray, c) -> np.ndarray:
+def _sq_dist(P: np.ndarray, c, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distance of every column of the (d + 1, m) point matrix P to
     the point c: sum over r of (P[r] - c[r])^2, added row by row in row order,
     so a column's value does not depend on how many columns are scored
-    with it."""
-    D = P - np.asarray(c)[:, None]
+    with it. With out, a float array shaped like P, c is a (d + 1, 1) column
+    and the differences and sums are made in out: the distances are its
+    first row, with the same bits."""
+    if out is None:
+        D = P - np.asarray(c)[:, None]
+    else:
+        D = np.subtract(P, c, out=out)
     D *= D
     d2 = D[0]
-    for row in D[1:]:
-        d2 += row
+    for r in range(1, len(D)):
+        d2 += D[r]
     return d2
 
 
@@ -144,13 +155,17 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         # every distance below is at most the span's, with room for rounding;
         # an entry of Z that overflowed makes its row's span inf or nan
         span = 2.0 * np.ptp(Z, axis=1)
-        reach = span @ span
+        reach = np.einsum("i,i", span, span)
     if not np.isfinite(reach):
         raise DomainError("value ranges too wide: squared distances overflow")
     c = n // k
     pool_size = _POOL_PER_K * k
     assignment = np.full(n, -1, dtype=int)
     rng = np.random.default_rng(seed)
+    points = Z.T.tolist()
+    # the pool's differences, and a column the running centroid is written into
+    work = np.empty((table.d + 1, pool_size))
+    col = np.empty((table.d + 1, 1))
 
     for ell in range(c):
         free = np.flatnonzero(assignment < 0)
@@ -165,6 +180,8 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         Zf[0, s] = math.inf
 
         d2 = _sq_dist(Zf, sz)
+        # the first addition: the centroid is still the seed
+        j = int(d2.argmin())
         if len(free) > pool_size:
             part = np.argpartition(d2, pool_size)
             pool = np.sort(part[:pool_size])
@@ -173,24 +190,28 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         else:
             pool, r = np.arange(len(free)), math.inf
         Zp = np.take(Zf, pool, axis=1)
+        D = work[:, :len(pool)]
+        pool = pool.tolist()
 
         cz = sz
         for size in range(2, k + 1):
-            d2 = _sq_dist(Zp, cz)
-            i = int(d2.argmin())
-            # the 1e-9 slack outweighs the rounding of all three distances;
-            # strict, so a row left out at the same distance falls back
-            if (math.sqrt(d2[i]) + math.dist(cz, sz)) * (1.0 + 1e-9) < r:
-                j = int(pool[i])
-            else:
-                j = int(_sq_dist(Zf, cz).argmin())
-                i = int(np.searchsorted(pool, j))  # j's pool column, if any
+            if size > 2:
+                col[:, 0] = cz
+                d2 = _sq_dist(Zp, col, out=D)
+                i = int(d2.argmin())
+                # the 1e-9 slack outweighs the rounding of all three distances;
+                # strict, so a row left out at the same distance falls back
+                if (math.sqrt(d2[i]) + math.dist(cz, sz)) * (1.0 + 1e-9) < r:
+                    j = pool[i]
+                else:
+                    j = int(_sq_dist(Zf, cz).argmin())
+            i = bisect.bisect_left(pool, j)  # j's pool column, if any
             if i < len(pool) and pool[i] == j:
                 Zp[0, i] = math.inf
             Zf[0, j] = math.inf
             add = int(free[j])
             assignment[add] = ell
-            cz = [a + (b - a) / size for a, b in zip(cz, Z[:, add].tolist())]
+            cz = [a + (b - a) / size for a, b in zip(cz, points[add])]
 
     # leftovers: nearest centroid by the same distortion (clusters have k members)
     if (assignment < 0).any():

@@ -6,7 +6,10 @@ clustering distance but is passed through untouched.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -167,14 +170,34 @@ def anonymize(table: DataTable, k: int, method: str, w: float = 1.0,
 
 
 def write_anonymized_csv(anon: AnonymizedTable, path, response_name: str = "response"):
-    import csv
-
+    """The release as csv.writer writes it: the header through csv.writer,
+    then every data row as one ",".join of its cells' texts."""
     cols = [_float_reprs(col) for col in np.asarray(anon.qi_hat, dtype=float).T]
     cols.append(_float_reprs(np.asarray(anon.response, dtype=float)))
+    lines = list(map(",".join, zip(map(_cell_text, anon.record_ids), *cols)))
+    lines.append("")  # so the last row ends in "\r\n" too
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["record_id"] + [c.name for c in anon.columns] + [response_name])
-        writer.writerows(zip(anon.record_ids, *cols))
+        csv.writer(fh).writerow(["record_id"] + [c.name for c in anon.columns] + [response_name])
+        fh.write("\r\n".join(lines))
+
+
+# text that csv.writer writes as it is
+_PLAIN = re.compile(r"[A-Za-z0-9_.-]*")
+
+
+def _cell_text(value) -> str:
+    """A cell's text as csv.writer writes it in a row of several cells: a
+    str of letters, digits, "_", "-" and "." as it is, an int as str(); any
+    other value is formatted by csv.writer itself, so its quoting rules hold."""
+    if isinstance(value, str):
+        if _PLAIN.fullmatch(value):
+            return value
+    elif isinstance(value, int):
+        return str(value)
+    buf = io.StringIO()
+    # a second cell, since csv.writer quotes a row of one empty cell
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]  # less the "," and "\r\n"
 
 
 def _float_reprs(col: np.ndarray) -> list:

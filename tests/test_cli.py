@@ -249,6 +249,17 @@ class TestAnonymizeCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
+    @pytest.mark.parametrize("qi", ["", ",", " , "])
+    def test_empty_qi_list_data_error(self, tmp_path, capsys, input_csv, qi):
+        out = tmp_path / "o.csv"
+        rc = main([
+            "anonymize", "--input", str(input_csv), "--output", str(out),
+            "--qi-cols", qi, "--response-col", "cost", "--k", "2", "--method", "resample",
+        ])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: no quasi-identifier column is declared"]
+
     @pytest.mark.parametrize("extra, where", [
         (("--w", "nan"), "distortion weight w must be positive and finite, got nan"),
         (("--w", "inf"), "distortion weight w must be positive and finite, got inf"),

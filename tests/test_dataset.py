@@ -138,6 +138,43 @@ class TestLoadTable:
         assert t.qi.tolist() == [[30, 0], [40, 1]] and t.response.tolist() == [100, 200]
         assert t.record_ids == (0, 2) and t.qi.flags.c_contiguous
 
+    @pytest.mark.parametrize("body, qi, ids", [
+        # rows of blank fields are skipped wherever they are, whatever their
+        # width; a row keeps its ordinal among the file's data rows
+        ("30,0,100\n,,,\n , \n40,1,200\n", [[30, 0], [40, 1]], (0, 3)),
+        (",,\n\t, ,\n30,0,100\n,\n", [[30, 0]], (2,)),
+        ("30,0,100\n , ,\n, \n", [[30, 0]], (0,)),
+    ])
+    def test_rows_of_blank_fields_skipped(self, tmp_path, body, qi, ids):
+        t = load_table(write(tmp_path, "age,sex,cost\n" + body), SCHEMA)
+        assert t.qi.tolist() == qi and t.record_ids == ids
+
+    @pytest.mark.parametrize("body, message", [
+        # a blank first field with another field that is not blank is a row
+        ("30,0,100\n ,1,200\n", "row 3, column 'age': cannot parse ''"),
+        ("30,0,100\n,,7\n", "row 3, column 'age': cannot parse ''"),
+        ("30,0,100\n,1\n", "row 3, column 'cost': missing; the row has 2 of 3 fields"),
+        ("30,0,100\n, ,\n,,,x\n", "row 4, column 'age': cannot parse ''"),
+        ("30,0,100\n,,\n", None),
+    ])
+    def test_row_with_a_blank_first_field(self, tmp_path, body, message):
+        p = write(tmp_path, "age,sex,cost\n" + body)
+        if message is None:
+            assert load_table(p, SCHEMA).record_ids == (0,)
+        else:
+            with pytest.raises(ParseError, match=f"data.csv: {message}"):
+                load_table(p, SCHEMA)
+
+    def test_blank_first_field_as_the_id(self, tmp_path):
+        # a blank id on a row with values is an id of its own
+        p = write(tmp_path, "id,age,sex,cost\n,30,0,100\n b,40,1,200\n,,,\n")
+        t = load_table(p, TableSchema(qi=("age", "sex"), response="cost", id_col="id"))
+        assert t.record_ids == ("", "b")
+
+    def test_no_quasi_identifier_declared(self):
+        with pytest.raises(SchemaError, match="no quasi-identifier column is declared"):
+            TableSchema(qi=(), response="cost")
+
 
 class TestStandardize:
     def test_two_point_column(self):

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpkanon import kmember
 from dpkanon.dataset import standardize
 from dpkanon.errors import DomainError, InfeasibleError
 from dpkanon.kmember import (
@@ -210,7 +212,7 @@ class TestGreedyKMember:
 
 def reference_summaries(table, assignment, c):
     """The per-cluster loop: each cluster's rows, their mean over axis 0,
-    and the population covariance as one BLAS product."""
+    and the population covariance as one einsum over the cluster's rows."""
     d = table.d
     cents, cents_y, covs = np.empty((c, d)), np.empty(c), np.empty((c, d, d))
     for ell in range(c):
@@ -219,7 +221,7 @@ def reference_summaries(table, assignment, c):
         cents[ell] = rows.mean(axis=0)
         cents_y[ell] = table.response[idx].mean()
         centered = rows - cents[ell]
-        covs[ell] = centered.T @ centered / len(idx)
+        covs[ell] = np.einsum("mi,mj->ij", centered, centered) / len(idx)
     return cents, cents_y, covs
 
 
@@ -247,10 +249,9 @@ class TestSummaries:
         cents, cents_y, covs = reference_summaries(table, model.assignment, model.c)
         assert np.array_equal(model.centroids.view(np.int64), cents.view(np.int64))
         assert np.array_equal(model.centroids_y.view(np.int64), cents_y.view(np.int64))
-        # the same BLAS product per cluster; 1e-15 of its largest entry
-        # allows a BLAS whose bits depend on where a matrix sits in memory
-        scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(model.covariances - covs) <= 1e-15 * scale)
+        # einsum sums each cluster's rows in the same order whether it
+        # contracts one cluster or a stack of them
+        assert np.array_equal(model.covariances.view(np.int64), covs.view(np.int64))
         assert [m.tolist() for m in cluster_members(model)] == [
             np.flatnonzero(model.assignment == ell).tolist() for ell in range(model.c)]
 
@@ -284,6 +285,41 @@ class TestDistance:
                     diff = float(P[r, j]) - c[r]
                     total += diff * diff
                 assert total == many[j]
+            # the in-place form, at every width of a pool buffer up to 4k
+            # (k = 16) and with taken (+inf) columns, has the same bits
+            P[0, 2::5] = np.inf
+            many = _sq_dist(P, c)
+            work, col = np.empty((rows, 64)), np.array(c)[:, None]
+            for m in range(1, 65):
+                inplace = _sq_dist(P[:, :m], col, out=work[:, :m])
+                assert np.array_equal(inplace.view(np.int64), many[:m].view(np.int64))
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 10])
+    def test_first_addition_makes_no_pool_scan(self, monkeypatch, k):
+        # the first addition is the argmin of the rank scan that built the
+        # pool, so each cluster makes at most k - 2 pool scans. A cluster's
+        # full scans (seed, rank, fallback) span its free records, whose
+        # count differs from cluster to cluster and keys its pool scans.
+        scans, free = Counter(), [0]
+
+        def counting(P, c, out=None):
+            if out is None:
+                free[0] = P.shape[1]
+            else:
+                scans[free[0]] += 1
+            return _sq_dist(P, c, out=out)
+
+        rng = np.random.default_rng(k)
+        ordinal = rng.integers(0, 4, (300, 2)).astype(float)
+        for qi in (ordinal, np.round(rng.normal(size=(300, 3)), 2)):
+            t = make_table(qi, y=rng.normal(size=300))
+            monkeypatch.setattr(kmember, "_sq_dist", counting)
+            scans.clear()
+            model = greedy_k_member(t, k, seed=1)
+            monkeypatch.undo()
+            assert max(scans.values(), default=0) <= k - 2
+            assert sum(scans.values()) == (300 // k) * (k - 2)
+            assert np.array_equal(model.assignment, reference_assignment(t, k, 1.0, 1))
 
     def test_close_to_the_weighted_form(self):
         # with Z = [x, sqrt(w) y] the distance is |x - cx|^2 + w (y - cy)^2

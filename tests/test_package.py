@@ -96,16 +96,20 @@ def test_records_are_grouped_by_label_only_by_segments():
 
 def test_forward_map_calls_no_blas_product():
     # A BLAS product's last bits depend on the BLAS build and on a row's
-    # place in its block, so the Gaussian forward map sums with einsum
-    # (without optimize, which may hand a product to BLAS) and reductions.
-    tree = _src_modules()["rosenblatt.py"]
-    found = sorted({"dot", "matmul", "inner", "vdot", "tensordot"} & set(_names(tree)))
-    found += [f"@ on line {node.lineno}" for node in ast.walk(tree)
-              if isinstance(node, (ast.BinOp, ast.AugAssign))
-              and isinstance(node.op, ast.MatMult)]
-    found += [f"einsum optimize= on line {node.lineno}" for node in ast.walk(tree)
-              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
-              and any(kw.arg == "optimize" for kw in node.keywords)]
+    # place in its block, so the Gaussian forward map, and the clustering
+    # whose covariances give its Cholesky factors, sum with einsum (without
+    # optimize, which may hand a product to BLAS) and reductions.
+    found = []
+    for name in ("rosenblatt.py", "kmember.py"):
+        tree = _src_modules()[name]
+        found += [f"{name}: {op}" for op in sorted(
+            {"dot", "matmul", "inner", "vdot", "tensordot"} & set(_names(tree)))]
+        found += [f"{name}: @ on line {node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+        found += [f"{name}: einsum optimize= on line {node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+                  and any(kw.arg == "optimize" for kw in node.keywords)]
     assert found == []
 
 

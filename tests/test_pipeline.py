@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkanon.dataset import TableSchema, build_empirical_joint, load_table, round_sig
+from dpkanon.dataset import Column, TableSchema, build_empirical_joint, load_table, round_sig
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import (
     METHODS,
+    AnonymizedTable,
     anonymize,
     prepare,
     resample_within_clusters,
@@ -352,6 +353,35 @@ class TestOutputFiles:
             "-0.0", "1e-310", "1.7976931348623157e+308", "0.30000000000000004", "0.0", "-0.0"]
         assert [r[-1] for r in rows[1:4]] == ["0.0", "-0.0", "5e-324"]
         assert [r[0] for r in rows[-3:]] == list(ids[-3:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(
+        st.one_of(
+            # the characters csv quotes or keeps, and any other text
+            st.text(st.sampled_from('ab7_-., "\'\r\n\t;é€😀'), max_size=6),
+            st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+                    max_size=4),
+            st.integers(-10**20, 10**20)),
+        min_size=1, max_size=12, unique=True),
+        seed=st.integers(0, 2**32 - 1))
+    def test_csv_bytes_match_writerows(self, ids, seed):
+        # ids with commas, quotes, CR, LF, spaces, empty and non-ASCII text:
+        # each data row joined by hand has csv.writer.writerows' bytes
+        rng = np.random.default_rng(seed)
+        n = len(ids)
+        qi = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+        qi[rng.random((n, 2)) < 0.2] = -0.0
+        anon = AnonymizedTable(qi, rng.normal(size=n), (Column("a b"), Column('q"')),
+                               tuple(ids), "centroid", 2, 0, 1.0, 1.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            p, ref = os.path.join(tmp, "anon.csv"), os.path.join(tmp, "ref.csv")
+            write_anonymized_csv(anon, p, response_name="y,1")
+            with open(ref, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["record_id", "a b", 'q"', "y,1"])
+                writer.writerows(zip(ids, *qi.T.tolist(), anon.response.tolist()))
+            with open(p, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()
 
     def test_csv_floats_exact(self, tmp_path, state):
         anon = transform(state, "gaussian")
