@@ -79,8 +79,10 @@ def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: floa
     one size m are summarized together: their members' rows form one
     (clusters, m, d) array, reduced over its middle axis with the same
     numpy calls that reduce one cluster's (m, d) rows, so each cluster's
-    values have the bits of a per-cluster loop. Sizes run from k to 2k - 1,
-    so there are at most k groups."""
+    means have the bits of a per-cluster loop; its covariances agree with
+    that loop's to within rounding, since einsum may add a stack's
+    products in another order. Sizes run from k to 2k - 1, so there are at
+    most k groups."""
     order, starts, sizes = segments(assignment, c)
     centroids = np.empty((c, table.d))
     centroids_y = np.empty(c)
@@ -105,17 +107,14 @@ def _summarize(table: DataTable, assignment: np.ndarray, c: int, k: int, w: floa
     )
 
 
-def _sq_dist(P: np.ndarray, c, out: np.ndarray | None = None) -> np.ndarray:
+def _sq_dist(P: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distance of every column of the (d + 1, m) point matrix P to
-    the point c: sum over r of (P[r] - c[r])^2, added row by row in row order,
-    so a column's value does not depend on how many columns are scored
-    with it. With out, a float array shaped like P, c is a (d + 1, 1) column
-    and the differences and sums are made in out: the distances are its
-    first row, with the same bits."""
-    if out is None:
-        D = P - np.asarray(c)[:, None]
-    else:
-        D = np.subtract(P, c, out=out)
+    the (d + 1, 1) column c: sum over r of (P[r] - c[r])^2, added row by row
+    in row order, so a column's value does not depend on how many columns
+    are scored with it. With out, a float array shaped like P, the
+    differences and sums are made in out: the distances are its first row,
+    with the same bits."""
+    D = np.subtract(P, c, out=out)
     D *= D
     d2 = D[0]
     for r in range(1, len(D)):
@@ -163,7 +162,7 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
     assignment = np.full(n, -1, dtype=int)
     rng = np.random.default_rng(seed)
     points = Z.T.tolist()
-    # the pool's differences, and a column the running centroid is written into
+    # the pool's differences, and a column each scan's point is written into
     work = np.empty((table.d + 1, pool_size))
     col = np.empty((table.d + 1, 1))
 
@@ -173,13 +172,15 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         if ell == 0:
             s = int(rng.integers(len(free)))
         else:
-            s = int(np.argmax(_sq_dist(Zf, cz)))  # first max -> lowest index
+            col[:, 0] = cz
+            s = int(np.argmax(_sq_dist(Zf, col)))  # first max -> lowest index
         assignment[free[s]] = ell
         sz = Zf[:, s].tolist()
         # a taken column is set to +inf, which makes its distances +inf
         Zf[0, s] = math.inf
 
-        d2 = _sq_dist(Zf, sz)
+        col[:, 0] = sz
+        d2 = _sq_dist(Zf, col)
         # the first addition: the centroid is still the seed
         j = int(d2.argmin())
         if len(free) > pool_size:
@@ -204,7 +205,7 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
                 if (math.sqrt(d2[i]) + math.dist(cz, sz)) * (1.0 + 1e-9) < r:
                     j = pool[i]
                 else:
-                    j = int(_sq_dist(Zf, cz).argmin())
+                    j = int(_sq_dist(Zf, col).argmin())
             i = bisect.bisect_left(pool, j)  # j's pool column, if any
             if i < len(pool) and pool[i] == j:
                 Zp[0, i] = math.inf
@@ -218,7 +219,7 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         order, _, _ = segments(assignment, c)
         cents = np.take(Z, order.reshape(c, k), axis=1).mean(axis=2)
         for i in np.flatnonzero(assignment < 0):
-            assignment[i] = int(np.argmin(_sq_dist(cents, Z[:, i])))
+            assignment[i] = int(np.argmin(_sq_dist(cents, Z[:, i:i + 1])))
 
     return _summarize(table, assignment, c, k, w)
 

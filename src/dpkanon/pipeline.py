@@ -7,9 +7,7 @@ clustering distance but is passed through untouched.
 from __future__ import annotations
 
 import csv
-import io
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,34 +168,22 @@ def anonymize(table: DataTable, k: int, method: str, w: float = 1.0,
 
 
 def write_anonymized_csv(anon: AnonymizedTable, path, response_name: str = "response"):
-    """The release as csv.writer writes it: the header through csv.writer,
-    then every data row as one ",".join of its cells' texts."""
+    """The release as csv.writer writes it. When every id is an int (the row
+    ordinals load_table gives without an id column) no data cell needs
+    quoting, and each data row is one ",".join of its cells' texts; other
+    ids go through csv.writer.writerows."""
     cols = [_float_reprs(col) for col in np.asarray(anon.qi_hat, dtype=float).T]
     cols.append(_float_reprs(np.asarray(anon.response, dtype=float)))
-    lines = list(map(",".join, zip(map(_cell_text, anon.record_ids), *cols)))
-    lines.append("")  # so the last row ends in "\r\n" too
+    ids = anon.record_ids
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["record_id"] + [c.name for c in anon.columns] + [response_name])
-        fh.write("\r\n".join(lines))
-
-
-# text that csv.writer writes as it is
-_PLAIN = re.compile(r"[A-Za-z0-9_.-]*")
-
-
-def _cell_text(value) -> str:
-    """A cell's text as csv.writer writes it in a row of several cells: a
-    str of letters, digits, "_", "-" and "." as it is, an int as str(); any
-    other value is formatted by csv.writer itself, so its quoting rules hold."""
-    if isinstance(value, str):
-        if _PLAIN.fullmatch(value):
-            return value
-    elif isinstance(value, int):
-        return str(value)
-    buf = io.StringIO()
-    # a second cell, since csv.writer quotes a row of one empty cell
-    csv.writer(buf).writerow([value, ""])
-    return buf.getvalue()[:-3]  # less the "," and "\r\n"
+        writer = csv.writer(fh)
+        writer.writerow(["record_id"] + [c.name for c in anon.columns] + [response_name])
+        if all(type(rid) is int for rid in ids):
+            lines = list(map(",".join, zip(map(str, ids), *cols)))
+            lines.append("")  # so the last row ends in "\r\n" too
+            fh.write("\r\n".join(lines))
+        else:
+            writer.writerows(zip(ids, *cols))
 
 
 def _float_reprs(col: np.ndarray) -> list:

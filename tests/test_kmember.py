@@ -212,17 +212,24 @@ class TestGreedyKMember:
 
 def reference_summaries(table, assignment, c):
     """The per-cluster loop: each cluster's rows, their mean over axis 0,
-    and the population covariance as one einsum over the cluster's rows."""
+    and the population covariance as one einsum over the cluster's rows.
+    Also a bound on how far any order of adding a covariance's m products
+    can move it: two orders each lie within m eps times the sum of the
+    products' magnitudes of the exact sum, and stay apart by twice that."""
     d = table.d
     cents, cents_y, covs = np.empty((c, d)), np.empty(c), np.empty((c, d, d))
+    bounds = np.empty((c, d, d))
     for ell in range(c):
         idx = np.flatnonzero(assignment == ell)
         rows = table.qi[idx]
         cents[ell] = rows.mean(axis=0)
         cents_y[ell] = table.response[idx].mean()
         centered = rows - cents[ell]
-        covs[ell] = np.einsum("mi,mj->ij", centered, centered) / len(idx)
-    return cents, cents_y, covs
+        m = len(idx)
+        covs[ell] = np.einsum("mi,mj->ij", centered, centered) / m
+        mag = np.abs(centered)
+        bounds[ell] = 2 * m * np.finfo(float).eps * np.einsum("mi,mj->ij", mag, mag) / m
+    return cents, cents_y, covs, bounds
 
 
 @st.composite
@@ -246,12 +253,12 @@ def cluster_assignments(draw):
 class TestSummaries:
     @staticmethod
     def assert_match(model, table):
-        cents, cents_y, covs = reference_summaries(table, model.assignment, model.c)
+        cents, cents_y, covs, bounds = reference_summaries(table, model.assignment, model.c)
         assert np.array_equal(model.centroids.view(np.int64), cents.view(np.int64))
         assert np.array_equal(model.centroids_y.view(np.int64), cents_y.view(np.int64))
-        # einsum sums each cluster's rows in the same order whether it
-        # contracts one cluster or a stack of them
-        assert np.array_equal(model.covariances.view(np.int64), covs.view(np.int64))
+        # the stacked einsum may add a cluster's products in another order
+        # than the per-cluster one, so the covariances agree to the bound
+        assert np.all(np.abs(model.covariances - covs) <= bounds)
         assert [m.tolist() for m in cluster_members(model)] == [
             np.flatnonzero(model.assignment == ell).tolist() for ell in range(model.c)]
 
@@ -277,9 +284,10 @@ class TestDistance:
         for rows in range(1, 13):
             P = rng.normal(size=(rows, 64)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
             c = rng.normal(size=rows).tolist()
-            many = _sq_dist(P, c)
+            col = np.array(c)[:, None]
+            many = _sq_dist(P, col)
             for j in range(P.shape[1]):
-                assert _sq_dist(P[:, j:j + 1], c)[0] == many[j]
+                assert _sq_dist(P[:, j:j + 1], col)[0] == many[j]
                 total = 0.0
                 for r in range(rows):
                     diff = float(P[r, j]) - c[r]
@@ -288,8 +296,8 @@ class TestDistance:
             # the in-place form, at every width of a pool buffer up to 4k
             # (k = 16) and with taken (+inf) columns, has the same bits
             P[0, 2::5] = np.inf
-            many = _sq_dist(P, c)
-            work, col = np.empty((rows, 64)), np.array(c)[:, None]
+            many = _sq_dist(P, col)
+            work = np.empty((rows, 64))
             for m in range(1, 65):
                 inplace = _sq_dist(P[:, :m], col, out=work[:, :m])
                 assert np.array_equal(inplace.view(np.int64), many[:m].view(np.int64))
@@ -338,7 +346,7 @@ class TestDistance:
                     cx, cy = X[idx].mean(axis=0), y[idx].mean()
                     diff = X - cx
                     old = np.einsum("ij,ij->i", diff, diff) + w * (y - cy) ** 2
-                    new = _sq_dist(Z, [*cx, np.sqrt(w) * cy])
+                    new = _sq_dist(Z, np.array([*cx, np.sqrt(w) * cy])[:, None])
                     slack = (0.0 if np.sqrt(w) ** 2 == w
                              else w * np.abs(y - cy) * (np.abs(y) + abs(cy)))
                     assert np.all(np.abs(new - old) <= 4 * (d + 1) * eps * (old + slack))

@@ -97,10 +97,11 @@ def test_records_are_grouped_by_label_only_by_segments():
 def test_forward_map_calls_no_blas_product():
     # A BLAS product's last bits depend on the BLAS build and on a row's
     # place in its block, so the Gaussian forward map, and the clustering
-    # whose covariances give its Cholesky factors, sum with einsum (without
-    # optimize, which may hand a product to BLAS) and reductions.
+    # whose covariances give its Cholesky factors, and the factorization
+    # itself sum with einsum (without optimize, which may hand a product to
+    # BLAS) and reductions.
     found = []
-    for name in ("rosenblatt.py", "kmember.py"):
+    for name in ("rosenblatt.py", "kmember.py", "dither.py"):
         tree = _src_modules()[name]
         found += [f"{name}: {op}" for op in sorted(
             {"dot", "matmul", "inner", "vdot", "tensordot"} & set(_names(tree)))]
