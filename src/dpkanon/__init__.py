@@ -3,81 +3,61 @@
 Transforms quasi-identifiers to satisfy k-anonymity while keeping their
 empirical joint distribution, and evaluates reidentification risk and
 covariate-shift regression utility of the result.
+
+Each exported name is imported from its submodule on first access (PEP 562),
+so `import dpkanon.cli` loads only the modules an `anonymize` run uses.
 """
+import importlib
 
 __version__ = "0.1.0"
 
-from .dataset import (
-    Column,
-    DataTable,
-    EmpiricalJoint,
-    Standardizer,
-    TableSchema,
-    build_empirical_joint,
-    load_table,
-    standardize,
-)
-from .kmember import (
-    ClusterModel,
-    greedy_k_member,
-    total_distortion,
-    validate_k_anonymous,
-)
-from .pipeline import (
-    AnonymizedTable,
-    anonymize,
-    prepare,
-    transform,
-)
-from .reid import ReidReport, match_min_distance, reid_trials
-from .rosenblatt import forward_gaussian, inverse_empirical_indices
-from .shiftlearn import (
-    RegressionModel,
-    TransferSpec,
-    build_design,
-    histogram_intersection,
-    logistic_weights,
-    nonparametric_weights,
-    predict,
-    r_squared,
-    relative_bias,
-    transfer_weights,
-    weighted_least_squares,
-)
-from .synth import synthetic_table
+# exported name -> the submodule that defines it
+_SUBMODULE = {
+    "Column": "dataset",
+    "DataTable": "dataset",
+    "EmpiricalJoint": "dataset",
+    "Standardizer": "dataset",
+    "TableSchema": "dataset",
+    "build_empirical_joint": "dataset",
+    "load_table": "dataset",
+    "standardize": "dataset",
+    "ClusterModel": "kmember",
+    "greedy_k_member": "kmember",
+    "total_distortion": "kmember",
+    "validate_k_anonymous": "kmember",
+    "AnonymizedTable": "pipeline",
+    "anonymize": "pipeline",
+    "prepare": "pipeline",
+    "transform": "pipeline",
+    "ReidReport": "reid",
+    "match_min_distance": "reid",
+    "reid_trials": "reid",
+    "forward_gaussian": "rosenblatt",
+    "inverse_empirical_indices": "rosenblatt",
+    "RegressionModel": "shiftlearn",
+    "TransferSpec": "shiftlearn",
+    "build_design": "shiftlearn",
+    "histogram_intersection": "shiftlearn",
+    "logistic_weights": "shiftlearn",
+    "nonparametric_weights": "shiftlearn",
+    "predict": "shiftlearn",
+    "r_squared": "shiftlearn",
+    "relative_bias": "shiftlearn",
+    "transfer_weights": "shiftlearn",
+    "weighted_least_squares": "shiftlearn",
+    "synthetic_table": "synth",
+}
 
-__all__ = [
-    "AnonymizedTable",
-    "ClusterModel",
-    "Column",
-    "DataTable",
-    "EmpiricalJoint",
-    "RegressionModel",
-    "ReidReport",
-    "Standardizer",
-    "TableSchema",
-    "TransferSpec",
-    "anonymize",
-    "build_design",
-    "build_empirical_joint",
-    "forward_gaussian",
-    "greedy_k_member",
-    "histogram_intersection",
-    "inverse_empirical_indices",
-    "load_table",
-    "logistic_weights",
-    "match_min_distance",
-    "nonparametric_weights",
-    "predict",
-    "prepare",
-    "r_squared",
-    "reid_trials",
-    "relative_bias",
-    "standardize",
-    "synthetic_table",
-    "total_distortion",
-    "transfer_weights",
-    "transform",
-    "validate_k_anonymous",
-    "weighted_least_squares",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

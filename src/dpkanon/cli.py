@@ -2,42 +2,20 @@
 `experiment` runs the synthetic-data metric sweep.
 
 Exit codes: 0 success, 1 data/solver error, 2 usage error.
+
+Only the anonymization modules load with this one; the sweep's modules
+(`experiment`, and through it `reid`, `shiftlearn` and `synth`) load when
+the `experiment` subcommand runs.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import warnings
-
-import numpy as np
 
 from . import __version__
-from .dataset import TableSchema, build_empirical_joint, group_rows, load_table
-from .errors import ConvergenceError, DegenerateError, DomainError, DpkError
-from .dither import check_alpha
-from .pipeline import (
-    RELEASED_BY,
-    anonymize,
-    prepare,
-    transform,
-    write_anonymized_csv,
-    write_sidecar,
-)
-from .reid import reid_trials
-from .shiftlearn import (
-    apply_design,
-    build_design,
-    distinct_row_least_squares,
-    histogram_intersection,
-    logistic_weights,
-    nonparametric_weights,
-    r_squared,
-    relative_bias,
-)
-from .synth import synthetic_table
-
-SPEC_VERSION = "1"
+from .dataset import TableSchema, load_table
+from .errors import DpkError
+from .pipeline import anonymize, write_anonymized_csv, write_sidecar
 
 _METHOD_FLAGS = {
     "centroid": "centroid",
@@ -133,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run_anonymize(args) -> int:
     if args.k < 2:
         raise _UsageError("k must be at least 2")
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise _UsageError(f"--seed: must be at least 0, got {args.seed}")
     schema = TableSchema(
         qi=tuple(_csv_list(args.qi_cols)),
         response=args.response_col,
@@ -147,120 +127,33 @@ def run_anonymize(args) -> int:
     return 0
 
 
-def _shift_weights(tag: str, anon_qi, anon_joint, test_qi, test_joint):
-    """Weights plus a flag when the estimator degenerates on this data;
-    `tag` is one of _SHIFTS."""
-    n = len(anon_qi)
-    if tag == "none":
-        return np.ones(n), False
-    if tag == "nonparametric":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            w = nonparametric_weights(anon_joint, test_joint)
-        if w.sum() == 0:
-            return np.ones(n), True
-        return w, False
-    try:  # logistic
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return logistic_weights(anon_qi, test_qi), False
-    except ConvergenceError:
-        return np.ones(n), True
-
-
-def _sweep_rows(args, state, method, shifts, test, test_joint, test_pmf) -> list:
-    """Similarity, reidentification average and one regression fit per
-    shift estimator for one release; one result row per shift."""
-    anon = transform(state, method, alpha=args.alpha)
-    anon_joint = build_empirical_joint(anon.qi_hat)
-    similarity = histogram_intersection(anon_joint.pmf(), test_pmf)
-    reid_avg = None
-    if args.trials > 0:
-        reid_avg = reid_trials(state, method, args.trials, alpha=args.alpha,
-                               first=anon).average
-    # Every shift estimator weights a record through its QI row only, so
-    # each fit runs on the release's distinct rows, encoded once.
-    rows, inverse = group_rows(anon.qi_hat)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        design, info = build_design(rows, args.coding)
-        test_design = apply_design(info, test.qi)
-    out = []
-    for shift in shifts:
-        wts, degenerate = _shift_weights(shift, anon.qi_hat, anon_joint, test.qi, test_joint)
-        try:
-            model = distinct_row_least_squares(design, inverse, anon.response, wts, info=info)
-            yhat = test_design @ model.coef
-            bias = relative_bias(yhat, test.response)
-            r2 = r_squared(yhat, test.response)
-        except (DegenerateError, DomainError):
-            bias, r2 = None, None
-        out.append({
-            "k": state.k,
-            "shift": shift,
-            "coding": args.coding,
-            "relative_bias_pct": bias,
-            "r_squared": r2,
-            "similarity": similarity,
-            "reid_average": reid_avg,
-            "degenerate_shift": degenerate,
-        })
-    return out
-
-
-def run_experiment(args) -> int:
+def experiment_config(args) -> dict:
+    """The sweep's config from the experiment flags: lists parsed, methods
+    in their underscored names. A bad value is a usage error."""
     k_grid = _int_list("--k-grid", args.k_grid, least=2)
     levels = _int_list("--levels", args.levels, least=1)
     methods = [_METHOD_FLAGS[m]
                for m in _choice_list("--methods", args.methods, sorted(_METHOD_FLAGS))]
     shifts = _choice_list("--shift", args.shift, _SHIFTS)
     for flag, value, least in (("--n", args.n, 1), ("--test-n", args.test_n, 1),
-                               ("--trials", args.trials, 0)):
+                               ("--trials", args.trials, 0), ("--seed", args.seed, 0)):
         if value < least:
             raise _UsageError(f"{flag}: must be at least {least}, got {value}")
-    check_alpha(args.alpha)
-
-    train = synthetic_table(args.n, levels, dep=args.dep, tilt=0.0, seed=args.seed)
-    test = synthetic_table(args.test_n, levels, dep=args.dep, tilt=args.tilt,
-                           seed=args.seed + 1)
-    test_joint = build_empirical_joint(test.qi)
-    test_pmf = test_joint.pmf()
-
-    results = []
-    for k in k_grid:
-        state = prepare(train, k, w=args.w, seed=args.seed)
-        # a method released by another's draw repeats its rows, relabelled
-        by_draw = {}
-        for method in methods:
-            draw = RELEASED_BY.get(method, method)
-            if draw not in by_draw:
-                by_draw[draw] = _sweep_rows(args, state, method, shifts,
-                                            test, test_joint, test_pmf)
-            results.extend({**row, "method": method} for row in by_draw[draw])
-
-    payload = {
-        "spec_version": SPEC_VERSION,
-        "config": {
-            "n": args.n,
-            "test_n": args.test_n,
-            "levels": levels,
-            "dep": args.dep,
-            "tilt": args.tilt,
-            "k_grid": k_grid,
-            "methods": methods,
-            "shift": shifts,
-            "coding": args.coding,
-            "alpha": args.alpha,
-            "w": args.w,
-            "seed": args.seed,
-            "trials": args.trials,
-        },
-        "results": results,
+    return {
+        "n": args.n,
+        "test_n": args.test_n,
+        "levels": levels,
+        "dep": args.dep,
+        "tilt": args.tilt,
+        "k_grid": k_grid,
+        "methods": methods,
+        "shift": shifts,
+        "coding": args.coding,
+        "alpha": args.alpha,
+        "w": args.w,
+        "seed": args.seed,
+        "trials": args.trials,
     }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -269,7 +162,10 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "anonymize":
             return run_anonymize(args)
-        return run_experiment(args)
+        config = experiment_config(args)
+        from .experiment import run_experiment
+
+        return run_experiment(config, args.output)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,10 @@ Cost: each cluster gathers the records still unassigned into one matrix
 and makes two scans over it, one to pick its seed and one to rank the
 records by distance to that seed, which keeps the _POOL_PER_K * k nearest
 other records as a candidate pool. The first addition is the rank scan's
-argmin, since the centroid is still the seed. Each later addition scores
-only the pool, in place in buffers allocated once per call: one write of
-the running centroid into a column, one subtract and one square into the
+argmin, since the centroid is still the seed; at k = 2 it is the only
+addition, so no pool is built. Each later addition scores only the pool,
+in place in buffers allocated once per call: one write of the running
+centroid into a column, one subtract and one square into the
 difference buffer, the row adds into its first row and one argmin. The
 centroid and its drift from the seed are kept as Python floats; a taken
 record's column is set to +inf. The pool's best record is taken when the
@@ -183,16 +184,18 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         d2 = _sq_dist(Zf, col)
         # the first addition: the centroid is still the seed
         j = int(d2.argmin())
-        if len(free) > pool_size:
-            part = np.argpartition(d2, pool_size)
-            pool = np.sort(part[:pool_size])
-            r2 = float(d2[part[pool_size]])  # nearest record left out of the pool
-            r = math.sqrt(r2) if r2 >= _TINY else 0.0
-        else:
-            pool, r = np.arange(len(free)), math.inf
-        Zp = np.take(Zf, pool, axis=1)
-        D = work[:, :len(pool)]
-        pool = pool.tolist()
+        pool = []  # at k = 2 the first addition is the only one: no pool
+        if k > 2:
+            if len(free) > pool_size:
+                part = np.argpartition(d2, pool_size)
+                pool = np.sort(part[:pool_size])
+                r2 = float(d2[part[pool_size]])  # nearest record left out of the pool
+                r = math.sqrt(r2) if r2 >= _TINY else 0.0
+            else:
+                pool, r = np.arange(len(free)), math.inf
+            Zp = np.take(Zf, pool, axis=1)
+            D = work[:, :len(pool)]
+            pool = pool.tolist()
 
         cz = sz
         for size in range(2, k + 1):

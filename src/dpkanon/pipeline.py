@@ -23,7 +23,6 @@ from .dataset import (
 from .dither import check_alpha, sample_gaussian_batch, substream
 from .errors import DomainError
 from .kmember import ClusterModel, greedy_k_member
-from .rosenblatt import forward_gaussian, inverse_empirical_indices
 
 METHODS = ("centroid", "resample", "permute", "cell_dither", "gaussian")
 
@@ -142,6 +141,9 @@ def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
                                        with_replacement=(drawn == "resample"))
         qi_hat = state.table.qi[src].copy()
     else:  # gaussian: dither, forward Rosenblatt transform, inverse empirical CDF
+        # on first use, so the other methods never load the forward map
+        from .rosenblatt import forward_gaussian, inverse_empirical_indices
+
         rng = substream(seed, _CH_DITHER, trial)
         xt = sample_gaussian_batch(state.model, alpha, np.arange(state.table.n), rng)
         u = forward_gaussian(xt, state.model, alpha)

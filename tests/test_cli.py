@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpkanon.cli import main
 from dpkanon.dataset import TableSchema, load_table
@@ -64,6 +70,17 @@ class TestAnonymizeCommand:
             "--k", "1", "--method", "resample",
         ])
         assert rc == 2
+
+    def test_negative_seed_usage_error(self, tmp_path, input_csv, capsys):
+        # numpy's generators take no negative seed; the flag is checked first
+        rc = main([
+            "anonymize", "--input", str(input_csv),
+            "--output", str(tmp_path / "o.csv"),
+            "--qi-cols", "x0,x1", "--response-col", "cost",
+            "--k", "4", "--method", "resample", "--seed", "-1",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --seed: must be at least 0, got -1\n"
 
     def test_unknown_method_usage_error(self, tmp_path, input_csv):
         with pytest.raises(SystemExit) as exc:
@@ -338,13 +355,14 @@ class TestExperimentCommand:
         ("--methods", ",", "--methods: empty list"),
         ("--trials", "-1", "--trials: must be at least 0, got -1"),
         ("--test-n", "0", "--test-n: must be at least 1, got 0"),
+        ("--seed", "-1", "--seed: must be at least 0, got -1"),
     ])
     def test_bad_list_flag_usage_error(self, tmp_path, capsys, monkeypatch,
                                        flag, value, where):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the flags were checked")
 
-        monkeypatch.setattr("dpkanon.cli.synthetic_table", no_work)
+        monkeypatch.setattr("dpkanon.experiment.synthetic_table", no_work)
         argv = {"--k-grid": "3", "--levels": "3,3", "--methods": "resample",
                 "--shift": "none", flag: value}
         rc = main(["experiment", "--output", str(tmp_path / "m.json"),
@@ -368,7 +386,7 @@ class TestExperimentCommand:
         def no_work(*args, **kwargs):
             raise AssertionError("data drawn before alpha was checked")
 
-        monkeypatch.setattr("dpkanon.cli.synthetic_table", no_work)
+        monkeypatch.setattr("dpkanon.experiment.synthetic_table", no_work)
         rc, out = self.run(tmp_path, "m.json", extra=("--alpha", alpha))
         assert rc == 1 and not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
@@ -387,7 +405,7 @@ class TestExperimentCommand:
             released.append(method)
             return transform(state, method, **kwargs)
 
-        monkeypatch.setattr("dpkanon.cli.transform", counted)
+        monkeypatch.setattr("dpkanon.experiment.transform", counted)
 
         def rows(name, methods):
             released.clear()
@@ -444,3 +462,139 @@ def test_round_trip_through_cli_matches_library(tmp_path):
     want = anonymize(load_table(p, TableSchema(qi=("x0", "x1"), response="cost")),
                      k=3, method="gaussian", seed=9)
     assert np.array_equal(back.qi, want.qi_hat)
+
+
+# The argv property: every flag gets a valid value except at most one,
+# which gets a value of a kind a user may mistype, so that most runs reach
+# the pipeline or the sweep.
+_NAMES = ("x0", "x1", "cost", "id", "a b", "é")
+_METHODS = ("centroid", "resample", "permute", "cell-dither", "gaussian")
+_POSITIVE = ("0.33", "1", "2.5", "1e-300", "1e300")
+_NOT_POSITIVE = ("0", "-1", "nan", "inf", "-inf", "x", "")
+_NOT_INT = ("x", "1.5", "")
+_CELLS_BAD = ("", "nan", "inf", "-inf", "1e308", "abc", "1,5", '"')
+
+
+def _ints(low: int, high: int):
+    return st.integers(low, high).map(str)
+
+
+def _joined(values, max_size=3):
+    return st.lists(values, min_size=1, max_size=max_size).map(",".join)
+
+
+def _flags(draw, flags: dict, required) -> list:
+    """argv for `flags` (flag -> (valid, bad) strategies): a valid value for
+    each but at most one, which gets a bad one. A flag not `required` may be
+    left out; one whose valid strategy is None is left out unless bad."""
+    bad = draw(st.one_of(st.none(), st.sampled_from(list(flags))))
+    argv = []
+    for flag, (valid, mistyped) in flags.items():
+        if flag == bad:
+            argv += [flag, draw(mistyped)]
+        elif valid is not None and (flag in required or draw(st.booleans())):
+            argv += [flag, draw(valid)]
+    return argv
+
+
+@st.composite
+def _anonymize_case(draw):
+    """argv and the text of the small CSV it reads: distinct column names,
+    numeric cells and unique ids; sometimes one bad cell, one ragged row or
+    a repeated column name."""
+    header = draw(st.lists(st.sampled_from(_NAMES), min_size=2, max_size=4, unique=True))
+    roles = draw(st.permutations(header))
+    q = draw(st.integers(1, len(header) - 1))
+    id_col = roles[q + 1] if len(roles) > q + 1 else None
+    n = draw(st.integers(0, 3) if draw(st.integers(0, 7)) == 0 else st.integers(6, 14))
+    rows = [[f"r{i}" if name == id_col else str(draw(st.integers(-3, 3))) for name in header]
+            for i in range(n)]
+    if rows and draw(st.integers(0, 3)) == 0:
+        r = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            rows[r][draw(st.integers(0, len(header) - 1))] = draw(st.sampled_from(_CELLS_BAD))
+        else:
+            rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["0"]
+    if draw(st.integers(0, 7)) == 0:
+        header = [*header[:-1], header[0]]
+    text = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+    flags = {
+        "--qi-cols": (st.just(",".join(roles[:q])), st.one_of(
+            _joined(st.sampled_from(_NAMES)), st.sampled_from(("", ",", " , ")))),
+        "--response-col": (st.just(roles[q]), st.sampled_from(_NAMES)),
+        "--id-col": (st.just(id_col) if id_col else None, st.sampled_from(_NAMES)),
+        "--k": (_ints(2, 6), st.one_of(_ints(-1, 1), _ints(7, 20),
+                                       st.sampled_from(_NOT_INT))),
+        "--method": (st.sampled_from(_METHODS), st.just("bogus")),
+        "--alpha": (st.sampled_from(_POSITIVE), st.sampled_from(_NOT_POSITIVE)),
+        "--w": (st.sampled_from(_POSITIVE), st.sampled_from(_NOT_POSITIVE)),
+        "--seed": (_ints(0, 3), st.one_of(_ints(-2, -1), st.sampled_from(_NOT_INT))),
+    }
+    required = ("--qi-cols", "--response-col", "--id-col", "--k", "--method")
+    return ["anonymize", *_flags(draw, flags, required)], text
+
+
+@st.composite
+def _experiment_argv(draw):
+    def count(low, high):
+        return _ints(low, high), st.one_of(_ints(low - 2, low - 1), st.sampled_from(_NOT_INT))
+
+    return ["experiment", *_flags(draw, {
+        "--k-grid": (_joined(_ints(2, 12), 2), st.one_of(
+            _joined(_ints(-1, 1)), st.sampled_from((",", "x")))),
+        "--n": count(1, 24),
+        "--test-n": count(1, 24),
+        "--levels": (_joined(_ints(1, 4)), st.one_of(_joined(_ints(-1, 0)),
+                                                     st.sampled_from((",", "x")))),
+        "--dep": (st.sampled_from(("0", "0.3", "1")),
+                  st.sampled_from(("-0.5", "1.5", "nan", "inf", "x"))),
+        "--tilt": (st.sampled_from(("0", "0.5", "-3", "40")),
+                   st.sampled_from(("nan", "inf", "1e308", "x"))),
+        "--methods": (_joined(st.sampled_from(_METHODS), 2),
+                      st.sampled_from(("bogus", ",", "centroid,bogus"))),
+        "--shift": (_joined(st.sampled_from(("none", "nonparametric", "logistic")), 2),
+                    st.sampled_from(("bogus", ","))),
+        "--coding": (st.sampled_from(("dummy", "numeric")), st.just("bogus")),
+        "--alpha": (st.sampled_from(_POSITIVE), st.sampled_from(_NOT_POSITIVE)),
+        "--w": (st.sampled_from(_POSITIVE), st.sampled_from(_NOT_POSITIVE)),
+        "--seed": count(0, 3),
+        "--trials": count(0, 1),
+    }, required=("--k-grid",))]
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise AssertionError(f"{path} holds {name}")
+
+    with open(path, encoding="utf-8") as fh:
+        json.load(fh, parse_constant=refuse)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(_anonymize_case(), st.tuples(_experiment_argv(), st.none())))
+def test_any_argv_ends_in_an_exit_code_and_at_most_one_error_line(case):
+    # every argv ends in exit code 0 (with strict JSON written), 1 or 2
+    # (with one error line, from main or from argparse), never a traceback
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv" if text is not None else "m.json")
+        argv = [*argv, "--output", out]
+        if text is not None:
+            data = os.path.join(tmp, "in.csv")
+            with open(data, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            argv += ["--input", data]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert errors == []
+            _strict_json(out + ".json" if text is not None else out)
+        else:
+            assert len(errors) == 1

@@ -329,6 +329,30 @@ class TestDistance:
             assert sum(scans.values()) == (300 // k) * (k - 2)
             assert np.array_equal(model.assignment, reference_assignment(t, k, 1.0, 1))
 
+    # at k = 3, the 96 of 100 clusters seeded with more than 4k = 12 free
+    # records; the last 4 take the whole free set as their pool
+    @pytest.mark.parametrize("k, partitions", [(2, 0), (3, 96)])
+    def test_pool_built_only_above_k_two(self, monkeypatch, k, partitions):
+        # at k = 2 a cluster's only addition is the rank scan's argmin, so
+        # no pool is partitioned out of the rank scan
+        calls = [0]
+        argpartition = np.argpartition
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return argpartition(*args, **kwargs)
+
+        rng = np.random.default_rng(k)
+        ordinal = rng.integers(0, 4, (300, 2)).astype(float)
+        for qi in (ordinal, np.round(rng.normal(size=(300, 3)), 2)):
+            t = make_table(qi, y=rng.normal(size=300))
+            calls[0] = 0
+            monkeypatch.setattr(np, "argpartition", counted)
+            model = greedy_k_member(t, k, seed=1)
+            monkeypatch.undo()
+            assert calls[0] == partitions
+            assert np.array_equal(model.assignment, reference_assignment(t, k, 1.0, 1))
+
     def test_close_to_the_weighted_form(self):
         # with Z = [x, sqrt(w) y] the distance is |x - cx|^2 + w (y - cy)^2
         # up to rounding: within 4 (d + 1) ulp of that value, plus the

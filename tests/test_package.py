@@ -5,6 +5,8 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 import dpkanon
 
 
@@ -32,6 +34,11 @@ def _src_trees() -> list:
     return list(_src_modules().values())
 
 
+# module-level functions that Python itself calls: the package's attribute
+# and dir() hooks (PEP 562)
+_CALLED_BY_PYTHON = {"__getattr__", "__dir__"}
+
+
 def test_every_src_name_has_a_caller():
     # a module-level function or class that no other code in the package
     # names, and that the package does not export, is dead code
@@ -40,7 +47,8 @@ def test_every_src_name_has_a_caller():
     dead = [node.name for tree in trees for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and named[node.name] == _names(node)[node.name]
-            and node.name not in dpkanon.__all__]
+            and node.name not in dpkanon.__all__
+            and node.name not in _CALLED_BY_PYTHON]
     assert dead == []
 
 
@@ -114,14 +122,67 @@ def test_forward_map_calls_no_blas_product():
     assert found == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # the matcher imports its KD-tree and the Gaussian forward map its ndtr
-    # on first use, so a fresh start of the command line loads no scipy
+def _run_fresh(code: str, *argv) -> str:
+    """stdout of a fresh interpreter that runs `code` with `argv` as
+    sys.argv[1:], importing the package from this checkout."""
     src = os.path.dirname(os.path.dirname(dpkanon.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = ("import sys, dpkanon.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+_PRINT_MODULES = "\nimport sys\nprint(' '.join(sys.modules))"
+_SWEEP_MODULES = {f"dpkanon.{name}" for name in ("experiment", "reid", "shiftlearn", "synth")}
+
+
+def _loaded_by_anonymize(tmp_path, method: str) -> set:
+    """The modules a fresh `anonymize --method METHOD` run has loaded."""
+    data = tmp_path / "in.csv"
+    data.write_text("x0,x1,cost\n" + "".join(
+        f"{i % 3},{i % 5},{i * 0.5}\n" for i in range(12)))
+    code = "import sys\nfrom dpkanon.cli import main\nassert main(sys.argv[1:]) == 0"
+    out = _run_fresh(code + _PRINT_MODULES, "anonymize", "--input", str(data),
+                     "--output", str(tmp_path / "out.csv"), "--qi-cols", "x0,x1",
+                     "--response-col", "cost", "--k", "3", "--method", method)
+    return set(out.split())
+
+
+def test_cli_import_loads_only_the_anonymize_modules():
+    # the sweep's modules, the Gaussian forward map (with its thread pool)
+    # and scipy load on first use, so a fresh start of the command line
+    # compiles and runs none of them
+    loaded = set(_run_fresh("import dpkanon.cli" + _PRINT_MODULES).split())
+    assert {m for m in loaded if m.startswith("dpkanon")} == {
+        "dpkanon", "dpkanon.cli", "dpkanon.dataset", "dpkanon.dither",
+        "dpkanon.errors", "dpkanon.kmember", "dpkanon.pipeline"}
+    assert [m for m in loaded
+            if m.split(".")[0] in ("scipy", "logging")
+            or m.startswith("concurrent.futures")] == []
+
+
+def test_centroid_run_loads_no_sweep_forward_map_or_scipy(tmp_path):
+    loaded = _loaded_by_anonymize(tmp_path, "centroid")
+    assert loaded & (_SWEEP_MODULES | {"dpkanon.rosenblatt"}) == set()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_gaussian_run_loads_the_forward_map_only(tmp_path):
+    loaded = _loaded_by_anonymize(tmp_path, "gaussian")
+    assert {"dpkanon.rosenblatt", "scipy.special"} <= loaded
+    assert loaded & (_SWEEP_MODULES | {"scipy.spatial"}) == set()
+
+
+def test_exports_resolve_on_first_access():
+    code = ("import json, dpkanon; from dpkanon import *; "
+            "print(json.dumps([sorted(set(dpkanon.__all__) - set(dir(dpkanon))), "
+            "[n for n in dpkanon.__all__ if n not in globals()]]))")
+    assert _run_fresh(code).strip() == "[[], []]"
+    # each export is the object its submodule defines
+    from dpkanon import _SUBMODULE
+
+    for name in dpkanon.__all__:
+        module = __import__(f"dpkanon.{_SUBMODULE[name]}", fromlist=[name])
+        assert getattr(dpkanon, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="module 'dpkanon' has no attribute 'nope'"):
+        dpkanon.nope
