@@ -34,13 +34,11 @@ _SUBMODULE = {
     "reid_trials": "reid",
     "forward_gaussian": "rosenblatt",
     "inverse_empirical_indices": "rosenblatt",
-    "RegressionModel": "shiftlearn",
     "TransferSpec": "shiftlearn",
     "build_design": "shiftlearn",
     "histogram_intersection": "shiftlearn",
     "logistic_weights": "shiftlearn",
     "nonparametric_weights": "shiftlearn",
-    "predict": "shiftlearn",
     "r_squared": "shiftlearn",
     "relative_bias": "shiftlearn",
     "transfer_weights": "shiftlearn",

@@ -25,12 +25,12 @@ SIG_DIGITS = 12
 _SURROGATE = re.compile("[\udc80-\udcff]")
 
 
-def round_sig(x, digits: int = SIG_DIGITS):
-    """Round to `digits` significant digits (elementwise, 0 stays 0)."""
+def round_sig(x):
+    """Round to SIG_DIGITS significant digits (elementwise, 0 stays 0)."""
     x = np.asarray(x, dtype=float)
     out = x.copy()
     nz = (x != 0) & np.isfinite(x)
-    p = digits - 1 - np.floor(np.log10(np.abs(x[nz])))
+    p = SIG_DIGITS - 1 - np.floor(np.log10(np.abs(x[nz])))
     # 10**p overflows for |x| below about 1e-297: scale by 10**(p - 308)
     # first, which is 1 (and changes no bit) for every larger |x|
     f, g = 10.0 ** np.minimum(p, 308), 10.0 ** np.maximum(p - 308, 0)
@@ -38,6 +38,12 @@ def round_sig(x, digits: int = SIG_DIGITS):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def check_seed(seed) -> None:
+    """Reject any seed but a nonnegative integer, which numpy's generators need."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

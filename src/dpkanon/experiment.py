@@ -75,8 +75,8 @@ def _sweep_rows(config, state, method, test, test_joint, test_pmf) -> list:
     for shift in config["shift"]:
         wts, degenerate = _shift_weights(shift, anon.qi_hat, anon_joint, test.qi, test_joint)
         try:
-            model = distinct_row_least_squares(design, inverse, anon.response, wts, info=info)
-            yhat = test_design @ model.coef
+            coef = distinct_row_least_squares(design, inverse, anon.response, wts)
+            yhat = test_design @ coef
             bias = relative_bias(yhat, test.response)
             r2 = r_squared(yhat, test.response)
         except (DegenerateError, DomainError):

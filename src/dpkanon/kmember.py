@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataTable, segments
+from .dataset import DataTable, check_seed, segments
 from .errors import DomainError, InfeasibleError
 
 # candidate pool size per cluster, as a multiple of k
@@ -140,6 +140,7 @@ def greedy_k_member(table: DataTable, k: int, w: float = 1.0, seed: int = 0) -> 
         raise InfeasibleError(f"infeasible k: k={k} exceeds n={n}")
     if not 0 < w < math.inf:
         raise DomainError(f"distortion weight w must be positive and finite, got {w}")
+    check_seed(seed)
 
     X = table.qi
     y = table.response

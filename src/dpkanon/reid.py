@@ -15,7 +15,6 @@ ties would.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,8 +48,8 @@ def match_min_distance(original: DataTable, anon: AnonymizedTable,
     if len(shape) != 2 or shape[1] != original.d:
         raise ShapeError(f"release has quasi-identifier shape {shape}; the table "
                          f"has {original.d} columns")
-    _, std = standardize(original)
-    X = std.apply_qi(original.qi)
+    std_table, std = standardize(original)
+    X = std_table.qi
     Xh = std.apply_qi(anon.qi_hat)
     n, d = X.shape
     # distinct released tuples, each with its records in ascending order
@@ -158,36 +157,6 @@ class ReidReport:
     def class_band(self) -> np.ndarray:
         """3-sigma binomial band at the nominal 1/k level."""
         return self._classes[3]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "method": self.method,
-                "trials": self.trials,
-                "average": self.average,
-                "classes": [
-                    {
-                        "key": list(key),
-                        "size": int(s),
-                        "frequency": float(f),
-                        "band_3sigma": float(b),
-                    }
-                    for key, s, f, b in zip(
-                        self.class_keys, self.class_sizes,
-                        self.class_freq, self.class_band,
-                    )
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def to_csv_rows(self):
-        yield ("class", "size", "frequency", "band_3sigma")
-        for key, s, f, b in zip(self.class_keys, self.class_sizes,
-                                self.class_freq, self.class_band):
-            yield (";".join(repr(v) for v in key), int(s), float(f), float(b))
 
 
 def reid_trials(state: PipelineState, method: str, T: int,

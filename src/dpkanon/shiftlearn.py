@@ -14,6 +14,12 @@ import numpy as np
 from .dataset import EmpiricalJoint, group_rows, round_sig
 from .errors import ConvergenceError, DegenerateError, DomainError, ShapeError
 
+# logistic_weights' IRLS stops once its log-likelihood moves less than _IRLS_TOL
+_IRLS_MAX_ITER = 100
+_IRLS_TOL = 1e-8
+# the ridge penalty on the non-intercept coefficients of a per-record fit
+_RIDGE = 1e-8
+
 
 def _checked(w: np.ndarray) -> np.ndarray:
     """Per-record weights, once they are known to be finite and nonnegative."""
@@ -47,8 +53,7 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def logistic_weights(source_x, target_x, max_iter: int = 100,
-                     tol: float = 1e-8) -> np.ndarray:
+def logistic_weights(source_x, target_x) -> np.ndarray:
     """Density-ratio weights from a linear logistic discriminator fit by
     iteratively reweighted least squares on the pooled sample.
 
@@ -66,8 +71,7 @@ def logistic_weights(source_x, target_x, max_iter: int = 100,
 
     beta = np.zeros(X.shape[1])
     prev_ll = -np.inf
-    converged = False
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         eta = X @ beta
         if np.max(np.abs(eta)) > 50:
             raise ConvergenceError(
@@ -76,16 +80,15 @@ def logistic_weights(source_x, target_x, max_iter: int = 100,
             )
         mu = np.clip(_sigmoid(eta), 1e-12, 1 - 1e-12)
         ll = float(np.sum(lab * np.log(mu) + (1 - lab) * np.log(1 - mu)))
-        if abs(ll - prev_ll) < tol:
-            converged = True
+        if abs(ll - prev_ll) < _IRLS_TOL:
             break
         prev_ll = ll
         wts = mu * (1 - mu)
         grad = X.T @ (lab - mu)
         hess = X.T @ (wts[:, None] * X) + 1e-10 * np.eye(X.shape[1])
         beta = beta + np.linalg.solve(hess, grad)
-    if not converged:
-        warnings.warn(f"logistic weight fit did not converge in {max_iter} iterations")
+    else:
+        warnings.warn(f"logistic weight fit did not converge in {_IRLS_MAX_ITER} iterations")
 
     eta_s = X[:ns] @ beta
     w = np.exp(eta_s) * (ns / nt)
@@ -167,18 +170,11 @@ class DesignInfo:
     d: int = 0
 
 
-@dataclass
-class RegressionModel:
-    coef: np.ndarray
-    design: DesignInfo
-
-
-def build_design(qi, coding: str, levels=None):
+def build_design(qi, coding: str):
     """Design matrix with intercept.
 
     numeric: one raw-valued column per variable.  dummy: one indicator per
-    level except the lowest of each variable; levels default to those
-    observed in the data.
+    level observed in the data except the lowest of each variable.
     """
     qi = np.atleast_2d(np.asarray(qi, dtype=float))
     d = qi.shape[1]
@@ -188,10 +184,7 @@ def build_design(qi, coding: str, levels=None):
     if coding != "dummy":
         raise DomainError(f"unknown coding {coding!r}")
     rounded = round_sig(qi)
-    if levels is None:
-        levels = tuple(tuple(np.unique(rounded[:, j])) for j in range(d))
-    else:
-        levels = tuple(tuple(lv) for lv in levels)
+    levels = tuple(tuple(np.unique(rounded[:, j])) for j in range(d))
     columns = tuple((j, lv) for j in range(d) for lv in levels[j][1:])
     info = DesignInfo("dummy", levels=levels, columns=columns, d=d)
     return apply_design(info, qi), info
@@ -223,11 +216,11 @@ def apply_design(info: DesignInfo, qi) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def weighted_least_squares(design, y, weights, ridge: float = 1e-8,
-                           info: DesignInfo | None = None) -> RegressionModel:
-    """Ridge-stabilized weighted least squares: np.linalg.lstsq (LAPACK
-    gelsd, an SVD-based solver) on the sqrt-weight scaled system with the
-    ridge rows appended.  The intercept is not penalized.
+def weighted_least_squares(design, y, weights, ridge: float = _RIDGE) -> np.ndarray:
+    """Coefficients of a ridge-stabilized weighted least squares fit:
+    np.linalg.lstsq (LAPACK gelsd, an SVD-based solver) on the sqrt-weight
+    scaled system with the ridge rows appended.  The intercept is not
+    penalized.
 
     Weights are normalized to mean one internally so the fit is invariant to
     their overall scale.
@@ -251,26 +244,23 @@ def weighted_least_squares(design, y, weights, ridge: float = 1e-8,
         pen = np.sqrt(ridge) * np.eye(X.shape[1])[1:]  # skip intercept
         Xw = np.vstack([Xw, pen])
         yw = np.concatenate([yw, np.zeros(X.shape[1] - 1)])
-    coef, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
-    if info is None:
-        info = DesignInfo("numeric", columns=tuple(), d=X.shape[1] - 1)
-    return RegressionModel(coef, info)
+    return np.linalg.lstsq(Xw, yw, rcond=None)[0]
 
 
-def distinct_row_least_squares(rows, inverse, y, weights, ridge: float = 1e-8,
-                               info: DesignInfo | None = None) -> RegressionModel:
+def distinct_row_least_squares(rows, inverse, y, weights) -> np.ndarray:
     """weighted_least_squares over n records whose design rows repeat,
     solved on the G distinct rows.
 
     `rows` holds the (G, p) distinct design rows and `inverse` the row of
     each record. Row g carries the summed weight W_g of its records and
     their weight-averaged response ybar_g. With S = sum(w), the per-record
-    objective is sum_i w_i (y_i - x_i b)^2 n / S + ridge |b[1:]|^2. Times
+    objective is sum_i w_i (y_i - x_i b)^2 n / S + _RIDGE |b[1:]|^2. Times
     G/n, less a term free of b, it is sum_g W_g (ybar_g - x_g b)^2 G / S +
-    ridge (G/n) |b[1:]|^2, which weighted_least_squares minimizes on the
-    distinct rows with ridge * G / n. Both fits have one minimizer; this one
-    solves a (G, p) system instead of an (n, p) one. A row whose weights are
-    all zero gets response 0, and its zero weight leaves it out of the fit.
+    _RIDGE (G/n) |b[1:]|^2, which weighted_least_squares minimizes on the
+    distinct rows with ridge _RIDGE * G / n. Both fits have one minimizer;
+    this one solves a (G, p) system instead of an (n, p) one. A row whose
+    weights are all zero gets response 0, and its zero weight leaves it out
+    of the fit.
     """
     inverse = np.asarray(inverse)
     w = np.asarray(weights, dtype=float)
@@ -283,11 +273,7 @@ def distinct_row_least_squares(rows, inverse, y, weights, ridge: float = 1e-8,
     W = np.bincount(inverse, weights=w, minlength=g)
     wy = np.bincount(inverse, weights=w * y, minlength=g)
     ybar = np.divide(wy, W, out=np.zeros(g), where=W > 0)
-    return weighted_least_squares(rows, ybar, W, ridge=ridge * g / len(w), info=info)
-
-
-def predict(model: RegressionModel, qi) -> np.ndarray:
-    return apply_design(model.design, qi) @ model.coef
+    return weighted_least_squares(rows, ybar, W, ridge=_RIDGE * g / len(w))
 
 
 def relative_bias(predicted, actual) -> float:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Column, DataTable
+from .dataset import Column, DataTable, check_seed
 from .errors import DomainError
 
 
@@ -21,7 +21,7 @@ def _tilted_pmf(levels: int, tilt: float) -> np.ndarray:
 
 
 def synthetic_table(n: int, levels, dep: float = 0.0, tilt: float = 0.0,
-                    beta=None, noise: float = 1.0, seed: int = 0) -> DataTable:
+                    noise: float = 1.0, seed: int = 0) -> DataTable:
     """Draw n records with ordinal quasi-identifiers and a cost-like response.
 
     levels: per-dimension level counts (values are 0..L-1).
@@ -34,9 +34,9 @@ def synthetic_table(n: int, levels, dep: float = 0.0, tilt: float = 0.0,
         raise DomainError("need n >= 1 and at least one dimension with >= 1 level")
     if not 0.0 <= dep <= 1.0:
         raise DomainError("dependence knob must lie in [0, 1]")
+    check_seed(seed)
     d = len(levels)
     rng = np.random.default_rng(seed)
-    beta = np.ones(d) if beta is None else np.asarray(beta, dtype=float)
 
     pmfs = [_tilted_pmf(L, tilt if j == 0 else 0.0) for j, L in enumerate(levels)]
     cdfs = [np.cumsum(p) for p in pmfs]
@@ -50,7 +50,7 @@ def synthetic_table(n: int, levels, dep: float = 0.0, tilt: float = 0.0,
         qi[:, j] = np.searchsorted(cdfs[j], u, side="right")
 
     eps = rng.standard_normal(n)
-    y = qi @ beta + noise * (1.0 + 0.5 * qi[:, 0]) * eps + 10.0
+    y = qi @ np.ones(d) + noise * (1.0 + 0.5 * qi[:, 0]) * eps + 10.0
 
     columns = tuple(Column(f"x{j}") for j in range(d))
     return DataTable(qi, y, columns, tuple(range(n)))

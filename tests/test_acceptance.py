@@ -29,10 +29,10 @@ from dpkanon.pipeline import prepare, transform
 from dpkanon.reid import reid_trials
 from dpkanon.rosenblatt import forward_gaussian, inverse_empirical_indices
 from dpkanon.shiftlearn import (
+    apply_design,
     build_design,
     histogram_intersection,
     nonparametric_weights,
-    predict,
     r_squared,
     weighted_least_squares,
 )
@@ -259,9 +259,8 @@ def test_08_similarity_and_utility_across_k():
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     X, info = build_design(anon.qi_hat, "dummy")
-                    model = weighted_least_squares(X, anon.response,
-                                                   np.ones(n), info=info)
-                    r2[method] = r_squared(predict(model, test.qi),
+                    coef = weighted_least_squares(X, anon.response, np.ones(n))
+                    r2[method] = r_squared(apply_design(info, test.qi) @ coef,
                                            test.response)
     cen = sims["centroid"]
     strictly_dec = all(a > b for a, b in zip(cen, cen[1:]))

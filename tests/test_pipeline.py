@@ -302,6 +302,21 @@ class TestAnonymize:
         b = transform(prepare(table, k=4, seed=9), "cell_dither")
         assert np.array_equal(a.qi_hat, b.qi_hat)
 
+    # numpy's generators take no negative or fractional seed; the library
+    # names the seed instead of failing inside numpy
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, table, seed):
+        message = f"seed must be a nonnegative integer, got {seed}"
+        with pytest.raises(DomainError, match=message):
+            anonymize(table, k=4, method="resample", seed=seed)
+        with pytest.raises(DomainError, match=message):
+            prepare(table, k=4, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_synthetic_table_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError, match=f"seed must be a nonnegative integer, got {seed}"):
+            synthetic_table(20, [3, 3], seed=seed)
+
 
 class TestOutputFiles:
     def test_csv_round_trip(self, tmp_path, table, state):
