@@ -10,6 +10,7 @@ the `experiment` subcommand runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -60,6 +61,17 @@ def _choice_list(flag: str, text: str, choices) -> list:
             raise _UsageError(
                 f"{flag}: unknown value {item!r}; expected one of {', '.join(choices)}")
     return items
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same resolved path, or, when
+    both exist, the same file by another name (a hard link)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +125,13 @@ def run_anonymize(args) -> int:
         raise _UsageError("k must be at least 2")
     if args.seed < 0:  # numpy's generators take no negative seed
         raise _UsageError(f"--seed: must be at least 0, got {args.seed}")
+    sidecar = args.sidecar or (args.output + ".json")
+    paths = {"--input": args.input, "--output": args.output, "--sidecar": sidecar}
+    for flag, other in (("--output", "--input"), ("--sidecar", "--input"),
+                        ("--sidecar", "--output")):
+        if _same_file(paths[flag], paths[other]):
+            raise _UsageError(f"{flag} {paths[flag]!r} names the {other} file, "
+                              "which the release would overwrite")
     schema = TableSchema(
         qi=tuple(_csv_list(args.qi_cols)),
         response=args.response_col,
@@ -122,7 +141,6 @@ def run_anonymize(args) -> int:
     anon = anonymize(table, args.k, _METHOD_FLAGS[args.method],
                      w=args.w, alpha=args.alpha, seed=args.seed)
     write_anonymized_csv(anon, args.output, response_name=args.response_col)
-    sidecar = args.sidecar or (args.output + ".json")
     write_sidecar(anon, sidecar)
     return 0
 

@@ -142,12 +142,12 @@ def transform(state: PipelineState, method: str, alpha: float = 1.0 / 3.0,
         qi_hat = state.table.qi[src].copy()
     else:  # gaussian: dither, forward Rosenblatt transform, inverse empirical CDF
         # on first use, so the other methods never load the forward map
-        from .rosenblatt import forward_gaussian, inverse_empirical_indices
+        from .rosenblatt import gaussian_release_indices
 
         rng = substream(seed, _CH_DITHER, trial)
         xt = sample_gaussian_batch(state.model, alpha, np.arange(state.table.n), rng)
-        u = forward_gaussian(xt, state.model, alpha)
-        qi_hat = _indices_to_original(state, inverse_empirical_indices(u, state.joint))
+        qi_hat = _indices_to_original(
+            state, gaussian_release_indices(xt, state.model, alpha, state.joint))
 
     return AnonymizedTable(
         qi_hat=qi_hat,

@@ -30,9 +30,11 @@ def _first(mask) -> tuple:
 
 
 def _samples(xt, d: int) -> np.ndarray:
+    """xt as a float array of N rows and the leading 1 to d of d columns."""
     x = np.asarray(xt, dtype=float)
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ShapeError(f"expected an (N, {d}) array, got shape {x.shape}")
+    if x.ndim != 2 or not 1 <= x.shape[1] <= d:
+        raise ShapeError(f"expected an (N, {d}) array or its leading columns, "
+                         f"got shape {x.shape}")
     return x
 
 
@@ -63,12 +65,16 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     record's u depends neither on the block it falls in nor on the thread
     count nor on the BLAS build.
 
-    Maps an (N, d) array of dither samples to an (N, d) array of uniforms.
+    Maps an (N, J) array of the leading J <= d columns of dither samples to
+    the (N, J) array of their uniforms, with the centroids' and the Cholesky
+    factors' leading J columns. The factors are computed column by column,
+    so their leading J x J block is the factor of the covariances' leading
+    block, and the J columns are the full map's first J bit for bit.
     """
     from scipy.special import ndtr
 
-    d = model.centroids.shape[1]
-    X = _samples(xt, d)
+    X = _samples(xt, model.centroids.shape[1])
+    d = X.shape[1]  # the leading columns mapped
     bad = ~np.isfinite(X)
     if bad.any():
         r, j = _first(bad)
@@ -87,10 +93,13 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     def block(b: int, work: np.ndarray) -> None:
         xb = X[b:b + rows]
         # (block, c) slices of the thread's work array: the standardized
-        # residuals of each dimension, a temporary product, the CDF terms and
-        # the log posteriors
+        # residuals of each dimension, a temporary product and the log
+        # posteriors. The CDF terms of dimension j go in the last residual
+        # plane: no earlier dimension reads it, and the last dimension's
+        # residuals are read only by its own CDF.
         z = work[:d, :len(xb)]
-        tmp, phi, logpost = work[d:, :len(xb)]
+        tmp, logpost = work[d:, :len(xb)]
+        phi = z[d - 1]
         logpost[:] = log_prior
         for j in range(d):
             zj = z[j]
@@ -120,7 +129,7 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     # The calling thread allocates every thread's work array, so the
     # helpers' temporaries do not stay resident in per-thread malloc arenas
     # after they exit. A pool with nothing submitted starts no thread.
-    works = [np.empty((d + 3, rows, len(prior))) for _ in range(share)]
+    works = [np.empty((d + 2, rows, len(prior))) for _ in range(share)]
     with ThreadPoolExecutor(max_workers=max(1, share - 1)) as pool:
         helpers = [pool.submit(run, starts[i::share], works[i]) for i in range(1, share)]
         run(starts[0::share], works[0])
@@ -132,14 +141,20 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
 
 
 def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
-    """Sequential inverse conditional CDFs for an (N, d) array of uniforms;
-    returns the (N, d) value indices into joint.values.
+    """Sequential inverse conditional CDFs for an (N, J) array of the
+    leading J <= d uniform coordinates; returns the (N, d) value indices
+    into joint.values.
 
     Step j looks up the conditional CDF table of the row's length-j prefix
     in joint.flat_trie and takes the first entry whose cumulative fraction
     reaches u_j - _U_TOL, or the last entry if none does; that entry's
     index is the row's value index in dimension j. Exact zeros in u count
     as the smallest positive float.
+
+    A prefix whose table has one entry leads to it whatever u_j is, so steps
+    j >= J follow such prefixes without u. A row whose step j >= J meets a
+    table of more entries needs u_j: its indices in dimension j and after
+    are -1.
     """
     u = _samples(u, joint.d)
     bad = ~((u >= 0) & (u <= 1))
@@ -150,11 +165,60 @@ def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
             "must lie in [0, 1]"
         )
     u = np.maximum(u, np.finfo(float).tiny)  # clamp exact zeros
-    out = np.empty(u.shape, dtype=np.intp)
+    out = np.empty((len(u), joint.d), dtype=np.intp)
     node = np.zeros(len(u), dtype=np.intp)
+    unread = np.zeros(len(u), dtype=bool)  # rows that need a u_j not given
     for j, (idx, cumfrac, starts, lengths) in enumerate(joint.flat_trie):
         s, n_next = starts[node], lengths[node]
-        pos = searchsorted_segments(cumfrac, s, n_next, u[:, j] - _U_TOL)
-        node = s + np.minimum(pos, n_next - 1)
-        out[:, j] = idx[node]
+        if j < u.shape[1]:
+            pos = searchsorted_segments(cumfrac, s, n_next, u[:, j] - _U_TOL)
+            node = s + np.minimum(pos, n_next - 1)
+            out[:, j] = idx[node]
+        else:
+            unread |= n_next > 1
+            node = s
+            out[:, j] = np.where(unread, -1, idx[node])
     return out
+
+
+def _mapped_width(joint: EmpiricalJoint) -> int:
+    """The leading width J in 1..d that minimizes J + d * share_J, the
+    forward map's columns per record when every record maps J and the rows
+    the walk flags map all d again. share_J is the share of records whose
+    key passes a prefix with more than one entry at a level >= J: the chance
+    that a walk drawn from the joint needs a u_j beyond the first J. Ties go
+    to the wider J."""
+    d = joint.d
+    # the keys are distinct and sorted, so key g is entry g of the last level
+    node = np.arange(len(joint.keys))
+    deep = np.zeros(len(node), dtype=bool)
+    best, best_cost = d, float(d)
+    for j in range(d - 1, 0, -1):
+        lengths = joint.flat_trie[j][3]
+        node = np.repeat(np.arange(len(lengths)), lengths)[node]  # its length-j prefix
+        deep |= lengths[node] > 1
+        cost = j + d * joint.counts[deep].sum() / joint.total
+        if cost < best_cost:
+            best, best_cost = j, cost
+    return best
+
+
+def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
+                             joint: EmpiricalJoint) -> np.ndarray:
+    """inverse_empirical_indices(forward_gaussian(xt, model, alpha), joint)
+    for an (N, d) array of dither samples, mapping only the columns the walk
+    reads.
+
+    Every row is mapped on its leading _mapped_width(joint) columns and
+    walked; the rows that walk flags are mapped on all d columns and walked
+    again. A row's u depends on no other row and its leading columns equal
+    the full map's, so the indices are the full path's bit for bit. On
+    continuous data the prefixes part after a column or two, and the map's
+    last columns are skipped for nearly every row.
+    """
+    idx = inverse_empirical_indices(
+        forward_gaussian(xt[:, :_mapped_width(joint)], model, alpha), joint)
+    redo = np.flatnonzero(idx[:, -1] < 0)
+    if len(redo):
+        idx[redo] = inverse_empirical_indices(forward_gaussian(xt[redo], model, alpha), joint)
+    return idx

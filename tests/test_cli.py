@@ -82,6 +82,44 @@ class TestAnonymizeCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: --seed: must be at least 0, got -1\n"
 
+    @pytest.mark.parametrize("output, sidecar, flag, other", [
+        ("{input}", None, "--output", "--input"),  # the release over the microdata
+        ("{dir}/./sub/../input.csv", None, "--output", "--input"),
+        ("{link}", None, "--output", "--input"),  # a symbolic link to the input
+        ("{hard}", None, "--output", "--input"),  # a hard link to the input
+        ("{dir}/o.csv", "{dir}/o.csv", "--sidecar", "--output"),  # JSON over the CSV
+        ("{dir}/o.csv", "{input}", "--sidecar", "--input"),
+    ], ids=["same-path", "dot-dot", "symlink", "hard-link", "sidecar-is-output",
+            "sidecar-is-input"])
+    def test_overwriting_a_named_file_usage_error(self, tmp_path, input_csv, capsys,
+                                                  output, sidecar, flag, other):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(input_csv)
+        os.link(input_csv, tmp_path / "hard.csv")
+        names = {"input": input_csv, "dir": tmp_path, "link": tmp_path / "link.csv",
+                 "hard": tmp_path / "hard.csv"}
+        before = input_csv.read_bytes()
+        argv = ["anonymize", "--input", str(input_csv), "--output", output.format(**names),
+                "--qi-cols", "x0,x1", "--response-col", "cost",
+                "--k", "4", "--method", "resample"]
+        if sidecar:
+            argv += ["--sidecar", sidecar.format(**names)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag} ")
+        assert f"names the {other} file" in err[0]
+        assert input_csv.read_bytes() == before
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_output_beside_input_allowed(self, tmp_path, input_csv):
+        # a sidecar next to an existing file of another name is no clash
+        out = tmp_path / "input.csv.out"
+        (tmp_path / "meta.json").write_text("{}")
+        rc = main(["anonymize", "--input", str(input_csv), "--output", str(out),
+                   "--sidecar", str(tmp_path / "meta.json"), "--qi-cols", "x0,x1",
+                   "--response-col", "cost", "--k", "4", "--method", "resample"])
+        assert rc == 0 and json.loads((tmp_path / "meta.json").read_text())["k"] == 4
+
     def test_unknown_method_usage_error(self, tmp_path, input_csv):
         with pytest.raises(SystemExit) as exc:
             main([
