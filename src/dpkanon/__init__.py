@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _SUBMODULE = {
-    "Column": "dataset",
     "DataTable": "dataset",
     "EmpiricalJoint": "dataset",
     "Standardizer": "dataset",
@@ -34,14 +33,12 @@ _SUBMODULE = {
     "reid_trials": "reid",
     "forward_gaussian": "rosenblatt",
     "inverse_empirical_indices": "rosenblatt",
-    "TransferSpec": "shiftlearn",
     "build_design": "shiftlearn",
     "histogram_intersection": "shiftlearn",
     "logistic_weights": "shiftlearn",
     "nonparametric_weights": "shiftlearn",
     "r_squared": "shiftlearn",
     "relative_bias": "shiftlearn",
-    "transfer_weights": "shiftlearn",
     "weighted_least_squares": "shiftlearn",
     "synthetic_table": "synth",
 }

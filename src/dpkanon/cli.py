@@ -16,15 +16,9 @@ import sys
 from . import __version__
 from .dataset import TableSchema, load_table
 from .errors import DpkError
-from .pipeline import anonymize, write_anonymized_csv, write_sidecar
+from .pipeline import METHODS, anonymize, write_anonymized_csv, write_sidecar
 
-_METHOD_FLAGS = {
-    "centroid": "centroid",
-    "resample": "resample",
-    "permute": "permute",
-    "cell-dither": "cell_dither",
-    "gaussian": "gaussian",
-}
+_METHOD_FLAGS = {m.replace("_", "-"): m for m in METHODS}
 
 _SHIFTS = ("none", "nonparametric", "logistic")
 

@@ -47,11 +47,6 @@ def check_seed(seed) -> None:
 
 
 @dataclass(frozen=True)
-class Column:
-    name: str
-
-
-@dataclass(frozen=True)
 class TableSchema:
     """Column-role declaration for load_table. Each column takes at most
     one role, so no quasi-identifier can leave the release as the response
@@ -83,7 +78,7 @@ class DataTable:
 
     qi: np.ndarray          # (n, d) float
     response: np.ndarray    # (n,) float
-    columns: tuple          # d Column entries
+    columns: tuple          # d column names
     record_ids: tuple       # n unique identifiers
 
     def __post_init__(self):
@@ -256,8 +251,7 @@ def _read_table(path, schema: TableSchema, errors: str) -> DataTable:
             f"{path}: row {rownums[r]}, column {numeric[j]!r}: "
             f"value {float(values[r, j])!r} is not finite")
 
-    columns = tuple(Column(name) for name in schema.qi)
-    return DataTable(np.column_stack(cols[:-1]), cols[-1], columns, tuple(ids))
+    return DataTable(np.column_stack(cols[:-1]), cols[-1], schema.qi, tuple(ids))
 
 
 def _undecoded(cells: list) -> str | None:
@@ -339,7 +333,7 @@ def standardize(table: DataTable) -> tuple[DataTable, Standardizer]:
         qi_std, y_std = std.apply_qi(qi), std.apply_response(y)
     if not (np.isfinite(scales).all() and np.isfinite(qi_std).all()):
         bad = ~(np.isfinite(scales) & np.isfinite(qi_std).all(axis=0))
-        name = table.columns[int(np.argmax(bad))].name
+        name = table.columns[int(np.argmax(bad))]
         raise DomainError(f"column {name!r}: values too far apart to standardize")
     if not (math.isfinite(y_scale) and np.isfinite(y_std).all()):
         raise DomainError("response: values too far apart to standardize")

@@ -179,7 +179,7 @@ def write_anonymized_csv(anon: AnonymizedTable, path, response_name: str = "resp
     ids = anon.record_ids
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["record_id"] + [c.name for c in anon.columns] + [response_name])
+        writer.writerow(["record_id"] + list(anon.columns) + [response_name])
         if all(type(rid) is int for rid in ids):
             lines = list(map(",".join, zip(map(str, ids), *cols)))
             lines.append("")  # so the last row ends in "\r\n" too

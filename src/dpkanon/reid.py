@@ -120,7 +120,6 @@ class ReidReport:
     average: float             # record-weighted mean frequency
     trials: int
     k: int
-    method: str
 
     @cached_property
     def _classes(self):
@@ -188,5 +187,4 @@ def reid_trials(state: PipelineState, method: str, T: int,
         average=float(freq.mean()),
         trials=T,
         k=state.k,
-        method=method,
     )

@@ -1,7 +1,7 @@
-"""Covariate-shift and transfer weights, each an array of one finite,
-nonnegative weight per source record; weighted linear regression under
-dummy or numeric coding; and the utility metrics (relative bias, R²,
-histogram intersection).
+"""Covariate-shift weights, each an array of one finite, nonnegative
+weight per source record; weighted linear regression under dummy or
+numeric coding; and the utility metrics (relative bias, R², histogram
+intersection).
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EmpiricalJoint, group_rows, round_sig
+from .dataset import EmpiricalJoint, round_sig
 from .errors import ConvergenceError, DegenerateError, DomainError, ShapeError
 
 # logistic_weights' IRLS stops once its log-likelihood moves less than _IRLS_TOL
@@ -93,71 +93,6 @@ def logistic_weights(source_x, target_x) -> np.ndarray:
     eta_s = X[:ns] @ beta
     w = np.exp(eta_s) * (ns / nt)
     return _checked(w / w.mean())
-
-
-@dataclass
-class TransferSpec:
-    """Multi-task setup: per-record task labels, pooled training rows, and
-    per-task target covariate samples."""
-
-    tasks: np.ndarray               # (n,) task labels
-    x: np.ndarray                   # (n, d) training covariates
-    y: np.ndarray                   # (n,) training responses
-    targets: dict                   # task -> target covariate rows
-    priors: dict | None = None      # task -> prior; default empirical n_t/n
-
-    def __post_init__(self):
-        self.tasks = np.asarray(self.tasks)
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        self.y = np.asarray(self.y, dtype=float)
-        if self.priors is None:
-            n = len(self.tasks)
-            self.priors = {t: np.sum(self.tasks == t) / n
-                           for t in np.unique(self.tasks)}
-        total = sum(self.priors.values())
-        if not np.isclose(total, 1.0) or any(p <= 0 for p in self.priors.values()):
-            raise DomainError("task priors must be positive and sum to 1")
-        for t in np.unique(self.tasks).tolist():
-            if t not in self.priors:
-                raise DomainError(f"task {t!r} has records but no prior")
-
-
-def _shares(groups: np.ndarray, size: int) -> np.ndarray:
-    """Each of `size` groups' share of the entries of `groups` (0 if none)."""
-    return np.bincount(groups, minlength=size) / max(len(groups), 1)
-
-
-def transfer_weights(spec: TransferSpec, t) -> np.ndarray:
-    """Plug-in transfer weights over the pooled training records:
-    [p(x,y|t) / sum_t' p_t' p(x,y|t')] * [q(x|t)/p(x|t)].
-
-    Each PMF is a table of group shares (np.bincount) over rows grouped
-    after round_sig; the training and target x rows share one grouping. A
-    record whose x no task-t record has gets weight 0."""
-    task_list = list(spec.priors)
-    if t not in task_list:
-        raise DomainError(f"task {t!r} not present in the spec")
-    if t not in spec.targets:
-        raise DomainError(f"task {t!r} has no target covariates in the spec")
-    n = len(spec.tasks)
-    target = np.atleast_2d(np.asarray(spec.targets[t], dtype=float))
-    if target.shape[1] != spec.x.shape[1]:
-        raise ShapeError("target and training covariate dimensions differ")
-    xy_keys, xy = group_rows(round_sig(np.column_stack([spec.x, spec.y])))
-    x_keys, x = group_rows(round_sig(np.vstack([spec.x, target])))
-    x, q = x[:n], _shares(x[n:], len(x_keys))
-
-    mix = np.zeros(n)
-    for tt in task_list:
-        mask = spec.tasks == tt
-        p_xy = _shares(xy[mask], len(xy_keys))[xy]
-        mix = mix + spec.priors[tt] * p_xy
-        if tt == t:
-            p_t_xy, p_t_x = p_xy, _shares(x[mask], len(x_keys))[x]
-    w = np.zeros(n)
-    seen = p_t_x > 0
-    w[seen] = (p_t_xy[seen] / mix[seen]) * (q[x[seen]] / p_t_x[seen])
-    return _checked(w)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Column, DataTable, check_seed
+from .dataset import DataTable, check_seed
 from .errors import DomainError
 
 
@@ -50,7 +50,7 @@ def synthetic_table(n: int, levels, dep: float = 0.0, tilt: float = 0.0,
         qi[:, j] = np.searchsorted(cdfs[j], u, side="right")
 
     eps = rng.standard_normal(n)
-    y = qi @ np.ones(d) + noise * (1.0 + 0.5 * qi[:, 0]) * eps + 10.0
+    y = qi.sum(axis=1) + noise * (1.0 + 0.5 * qi[:, 0]) * eps + 10.0
 
-    columns = tuple(Column(f"x{j}") for j in range(d))
+    columns = tuple(f"x{j}" for j in range(d))
     return DataTable(qi, y, columns, tuple(range(n)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dpkanon.dataset import Column, DataTable, round_sig
+from dpkanon.dataset import DataTable, round_sig
 
 
 def make_table(qi, y=None):
@@ -13,7 +13,7 @@ def make_table(qi, y=None):
         qi = qi.T
     if y is None:
         y = np.zeros(qi.shape[0])
-    cols = tuple(Column(f"x{j}") for j in range(qi.shape[1]))
+    cols = tuple(f"x{j}" for j in range(qi.shape[1]))
     return DataTable(qi, np.asarray(y, dtype=float), cols, tuple(range(qi.shape[0])))
 
 

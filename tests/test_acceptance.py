@@ -13,7 +13,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from dpkanon.cli import main
 from dpkanon.dataset import (
-    Column,
     DataTable,
     build_empirical_joint,
     standardize,
@@ -53,7 +52,7 @@ def _report(num: int, desc: str, ok: bool, detail: str = ""):
 def _small_table(rng, n, d):
     qi = rng.normal(size=(n, d))
     y = rng.normal(size=n)
-    cols = tuple(Column(f"x{j}") for j in range(d))
+    cols = tuple(f"x{j}" for j in range(d))
     return DataTable(qi, y, cols, tuple(range(n)))
 
 

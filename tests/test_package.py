@@ -54,7 +54,7 @@ def test_every_src_name_has_a_caller():
 
 # exports that no code in the package names: library entry points that no
 # command reaches
-LIBRARY_ONLY = {"transfer_weights", "total_distortion", "validate_k_anonymous"}
+LIBRARY_ONLY = {"total_distortion", "validate_k_anonymous"}
 
 
 def test_every_export_has_a_caller_or_is_library_only():
@@ -125,9 +125,10 @@ def test_forward_map_calls_no_blas_product():
     # place in its block, so the Gaussian forward map, and the clustering
     # whose covariances give its Cholesky factors, and the factorization
     # itself sum with einsum (without optimize, which may hand a product to
-    # BLAS) and reductions.
+    # BLAS) and reductions. So does the synthetic generator, whose response
+    # every experiment regresses on.
     found = []
-    for name in ("rosenblatt.py", "kmember.py", "dither.py"):
+    for name in ("rosenblatt.py", "kmember.py", "dither.py", "synth.py"):
         tree = _src_modules()[name]
         found += [f"{name}: {op}" for op in sorted(
             {"dot", "matmul", "inner", "vdot", "tensordot"} & set(_names(tree)))]
@@ -138,6 +139,36 @@ def test_forward_map_calls_no_blas_product():
                   if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
                   and any(kw.arg == "optimize" for kw in node.keywords)]
     assert found == []
+
+
+_PROPERTY_THEN_PLAIN_TEST = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_property_fails(x):
+    assert x != x
+
+
+def test_plain_passes():
+    pass
+"""
+
+
+def test_failing_property_does_not_hide_later_tests(tmp_path):
+    # under this checkout's pytest configuration, which turns warnings into
+    # errors, a failing hypothesis test is reported as a failure and the
+    # session goes on to run the tests after it
+    (tmp_path / "test_two.py").write_text(_PROPERTY_THEN_PLAIN_TEST, encoding="utf-8")
+    config = pathlib.Path(dpkanon.__file__).parents[2] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), str(tmp_path / "test_two.py")],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1
 
 
 def _run_fresh(code: str, *argv) -> str:

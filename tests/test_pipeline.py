@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkanon.dataset import Column, TableSchema, build_empirical_joint, load_table, round_sig
+from dpkanon.dataset import TableSchema, build_empirical_joint, load_table, round_sig
 from dpkanon.errors import DomainError
 from dpkanon.pipeline import (
     METHODS,
@@ -324,7 +324,7 @@ class TestOutputFiles:
         p = tmp_path / "anon.csv"
         write_anonymized_csv(anon, p, response_name="y")
         schema = TableSchema(
-            qi=tuple(c.name for c in anon.columns), response="y", id_col="record_id"
+            qi=anon.columns, response="y", id_col="record_id"
         )
         back = load_table(p, schema)
         assert np.array_equal(back.qi, anon.qi_hat)
@@ -358,7 +358,7 @@ class TestOutputFiles:
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["record_id"] + [c.name for c in anon.columns] + ["y"])
+            writer.writerow(["record_id"] + list(anon.columns) + ["y"])
             for rid, row, v in zip(anon.record_ids, anon.qi_hat.tolist(), anon.response.tolist()):
                 writer.writerow([rid, *row, v])
         assert p.read_bytes() == ref.read_bytes()
@@ -386,7 +386,7 @@ class TestOutputFiles:
         n = len(ids)
         qi = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
         qi[rng.random((n, 2)) < 0.2] = -0.0
-        anon = AnonymizedTable(qi, rng.normal(size=n), (Column("a b"), Column('q"')),
+        anon = AnonymizedTable(qi, rng.normal(size=n), ("a b", 'q"'),
                                tuple(ids), "centroid", 2, 0, 1.0, 1.0)
         with tempfile.TemporaryDirectory() as tmp:
             p, ref = os.path.join(tmp, "anon.csv"), os.path.join(tmp, "ref.csv")

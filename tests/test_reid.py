@@ -216,7 +216,7 @@ def reid_table():
 def assert_same_report(a, b):
     """Bit equality of two reports: their frequencies, average and per-class
     statistics."""
-    assert (a.k, a.method, a.trials, a.average) == (b.k, b.method, b.trials, b.average)
+    assert (a.k, a.trials, a.average) == (b.k, b.trials, b.average)
     assert np.array_equal(a.frequency, b.frequency)
     assert a.class_keys == b.class_keys
     for name in ("class_sizes", "class_freq", "class_band"):
@@ -230,7 +230,7 @@ class TestReidTrials:
 
     def test_report_structure(self, table):
         rep = reid_trials(prepare(table, 5, seed=1), "resample", T=20)
-        assert rep.trials == 20 and rep.k == 5 and rep.method == "resample"
+        assert rep.trials == 20 and rep.k == 5
         assert rep.class_sizes.sum() == table.n
         assert 0.0 <= rep.average <= 1.0
         assert np.all(rep.class_freq >= 0) and np.all(rep.class_freq <= 1)
@@ -318,7 +318,7 @@ class TestReidTrials:
         # 1e-300 and 2e-300 once rounded to NaN keys, one class per record
         qi = np.array([[1e-300], [2e-300]] * 6)
         rep = ReidReport(qi=qi, frequency=np.full(12, 0.5), average=0.5,
-                         trials=2, k=3, method="centroid")
+                         trials=2, k=3)
         assert rep.class_keys == ((1e-300,), (2e-300,))
         assert rep.class_sizes.tolist() == [6, 6]
 

@@ -1,6 +1,5 @@
 import itertools
 import warnings
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpkanon.dataset import build_empirical_joint, round_sig
+from dpkanon.dataset import build_empirical_joint
 from dpkanon.errors import (
     ConvergenceError,
     DegenerateError,
@@ -16,7 +15,6 @@ from dpkanon.errors import (
     ShapeError,
 )
 from dpkanon.shiftlearn import (
-    TransferSpec,
     apply_design,
     build_design,
     distinct_row_least_squares,
@@ -25,7 +23,6 @@ from dpkanon.shiftlearn import (
     nonparametric_weights,
     r_squared,
     relative_bias,
-    transfer_weights,
     weighted_least_squares,
 )
 from dpkanon.synth import synthetic_table
@@ -99,128 +96,6 @@ class TestLogisticWeights:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             logistic_weights(np.zeros((5, 2)), np.zeros((5, 3)))
-
-
-def reference_transfer_weights(spec: TransferSpec, t) -> np.ndarray:
-    """The plug-in transfer weights with every PMF a dict of Counter tallies
-    keyed by rounded value tuples, and one Python loop over the records. The
-    mixture adds task by task from 0.0, as sum() of floats does before
-    Python 3.12."""
-    keys = lambda rows: [tuple(r) for r in round_sig(np.atleast_2d(np.asarray(rows, float)))]
-    task_list = list(spec.priors)
-    xy_keys = keys(np.column_stack([spec.x, spec.y]))
-    x_keys = keys(spec.x)
-    xy_pmf, x_pmf = {}, {}
-    for tt in task_list:
-        mask = spec.tasks == tt
-        n_t = int(mask.sum())
-        xy_pmf[tt] = {k: c / n_t
-                      for k, c in Counter(k for k, m in zip(xy_keys, mask) if m).items()}
-        x_pmf[tt] = {k: c / n_t
-                     for k, c in Counter(k for k, m in zip(x_keys, mask) if m).items()}
-    q_counter = Counter(keys(spec.targets[t]))
-    q_total = sum(q_counter.values())
-    q_pmf = {k: c / q_total for k, c in q_counter.items()}
-
-    w = np.empty(len(spec.tasks))
-    for i, (kxy, kx) in enumerate(zip(xy_keys, x_keys)):
-        mix = 0.0
-        for tt in task_list:
-            mix += spec.priors[tt] * xy_pmf[tt].get(kxy, 0.0)
-        p_t_x = x_pmf[t].get(kx, 0.0)
-        if p_t_x == 0.0:
-            w[i] = 0.0
-        else:
-            w[i] = (xy_pmf[t].get(kxy, 0.0) / mix) * (q_pmf.get(kx, 0.0) / p_t_x)
-    return w
-
-
-@st.composite
-def transfer_specs(draw):
-    # 1-4 distinct values, with signed zeros and pairs equal to 12
-    # significant digits, so rows collide; targets may hold points that no
-    # training row has, and user-given priors may name a task with no rows
-    pool = draw(st.lists(st.sampled_from(
-        [0.0, -0.0, 1.0, 1.0 + 1e-13, 2.5, -3.0, 1e-300, 7e5]), min_size=1, max_size=4))
-    values = st.sampled_from(pool)
-    n = draw(st.integers(1, 25))
-    d = draw(st.integers(1, 3))
-    n_tasks = draw(st.integers(1, 3))
-    tasks = np.array(draw(st.lists(st.integers(0, n_tasks - 1), min_size=n, max_size=n)))
-    x = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
-    y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
-    targets = {}
-    for tt in np.unique(tasks):
-        m = draw(st.integers(0, 10))
-        targets[tt] = np.array(draw(st.lists(values, min_size=m * d, max_size=m * d)),
-                               dtype=float).reshape(m, d)
-    priors = None
-    if draw(st.booleans()):
-        if draw(st.booleans()):
-            targets[n_tasks] = targets[tasks[0]]
-        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(targets),
-                            max_size=len(targets)))
-        priors = {tt: p / sum(raw) for tt, p in zip(targets, raw)}
-    return TransferSpec(tasks, x, y, targets, priors)
-
-
-@settings(max_examples=400, deadline=None)
-@given(spec=transfer_specs(), data=st.data())
-def test_transfer_weights_equal_reference_bitwise(spec, data):
-    t = data.draw(st.sampled_from(list(spec.priors)))
-    got = transfer_weights(spec, t)
-    want = reference_transfer_weights(spec, t)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-class TestTransferWeights:
-    def test_single_task_matching_target_is_flat(self):
-        rng = np.random.default_rng(3)
-        x = rng.integers(0, 3, size=(30, 2)).astype(float)
-        y = rng.integers(0, 2, size=30).astype(float)
-        spec = TransferSpec(np.zeros(30, dtype=int), x, y, targets={0: x})
-        assert np.allclose(transfer_weights(spec, 0), 1.0)
-
-    def test_two_tasks_nonnegative_and_task_selective(self):
-        rng = np.random.default_rng(4)
-        tasks = np.array([0] * 20 + [1] * 20)
-        x = np.concatenate([rng.integers(0, 2, 20), rng.integers(1, 3, 20)])
-        x = x.astype(float)[:, None]
-        y = rng.integers(0, 2, 40).astype(float)
-        spec = TransferSpec(tasks, x, y, targets={0: x[:20], 1: x[20:]})
-        w = transfer_weights(spec, 0)
-        assert np.all(w >= 0)
-        assert np.all(w[np.ravel(x) == 2.0] == 0.0)
-
-    def test_unknown_task(self):
-        spec = TransferSpec(np.zeros(4, dtype=int), np.zeros((4, 1)),
-                            np.zeros(4), targets={0: np.zeros((4, 1))})
-        with pytest.raises(DomainError):
-            transfer_weights(spec, 7)
-
-    def test_task_without_target(self):
-        spec = TransferSpec(np.array([0, 0, 1, 1]), np.zeros((4, 1)),
-                            np.zeros(4), targets={0: np.zeros((4, 1))})
-        with pytest.raises(DomainError, match="task 1 has no target"):
-            transfer_weights(spec, 1)
-
-    def test_target_width_mismatch(self):
-        spec = TransferSpec(np.zeros(4, dtype=int), np.zeros((4, 1)),
-                            np.zeros(4), targets={0: np.zeros((4, 2))})
-        with pytest.raises(ShapeError):
-            transfer_weights(spec, 0)
-
-    def test_bad_priors(self):
-        with pytest.raises(DomainError):
-            TransferSpec(np.zeros(4, dtype=int), np.zeros((4, 1)), np.zeros(4),
-                         targets={0: np.zeros((4, 1))}, priors={0: 0.5})
-
-    def test_priors_missing_a_task(self):
-        # task 1's record would divide by a zero mixture
-        with pytest.raises(DomainError, match="task 1 has records but no prior"):
-            TransferSpec(np.array([0, 0, 1]), np.array([[0.0], [1.0], [0.0]]),
-                         np.array([0.0, 0.0, 5.0]), targets={0: np.zeros((2, 1))},
-                         priors={0: 1.0})
 
 
 class TestDesign:
