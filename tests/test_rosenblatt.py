@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from dpkanon import rosenblatt
-from dpkanon.dataset import build_empirical_joint, standardize
+from dpkanon.dataset import _U_TOL, build_empirical_joint, standardize
 from dpkanon.dither import _loaded_cholesky, sample_gaussian_batch
 from dpkanon.errors import DomainError, ShapeError
 from dpkanon.kmember import greedy_k_member
@@ -320,24 +321,216 @@ def workload_table(kind: str, seed: int = 1):
 
 @pytest.mark.parametrize("kind, width", [("continuous", 2), ("ordinal", 3)])
 def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind, width):
-    # continuous keys part after two columns, so every row maps two and only
-    # the rows the walk flags map all three; ordinal prefixes all branch, so
-    # one three-column map runs
+    # continuous keys part after two columns and the root table has 2450
+    # entries, so every row maps two columns and only the rows the walk
+    # flags map all three; the ordinal root table has 10 entries, so
+    # one-column probes of at most 2 * 9 rows bisect its edges, and then one
+    # three-column map skips the first column's CDF
     maps, flagged = [], []
-    forward, inverse = rosenblatt.forward_gaussian, rosenblatt.inverse_empirical_indices
+    forward, walk = rosenblatt._map, rosenblatt._walk
 
-    def counted_forward(xt, model, alpha):
-        maps.append(np.shape(xt))
-        return forward(xt, model, alpha)
+    def counted_map(X, mix, skip_first=False):
+        maps.append((*X.shape, skip_first))
+        return forward(X, mix, skip_first)
 
-    def counted_inverse(u, joint):
-        out = inverse(u, joint)
+    def counted_walk(u, joint, roots=None):
+        out = walk(u, joint, roots)
         flagged.append(int((out[:, -1] < 0).sum()))
         return out
 
-    monkeypatch.setattr(rosenblatt, "forward_gaussian", counted_forward)
-    monkeypatch.setattr(rosenblatt, "inverse_empirical_indices", counted_inverse)
+    monkeypatch.setattr(rosenblatt, "_map", counted_map)
+    monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     transform(prepare(workload_table(kind), 10, seed=0), "gaussian")
-    assert maps[0] == (4000, width)
-    assert maps[1:] == ([(flagged[0], 3)] if flagged[0] else [])
-    assert flagged[0] < 40
+    if kind == "continuous":
+        assert maps[0] == (4000, width, False)
+        assert maps[1:] == ([(flagged[0], 3, False)] if flagged[0] else [])
+        assert flagged[0] < 40
+    else:
+        *probes, main = maps
+        assert main == (4000, width, True)
+        assert flagged == [0]
+        assert 0 < len(probes) <= (4000).bit_length()
+        assert all(cols == 1 and not skip and rows <= 18 for rows, cols, skip in probes)
+
+
+# sha256 of each method's qi_hat bytes on workload_table(kind), k = 10,
+# seed 0, taken before the root entries were found by bisection; a change
+# that moves any release's bytes must say so and update them
+RELEASE_DIGESTS = {
+    ("continuous", "centroid"): "0770805cb4d89a5c66d48d55d128310246f3b886a4e166e4a367011d0bd4aef6",
+    ("continuous", "resample"): "8742f7da41f0ad00e4efe5b5bb5181e818ebdec60402278bd763003ef770d3f4",
+    ("continuous", "permute"): "3b870dff05802bb96d0e51918c3de5141bdc5bd024ab8452644a195a9f7f7abb",
+    ("continuous", "cell_dither"):
+        "8742f7da41f0ad00e4efe5b5bb5181e818ebdec60402278bd763003ef770d3f4",
+    ("continuous", "gaussian"): "b5c8b99820afdbca3171faf5b31f2c304c389c783fcb31a42d83472e04cf2347",
+    ("ordinal", "centroid"): "dcead95ec426d20c5303f67a0ca503323a364af931cb1c4467ec88f7772e0b52",
+    ("ordinal", "resample"): "e7dab2b3ff583e2ea5851e0ccb16115f56162c39edbdb17bb4000b7573dd00a4",
+    ("ordinal", "permute"): "05fd5ddb06456d6835c786931e72d4182712a68869fb15dfe76fb98b48494f54",
+    ("ordinal", "cell_dither"): "e7dab2b3ff583e2ea5851e0ccb16115f56162c39edbdb17bb4000b7573dd00a4",
+    ("ordinal", "gaussian"): "a8f789143575c73bb3bd97f88964d7f18fea0d5f49bd1b54174375b5884940d6",
+}
+
+
+@pytest.fixture(scope="module")
+def workload_states():
+    return {kind: prepare(workload_table(kind), 10, seed=0) for kind in ("continuous", "ordinal")}
+
+
+@pytest.mark.parametrize("kind, method", sorted(RELEASE_DIGESTS))
+def test_release_digest_unchanged(workload_states, kind, method):
+    qi_hat = transform(workload_states[kind], method).qi_hat
+    assert qi_hat.dtype == np.float64 and qi_hat.shape == (4000, 3)
+    assert hashlib.sha256(qi_hat.tobytes()).hexdigest() == RELEASE_DIGESTS[kind, method]
+
+
+def root_delta(model):
+    """The bound _root_entries allows between a computed u_0 and a monotone
+    function of x_0."""
+    return 4 * (len(model.sizes) + 2) * np.finfo(float).eps
+
+
+def first_u(x0, mix):
+    return rosenblatt._map(np.asarray(x0, dtype=float).reshape(-1, 1), mix)[:, 0]
+
+
+def root_edge(mix, cumfrac, e):
+    """Two first coordinates less than 1e-15 apart whose u_0 straddle the
+    walk's edge e of the root table: the lower one's entry is below e and
+    the upper one's at least e. Found by bisection."""
+    def reaches(x):
+        u0 = first_u([x], mix)[0]
+        return np.searchsorted(cumfrac, u0 - _U_TOL) >= e
+
+    lo, hi = -50.0, 50.0
+    assert not reaches(lo) and reaches(hi)
+    while hi - lo > 1e-15:
+        mid = lo + (hi - lo) / 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def jittered(forward, delta):
+    """_map with each computed u_0 moved by up to delta / 2, by a fixed
+    function of x_0's bits: still within delta of a monotone function, but
+    not monotone itself."""
+    def jittered_map(X, mix, skip_first=False):
+        u = forward(X, mix, skip_first)
+        if not skip_first:
+            bits = np.ascontiguousarray(X[:, 0]).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            u[:, 0] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * delta
+            np.clip(u[:, 0], np.finfo(float).tiny, 1.0, out=u[:, 0])
+        return u
+
+    return jittered_map
+
+
+@st.composite
+def root_cases(draw):
+    """A table whose first column has g0 values, k, the number of dither
+    rows, how many rows take another row's first coordinate, how many root
+    edges get rows placed at them, and a seed."""
+    g0 = draw(st.sampled_from((1, 2, 3, 6)))
+    k = draw(st.sampled_from((2, 3, 10)))
+    n = draw(st.integers(max(k, g0), 40))
+    kinds = draw(st.lists(st.sampled_from("co"), max_size=2))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    first = rng.permutation(np.arange(n) % g0).astype(float)
+    rest = [np.round(rng.standard_normal(n), 2) if kind == "c"
+            else rng.integers(0, 3, n).astype(float) for kind in kinds]
+    table = make_table(np.column_stack([first, *rest]))
+    rows = draw(st.sampled_from((1, 2, 30, 200)))
+    return table, k, rows, draw(st.integers(0, 5)), draw(st.integers(0, 3)), seed
+
+
+class TestRootEntries:
+    @settings(max_examples=60, deadline=None)
+    @given(case=root_cases(), jitter=st.booleans())
+    def test_bisected_entries_and_release_equal_the_walk(self, case, jitter):
+        # G0 = 1, G0 = 2, one row, repeated x_0 and rows within 1e-13 of a
+        # root edge; with jitter, u_0 is no longer monotone in x_0
+        table, k, rows, repeats, edges, seed = case
+        state = prepare(table, k, seed=0)
+        model, joint = state.model, state.joint
+        rng = np.random.default_rng(seed)
+        xt = sample_gaussian_batch(model, 1 / 3, rng.integers(0, table.n, rows), rng)
+        xt[rng.integers(0, rows, repeats), 0] = xt[rng.integers(0, rows, repeats), 0]
+        idx0, cumfrac = joint.flat_trie[0][:2]
+        mix = rosenblatt._mixture(model, 1 / 3)
+        for e in rng.integers(1, len(cumfrac), edges) if len(cumfrac) > 1 else []:
+            for x in root_edge(mix, cumfrac, e):
+                u0 = first_u([x], mix)[0]
+                assert abs(u0 - _U_TOL - cumfrac[e - 1]) < 1e-13
+                xt[rng.integers(0, rows), 0] = x
+        with pytest.MonkeyPatch.context() as mp:
+            if jitter:
+                mp.setattr(rosenblatt, "_map", jittered(rosenblatt._map, root_delta(model)))
+            want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
+            roots = rosenblatt._root_entries(xt[:, 0], mix, cumfrac)
+            got = gaussian_release_indices(xt, model, 1 / 3, joint)
+        assert idx0[roots].tolist() == want[:, 0].tolist()
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_near_an_edge_are_placed_exactly(self, monkeypatch):
+        # 81 rows 1e-14 apart around each edge of a 6-entry root table, with
+        # u_0 jittered by up to delta / 2 so that it crosses each edge many
+        # times: those rows fall in the windows and are mapped one by one
+        table = make_table(np.column_stack([np.arange(60) % 6, np.arange(60) % 7]))
+        state = prepare(table, 3, seed=0)
+        model, joint = state.model, state.joint
+        idx0, cumfrac = joint.flat_trie[0][:2]
+        mix = rosenblatt._mixture(model, 1 / 3)
+        x0 = np.concatenate([root_edge(mix, cumfrac, e)[0] + 1e-14 * np.arange(-40, 41)
+                             for e in range(1, 6)])
+        x0 = np.random.default_rng(0).permutation(np.concatenate([x0, np.linspace(-3, 3, 200)]))
+        forward = jittered(rosenblatt._map, root_delta(model))
+        mapped = []
+
+        def counted_map(X, mix, skip_first=False):
+            mapped.append(len(X))
+            return forward(X, mix, skip_first)
+
+        monkeypatch.setattr(rosenblatt, "_map", counted_map)
+        want = np.minimum(np.searchsorted(cumfrac, first_u(x0, mix) - _U_TOL), 5)
+        mapped.clear()
+        got = rosenblatt._root_entries(x0, mix, cumfrac)
+        assert got.tolist() == want.tolist()
+        # the jitter makes the entries of the rows at an edge disagree with
+        # their order in x_0, so a window holds more than the two probes
+        order = np.argsort(x0)
+        assert (np.diff(want[order]) < 0).any()
+        assert mapped[-1] > 2 * 5
+
+    def test_first_column_cdf_cells_on_the_ordinal_table(self, monkeypatch):
+        # the first dimension's ndtr cells are at most (probe + unsure
+        # rows) * c: 2 (G0 - 1) probes per round, and the rows whose u_0
+        # lies within 5 delta of an edge
+        state = prepare(workload_table("ordinal"), 10, seed=0)
+        model, joint = state.model, state.joint
+        c, n = len(model.sizes), 4000
+        xt = sample_gaussian_batch(model, 1 / 3, np.arange(n), np.random.default_rng(3))
+        u0 = forward_gaussian(xt[:, :1], model, 1 / 3)[:, 0]
+        cumfrac = joint.flat_trie[0][1]
+        edge_gap = np.abs(u0[:, None] - _U_TOL - cumfrac[:-1]).min(axis=1)
+        unsure = int((edge_gap <= 5 * root_delta(model)).sum())
+        cells = []
+        special = sys.modules["scipy.special"]
+        ndtr_ = special.ndtr
+
+        def counted_ndtr(z, out=None):
+            cells.append(z.size)
+            return ndtr_(z, out=out)
+
+        monkeypatch.setattr(special, "ndtr", counted_ndtr)
+        got = gaussian_release_indices(xt, model, 1 / 3, joint)
+        monkeypatch.undo()
+        assert got.tobytes() == inverse_empirical_indices(
+            forward_gaussian(xt, model, 1 / 3), joint).tobytes()
+        # the walk flags no row (J = d), so dimensions 1 and 2 take n * c each
+        first_cells = sum(cells) - 2 * n * c
+        probes = 2 * (len(cumfrac) - 1) * n.bit_length()
+        assert first_cells <= (probes + unsure) * c
+        assert first_cells < n * c / 10
