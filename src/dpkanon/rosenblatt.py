@@ -16,11 +16,23 @@ from .errors import DomainError, ShapeError
 from .kmember import ClusterModel
 
 # A block of the Gaussian forward map takes max(_MIN_BLOCK, _BLOCK_CELLS // c)
-# records, so its (block, c) temporaries stay near _BLOCK_CELLS cells however
-# many clusters there are, and each thread's work array is bounded whatever n
-# is.
+# records (twice the cells when no column calls ndtr), so its (block, c)
+# temporaries stay near _BLOCK_CELLS cells however many clusters there are,
+# and each thread's work array is bounded whatever n is.
 _MIN_BLOCK = 32
 _BLOCK_CELLS = 12800
+# _map runs one thread for every _THREAD_BLOCKS blocks, up to one per
+# usable CPU; see forward_gaussian.
+_THREAD_BLOCKS = 4
+
+# Page's tanh form of the normal CDF (Applied Statistics 26, 1977), the
+# cheap pass's Phi~(z) = (1 + tanh(z (_PAGE_A + _PAGE_B z^2))) / 2, with z
+# clipped to [-_PAGE_CLIP, _PAGE_CLIP] so that z^2 cannot overflow; and
+# eps_Phi, more than twice the bound on |Phi~ - Phi| proven in _cheap_delta.
+_PAGE_A = 0.7988
+_PAGE_B = 0.7988 * 0.04417
+_PAGE_CLIP = 9.0
+_PAGE_ERR = 3e-4
 
 
 def _first(mask) -> tuple:
@@ -77,14 +89,23 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     shift, so far-from-centroid points do not underflow.
 
     Records are processed in blocks of max(_MIN_BLOCK, _BLOCK_CELLS // c)
-    rows, over all c clusters at once. Blocks are independent, and the block
-    kernel spends its time in numpy calls that release the GIL (ndtr, exp
-    and einsum), so the blocks run on every CPU the process may use: with
-    `share` such CPUs, the calling thread takes every share-th block and
-    share - 1 helper threads take the rest. Every sum over the clusters is an
-    einsum or a numpy reduction along one row, never a BLAS product, so a
-    record's u depends neither on the block it falls in nor on the thread
-    count nor on the BLAS build.
+    rows, over all c clusters at once (twice the cells when no column calls
+    ndtr, as in the cheap pass of gaussian_release_indices). Blocks are
+    independent, and the block kernel spends most of its time in numpy calls
+    that release the GIL, so the blocks may run on several threads: the
+    calling thread takes every share-th block and share - 1 helper threads
+    take the rest. share is the number of usable CPUs, but at most one per
+    _THREAD_BLOCKS blocks. At c = 400 on a 2-core VM, in alternating runs
+    made while the second core was free, two threads took 0.68x of one on 8
+    blocks of three ndtr columns and 0.85x on 8 double blocks of the cheap
+    pass, but tied or lost on 4 or fewer; while it was busy, they lost
+    5-10% at every size. So the rows mapped again and the bisection's
+    probes run on the calling thread. Doubling the cheap pass's blocks took
+    its two threads from 0.88x to 0.66x of one on 4000 rows, and one thread
+    from 59 to 55 ms. Every sum over the clusters is an einsum or a numpy
+    reduction along one row, never a BLAS product, so a record's u depends
+    neither on the block it falls in nor on the thread count nor on the
+    BLAS build.
 
     Maps an (N, J) array of the leading J <= d columns of dither samples to
     the (N, J) array of their uniforms, with the centroids' and the Cholesky
@@ -96,11 +117,56 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     return _map(X, _mixture(model, alpha))
 
 
-def _map(X: np.ndarray, mix: tuple, skip_first: bool = False) -> np.ndarray:
+def _cheap_delta(c: int) -> float:
+    """delta, the most a u_j of _map's cheap pass over c clusters can differ
+    from the u_j the exact pass computes.
+
+    Both passes compute every residual z_c, weight w_c (the prior at the
+    first column) and the weights' sum W with the same ops and bits. The
+    exact pass takes u = sum_c w_c ndtr(z_c) / W, the cheap one
+    u~ = 1/2 + 1/2 sum_c w_c t_c / W with t_c = tanh(g(z_c)),
+    g(z) = z (a + b z^2) for z clipped to [-9, 9]. Let U and U~ be the same
+    averages taken exactly, with Phi and Phi~ = (1 + tanh g) / 2 in place
+    of ndtr(z) and (1 + t) / 2.
+
+    |Phi~ - Phi| < 1.46e-4 on all reals. On a grid of 2 000 001 points over
+    [-9, 9] (step h = 9e-6) the computed |Phi~ - ndtr| peaks at 1.4041e-4
+    (test_page_cdf_grid_maximum measures it again), and the computed Phi~ is
+    within 3 eps of the exact one, ndtr within 2 eps of Phi. Both
+    derivatives are nonnegative, so their difference is at most the larger:
+    Phi' <= 0.4, and Phi~' = g' sech^2(g) / 2 is at most (a + 3b) / 2 < 0.46
+    for |z| <= 1 and, as g' <= 3 |g| and sech^2(g) <= 4 exp(-2 |g|) there,
+    at most 6 |g| exp(-2 |g|) <= 3 / e < 1.11 beyond. So |Phi~ - Phi| moves
+    by less than 1.11 h / 2 < 5e-6 between grid points. Beyond 9, Phi is
+    within Phi(-9) < 1.2e-19 of 0 or 1, and Phi~ of the clipped z within
+    Phi~(-9) < 1e-27. So |U - U~| < 1.46e-4: a weighted average of such
+    differences (at the first column, the priors sum to 1 within c eps / 2,
+    which U~ takes as exact).
+
+    The rounding. ndtr's terms are nonnegative: the products round by eps / 2
+    of themselves, their sum in any order by (c - 1) eps / 2 of its total,
+    at most W, the sum W by as much and the divide by eps / 2; so
+    |u - U| <= (c + 3) eps. The tanh terms have both signs, but
+    |w_c t_c| <= w_c: t_c is within 2 eps of tanh g (g rounds by 2 eps of
+    itself, and |g| sech^2(g) < 1/2), and the rest rounds as above, so
+    |u~ - U~| <= (c + 3) eps. The final clip to [tiny, 1] moves neither
+    difference further. In all, |u - u~| < 1.46e-4 + 3 (c + 2) eps.
+
+    delta = eps_Phi + 4 (c + 2) eps is more than twice that for any c below
+    1e10. The spare half covers the rounding of u~ +- delta in the walk
+    (eps), and leaves room for a further error of up to delta / 2, as the
+    tests add to u~.
+    """
+    return _PAGE_ERR + 4 * (c + 2) * np.finfo(float).eps
+
+
+def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.ndarray:
     """forward_gaussian of checked samples X under the constants `mix` of
     _mixture. With skip_first, the first column's CDF terms and their sum
     are not computed and u[:, 0] is NaN; its residuals and posterior update,
-    which the later columns read, are, so those keep their bits."""
+    which the later columns read, are, so those keep their bits. The
+    columns in `cheap` are mapped by the cheap pass: Page's tanh form in
+    place of ndtr, within _cheap_delta(c) of the exact u_j."""
     from scipy.special import ndtr
 
     centroids, L, diag, log_diag, prior, log_prior = mix
@@ -110,7 +176,8 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False) -> np.ndarray:
     u[:, :skipped] = np.nan
     if skipped == d:
         return u
-    rows = max(_MIN_BLOCK, _BLOCK_CELLS // len(prior))
+    exact = any(j not in cheap for j in range(skipped, d))  # some column calls ndtr
+    rows = max(_MIN_BLOCK, (_BLOCK_CELLS if exact else 2 * _BLOCK_CELLS) // len(prior))
 
     def block(b: int, work: np.ndarray) -> None:
         xb = X[b:b + rows]
@@ -130,13 +197,22 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False) -> np.ndarray:
                 zj -= np.multiply(z[k], L[:, j, k], out=tmp)
             zj /= diag[:, j]
             if j >= skipped:
-                ndtr(zj, out=phi)
+                if j in cheap:  # phi = tanh(g(clip(z))), into the free planes
+                    np.clip(zj, -_PAGE_CLIP, _PAGE_CLIP, out=phi)
+                    np.multiply(phi, phi, out=tmp)
+                    tmp *= _PAGE_B
+                    tmp += _PAGE_A
+                    phi *= tmp
+                    np.tanh(phi, out=phi)
+                else:
+                    ndtr(zj, out=phi)
                 if j == 0:
-                    u[b:b + rows, 0] = np.einsum("nc,c->n", phi, prior)
+                    uj = np.einsum("nc,c->n", phi, prior)
                 else:
                     w = np.exp(np.subtract(logpost, logpost.max(axis=1, keepdims=True),
                                            out=tmp), out=tmp)
-                    u[b:b + rows, j] = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
+                    uj = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
+                u[b:b + rows, j] = 0.5 + 0.5 * uj if j in cheap else uj
             if j + 1 < d:
                 np.multiply(zj, 0.5, out=tmp)
                 tmp *= zj
@@ -148,7 +224,7 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False) -> np.ndarray:
             block(b, work)
 
     starts = range(0, len(X), rows)
-    share = max(1, min(len(starts), _usable_cpus()))
+    share = max(1, min(len(starts) // _THREAD_BLOCKS, _usable_cpus()))
     # The calling thread allocates every thread's work array, so the
     # helpers' temporaries do not stay resident in per-thread malloc arenas
     # after they exit. A pool with nothing submitted starts no thread.
@@ -191,26 +267,39 @@ def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
     return _walk(np.maximum(u, np.finfo(float).tiny), joint)  # clamp exact zeros
 
 
-def _walk(u: np.ndarray, joint: EmpiricalJoint, roots=None) -> np.ndarray:
+def _walk(u: np.ndarray, joint: EmpiricalJoint, roots=None, cheap=(),
+          delta: float = 0.0) -> np.ndarray:
     """inverse_empirical_indices of checked u with no exact zeros. Given
     `roots`, the rows' entries in the root table, step 0 takes them and
-    does not read u[:, 0]."""
+    does not read u[:, 0].
+
+    At the levels in `cheap`, u_j is known only to within delta of the u_j
+    the walk reads (the cheap pass of _map). The entry is non-decreasing in
+    u_j, so a row whose entries for u_j - delta and u_j + delta agree has
+    that entry; a row whose entries differ is flagged as a row that needs a
+    u_j not given is, -1 from that dimension on.
+    """
     out = np.empty((len(u), joint.d), dtype=np.intp)
     node = np.zeros(len(u), dtype=np.intp)
-    unread = np.zeros(len(u), dtype=bool)  # rows that need a u_j not given
+    flagged = np.zeros(len(u), dtype=bool)  # rows the walk cannot place
     for j, (idx, cumfrac, starts, lengths) in enumerate(joint.flat_trie):
         s, n_next = starts[node], lengths[node]
-        if j < u.shape[1]:
-            if j == 0 and roots is not None:
-                node = roots  # the root's entries start at 0
-            else:
-                pos = searchsorted_segments(cumfrac, s, n_next, u[:, j] - _U_TOL)
-                node = s + np.minimum(pos, n_next - 1)
-            out[:, j] = idx[node]
-        else:
-            unread |= n_next > 1
+
+        def entry(v):
+            pos = searchsorted_segments(cumfrac, s, n_next, v - _U_TOL)
+            return s + np.minimum(pos, n_next - 1)
+
+        if j >= u.shape[1]:
+            flagged |= n_next > 1
             node = s
-            out[:, j] = np.where(unread, -1, idx[node])
+        elif j == 0 and roots is not None:
+            node = roots  # the root's entries start at 0
+        elif j in cheap:
+            node = entry(u[:, j] - delta)
+            flagged |= node != entry(u[:, j] + delta)
+        else:
+            node = entry(u[:, j])
+        out[:, j] = np.where(flagged, -1, idx[node])
     return out
 
 
@@ -280,6 +369,19 @@ def _root_entries(x0: np.ndarray, mix: tuple, cumfrac: np.ndarray) -> np.ndarray
     return out
 
 
+def _table_sizes(joint: EmpiricalJoint) -> np.ndarray:
+    """The (d, keys) entry counts of the table each key's walk reads at
+    each level: the table of its length-j prefix."""
+    # the keys are distinct and sorted, so key g is entry g of the last level
+    node = np.arange(len(joint.keys))
+    sizes = np.empty((joint.d, len(node)), dtype=np.intp)
+    for j in range(joint.d - 1, -1, -1):
+        lengths = joint.flat_trie[j][3]
+        node = np.repeat(np.arange(len(lengths)), lengths)[node]  # its length-j prefix
+        sizes[j] = lengths[node]
+    return sizes
+
+
 def _mapped_width(joint: EmpiricalJoint) -> int:
     """The leading width J in 1..d that minimizes J + d * share_J, the
     forward map's columns per record when every record maps J and the rows
@@ -288,18 +390,31 @@ def _mapped_width(joint: EmpiricalJoint) -> int:
     that a walk drawn from the joint needs a u_j beyond the first J. Ties go
     to the wider J."""
     d = joint.d
-    # the keys are distinct and sorted, so key g is entry g of the last level
-    node = np.arange(len(joint.keys))
-    deep = np.zeros(len(node), dtype=bool)
+    # deep[j]: the key passes a table of more than one entry at a level >= j
+    deep = np.logical_or.accumulate(_table_sizes(joint)[::-1] > 1, axis=0)[::-1]
     best, best_cost = d, float(d)
     for j in range(d - 1, 0, -1):
-        lengths = joint.flat_trie[j][3]
-        node = np.repeat(np.arange(len(lengths)), lengths)[node]  # its length-j prefix
-        deep |= lengths[node] > 1
-        cost = j + d * joint.counts[deep].sum() / joint.total
+        cost = j + d * joint.counts[deep[j]].sum() / joint.total
         if cost < best_cost:
             best, best_cost = j, cost
     return best
+
+
+def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> tuple:
+    """The levels j in `levels` that the cheap pass maps: those where
+    2 delta E_j d < 1/2, with E_j the mean edge count (entries - 1) of the
+    level-j tables the records' keys walk.
+
+    A row's u_j falls within delta of one of its table's E_j edges, and is
+    mapped again on all d columns, with a chance of about 2 delta E_j. Each
+    cheap level saves more than half a column's cost per row (Page's form
+    costs 3.7 ns a cell against ndtr's 17-25 ns), so a level pays while its
+    rows mapped again cost less than that. So the continuous root table
+    (2450 entries, 2 delta E_0 d about 4) stays exact, while the small tables
+    past it are cheap.
+    """
+    edges = ((_table_sizes(joint)[levels] - 1) * joint.counts).sum(axis=1) / joint.total
+    return tuple(j for j, e in zip(levels, edges) if 2 * delta * e * joint.d < 0.5)
 
 
 def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
@@ -318,18 +433,26 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     < N, the bisection of _root_entries gives every row its root entry
     exactly from at most that many mapped rows, plus the rows whose u_0 lies
     at an edge, and the leading-column map skips the first column's CDF.
-    The mixture's constants are built once for all of these maps.
+
+    The levels _cheap_levels picks, the small tables, are mapped by the
+    cheap pass and walked with its margin _cheap_delta(c): the rows whose
+    u_j lies that close to an edge of their table are flagged too, and
+    mapped again exactly with the others. The mixture's constants are built
+    once for all of these maps.
     """
+    d = model.centroids.shape[1]
+    X = _dither(xt, d)
+    if X.shape[1] != d:
+        raise ShapeError(f"expected an (N, {d}) array of dither samples, got shape {X.shape}")
     width = _mapped_width(joint)
-    X = _dither(xt[:, :width], model.centroids.shape[1])
     mix = _mixture(model, alpha)
+    delta = _cheap_delta(len(mix[0]))  # c = len(centroids)
     cumfrac = joint.flat_trie[0][1]
-    if 2 * (len(cumfrac) - 1) * len(X).bit_length() < len(X):
-        roots = _root_entries(X[:, 0], mix, cumfrac)
-        idx = _walk(_map(X, mix, skip_first=True), joint, roots)
-    else:
-        idx = _walk(_map(X, mix), joint)
+    skip_first = 2 * (len(cumfrac) - 1) * len(X).bit_length() < len(X)
+    roots = _root_entries(X[:, 0], mix, cumfrac) if skip_first else None
+    cheap = _cheap_levels(joint, range(int(skip_first), width), delta)
+    idx = _walk(_map(X[:, :width], mix, skip_first, cheap), joint, roots, cheap, delta)
     redo = np.flatnonzero(idx[:, -1] < 0)
     if len(redo):
-        idx[redo] = _walk(_map(_dither(xt[redo], model.centroids.shape[1]), mix), joint)
+        idx[redo] = _walk(_map(X[redo], mix), joint)
     return idx

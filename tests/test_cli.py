@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -343,6 +344,37 @@ class TestAnonymizeCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
 
+# sha256 of json.dumps([method, k, shift, similarity, reid_average,
+# degenerate_shift]) for each row of TestExperimentCommand's sweep, in
+# output order
+SWEEP_ROW_DIGESTS = [
+    "29032e101c495d1c6b6df977a067a2e166c8bd9737ead5f83b738e016b4a2787",
+    "724e97bb8489f001878873ad35a43300d3b635909d375f6c7d513de30f48446f",
+    "ecf13750f9c4ca7dee92df818d08a06b2a021b663b621394d76ac3cda2c8924c",
+    "95ac4f7a60c614e643a07f46ca951829a3faa0a4cd9cb27fdc666fe56bc300cb",
+    "60d725e2b16395797f03af3bc6009993b57de465c79f27979a01cf0568bb00f3",
+    "ccef2bfc14d71632934b28f087e380d67c0acb39c0834b00fc98cd54356f3a34",
+    "64b5d37fd4a484bd458f0fca2bb5d9832a02f169afa19ad2948aac30bd2cfce8",
+    "9127d756a1e6e880de537217f43186860fda7149621afcee80f38cc1a39f2527",
+    "5d1e9bf2f309e1ea9b623a4ce8a4d80ffc6e4762f965e9627e75f9758de30b79",
+    "d2129507674882e931dda9f359d78e8be27348e8f7c5dc2965bdf79e81328f36",
+    "5bfdd968c8e0653885252b1151363b74563482bf708bf3d52acc993b65c47172",
+    "a8f5c6d2f7db1cc4b900c5ef9686a041ba387ca17580dbb5b88e0b6e9dc17644",
+    "f6fac2958e2d6f920c3966e3178435fd17e9d00d33486afa3b052b8fd9ce4785",
+    "948c35914b0ce5e74b5257443484ac2e24ab130e698817e4354b4bba091acb62",
+    "2202115517547c00aa8b92d021eba05e7a67400543ad9e8718bcb7cd03950937",
+    "6a1fc7009d47785b96f29b1f478797fe25513bd042289e6d20e9681d025ead34",
+    "1a2dd020dc538df042a00383ba9603580c846a1290a0ae198bae5ef7b8db443b",
+    "3560ded2f4b55217fed7226ee096b86223abc2388b6ebb40c71874cb91d42730",
+    "33bb844f3c1911a1dbd610ca6a26e8a3cae8acde7d9988eba3543562352840e1",
+    "59316cc00d18cd8dc2302694163ade27336ca0526648d1c39e0dce2ffc330ae1",
+    "564b412d32beaaae4851d5d643bbcaa0caacf985280ade7b32e40e058338e64e",
+    "533785b5ee8183a91225c7d51d83f5e8b69ab2d887da3707b3a751c0d8dacd70",
+    "f08f8433c2c90ec20227b70fcf97a5c02666a9b810c836fd2304c00fdff058cd",
+    "88eee15cc27b1b91d7b0015e5761e5d589768b3940c8dbe04a13a8885bee2bdc",
+]
+
+
 class TestExperimentCommand:
     def run(self, tmp_path, name, extra=()):
         out = tmp_path / name
@@ -376,6 +408,26 @@ class TestExperimentCommand:
         _, a = self.run(tmp_path, "a.json")
         _, b = self.run(tmp_path, "b.json")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_fields_unchanged(self, tmp_path):
+        # A `risk-sweep`-shaped sweep, whose Gaussian releases inside the
+        # reidentification trials run at c = 400 (k = 5). Each row's fields
+        # that do not depend on the BLAS thread count, taken before the
+        # cheap pass of the Gaussian forward map; relative_bias_pct and
+        # r_squared are left out, as their last bits follow the thread count.
+        out = tmp_path / "m.json"
+        rc = main([
+            "experiment", "--output", str(out), "--n", "2000", "--test-n", "2000",
+            "--levels", "10,8,6", "--dep", "0.3", "--k-grid", "5,25",
+            "--methods", "centroid,resample,cell-dither,gaussian",
+            "--shift", "none,nonparametric,logistic", "--coding", "dummy",
+            "--trials", "2", "--seed", "1",
+        ])
+        assert rc == 0
+        fields = ("method", "k", "shift", "similarity", "reid_average", "degenerate_shift")
+        got = [hashlib.sha256(json.dumps([row[f] for f in fields]).encode()).hexdigest()
+               for row in json.loads(out.read_text())["results"]]
+        assert got == SWEEP_ROW_DIGESTS
 
     def test_bad_k_grid(self, tmp_path):
         rc = main([

@@ -151,6 +151,7 @@ class TestForwardGaussianBlocks:
         # map to the reference's first J
         xt, model = dithered
         monkeypatch.setattr(rosenblatt, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(rosenblatt, "_THREAD_BLOCKS", 1)  # a thread per block
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -322,35 +323,38 @@ def workload_table(kind: str, seed: int = 1):
 @pytest.mark.parametrize("kind, width", [("continuous", 2), ("ordinal", 3)])
 def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind, width):
     # continuous keys part after two columns and the root table has 2450
-    # entries, so every row maps two columns and only the rows the walk
-    # flags map all three; the ordinal root table has 10 entries, so
-    # one-column probes of at most 2 * 9 rows bisect its edges, and then one
-    # three-column map skips the first column's CDF
+    # entries, so every row maps two columns, the first exactly, and only
+    # the rows the walk flags map all three; the ordinal root table has 10
+    # entries, so one-column probes of at most 2 * 9 rows bisect its edges,
+    # and then one three-column map skips the first column's CDF. The small
+    # tables past the root are mapped by the cheap pass, and the rows it
+    # leaves near an edge are flagged with the others
     maps, flagged = [], []
     forward, walk = rosenblatt._map, rosenblatt._walk
 
-    def counted_map(X, mix, skip_first=False):
-        maps.append((*X.shape, skip_first))
-        return forward(X, mix, skip_first)
+    def counted_map(X, mix, skip_first=False, cheap=()):
+        maps.append((*X.shape, skip_first, cheap))
+        return forward(X, mix, skip_first, cheap)
 
-    def counted_walk(u, joint, roots=None):
-        out = walk(u, joint, roots)
+    def counted_walk(u, joint, *args):
+        out = walk(u, joint, *args)
         flagged.append(int((out[:, -1] < 0).sum()))
         return out
 
     monkeypatch.setattr(rosenblatt, "_map", counted_map)
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     transform(prepare(workload_table(kind), 10, seed=0), "gaussian")
+    main = [m for m in maps if m[0] == 4000]
+    assert main == [(4000, width, kind == "ordinal", tuple(range(1, width)))]
+    probes, redo = maps[:maps.index(main[0])], maps[maps.index(main[0]) + 1:]
+    assert redo == ([(flagged[0], 3, False, ())] if flagged[0] else [])
+    assert flagged[1:] == [0] * len(redo)
+    assert flagged[0] < 40
     if kind == "continuous":
-        assert maps[0] == (4000, width, False)
-        assert maps[1:] == ([(flagged[0], 3, False)] if flagged[0] else [])
-        assert flagged[0] < 40
+        assert probes == []
     else:
-        *probes, main = maps
-        assert main == (4000, width, True)
-        assert flagged == [0]
         assert 0 < len(probes) <= (4000).bit_length()
-        assert all(cols == 1 and not skip and rows <= 18 for rows, cols, skip in probes)
+        assert all(cols == 1 and not skip and rows <= 18 for rows, cols, skip, _ in probes)
 
 
 # sha256 of each method's qi_hat bytes on workload_table(kind), k = 10,
@@ -416,8 +420,8 @@ def jittered(forward, delta):
     """_map with each computed u_0 moved by up to delta / 2, by a fixed
     function of x_0's bits: still within delta of a monotone function, but
     not monotone itself."""
-    def jittered_map(X, mix, skip_first=False):
-        u = forward(X, mix, skip_first)
+    def jittered_map(X, mix, skip_first=False, cheap=()):
+        u = forward(X, mix, skip_first, cheap)
         if not skip_first:
             bits = np.ascontiguousarray(X[:, 0]).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             u[:, 0] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * delta
@@ -489,9 +493,9 @@ class TestRootEntries:
         forward = jittered(rosenblatt._map, root_delta(model))
         mapped = []
 
-        def counted_map(X, mix, skip_first=False):
+        def counted_map(X, mix, skip_first=False, cheap=()):
             mapped.append(len(X))
-            return forward(X, mix, skip_first)
+            return forward(X, mix, skip_first, cheap)
 
         monkeypatch.setattr(rosenblatt, "_map", counted_map)
         want = np.minimum(np.searchsorted(cumfrac, first_u(x0, mix) - _U_TOL), 5)
@@ -506,8 +510,9 @@ class TestRootEntries:
 
     def test_first_column_cdf_cells_on_the_ordinal_table(self, monkeypatch):
         # the first dimension's ndtr cells are at most (probe + unsure
-        # rows) * c: 2 (G0 - 1) probes per round, and the rows whose u_0
-        # lies within 5 delta of an edge
+        # rows + rows mapped again) * c: 2 (G0 - 1) probes per round, the
+        # rows whose u_0 lies within 5 delta of an edge, and the rows the
+        # cheap pass leaves near an edge at a later level
         state = prepare(workload_table("ordinal"), 10, seed=0)
         model, joint = state.model, state.joint
         c, n = len(model.sizes), 4000
@@ -516,21 +521,250 @@ class TestRootEntries:
         cumfrac = joint.flat_trie[0][1]
         edge_gap = np.abs(u0[:, None] - _U_TOL - cumfrac[:-1]).min(axis=1)
         unsure = int((edge_gap <= 5 * root_delta(model)).sum())
-        cells = []
-        special = sys.modules["scipy.special"]
-        ndtr_ = special.ndtr
-
-        def counted_ndtr(z, out=None):
-            cells.append(z.size)
-            return ndtr_(z, out=out)
-
-        monkeypatch.setattr(special, "ndtr", counted_ndtr)
-        got = gaussian_release_indices(xt, model, 1 / 3, joint)
-        monkeypatch.undo()
+        got, level_cells, _ = count_ndtr_cells(monkeypatch, xt, state)
         assert got.tobytes() == inverse_empirical_indices(
             forward_gaussian(xt, model, 1 / 3), joint).tobytes()
-        # the walk flags no row (J = d), so dimensions 1 and 2 take n * c each
-        first_cells = sum(cells) - 2 * n * c
+        first_cells, redo_cells = level_cells[0], level_cells[1]
         probes = 2 * (len(cumfrac) - 1) * n.bit_length()
-        assert first_cells <= (probes + unsure) * c
+        assert first_cells <= (probes + unsure) * c + redo_cells
         assert first_cells < n * c / 10
+
+
+def count_ndtr_cells(monkeypatch, xt, state):
+    """The release of xt, its ndtr cells per level and the rows its first
+    walk flags. Every ndtr call is counted, and each _map call's cells are
+    put to the levels it maps with ndtr (the call's share of the count must
+    agree)."""
+    special = sys.modules["scipy.special"]
+    ndtr_, forward, walk = special.ndtr, rosenblatt._map, rosenblatt._walk
+    cells, flagged, level_cells = [], [], np.zeros(state.joint.d, dtype=int)
+
+    def counted_ndtr(z, out=None):
+        cells.append(z.size)
+        return ndtr_(z, out=out)
+
+    def counted_map(X, mix, skip_first=False, cheap=()):
+        before = sum(cells)
+        u = forward(X, mix, skip_first, cheap)
+        levels = [j for j in range(int(skip_first), X.shape[1]) if j not in cheap]
+        assert sum(cells) - before == len(X) * len(mix[0]) * len(levels)
+        level_cells[levels] += len(X) * len(mix[0])
+        return u
+
+    def counted_walk(u, joint, *args):
+        out = walk(u, joint, *args)
+        flagged.append(int((out[:, -1] < 0).sum()))
+        return out
+
+    monkeypatch.setattr(special, "ndtr", counted_ndtr)
+    monkeypatch.setattr(rosenblatt, "_map", counted_map)
+    monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
+    got = gaussian_release_indices(xt, state.model, 1 / 3, state.joint)
+    monkeypatch.undo()
+    return got, level_cells, flagged[0]
+
+
+@pytest.mark.parametrize("kind", ["continuous", "ordinal"])
+def test_later_level_cdf_cells(monkeypatch, workload_states, kind):
+    # past the first level only the rows mapped again call ndtr: the rows
+    # the cheap pass leaves near an edge and those that need a column not
+    # mapped, under 2% of the rows at each level
+    state = workload_states[kind]
+    c, n = len(state.model.sizes), 4000
+    xt = sample_gaussian_batch(state.model, 1 / 3, np.arange(n), np.random.default_rng(3))
+    got, level_cells, flagged = count_ndtr_cells(monkeypatch, xt, state)
+    assert got.tobytes() == inverse_empirical_indices(
+        forward_gaussian(xt, state.model, 1 / 3), state.joint).tobytes()
+    assert all(cells <= flagged * c for cells in level_cells[1:])
+    assert all(cells < 0.02 * n * c for cells in level_cells[1:])
+
+
+def test_page_cdf_grid_maximum():
+    # the grid maximum that _cheap_delta's proof of eps_Phi starts from,
+    # and the proof's sum: the computed Page form and ndtr within 5 eps of
+    # theirs, the difference's slope below 1.11 between the points, twice
+    # the bound within eps_Phi; beyond 9 both are within 1.2e-19 of 0 or 1
+    eps = np.finfo(float).eps
+    z = np.linspace(-9, 9, 2_000_001)
+    g = z * (rosenblatt._PAGE_A + rosenblatt._PAGE_B * z * z)
+    peak = np.abs(0.5 * (1 + np.tanh(g)) - ndtr(z)).max()
+    assert 1.4e-4 < peak < 1.4042e-4
+    slope = (rosenblatt._PAGE_A + 3 * rosenblatt._PAGE_B * z * z) / np.cosh(g) ** 2 / 2
+    assert slope.max() < 1.11
+    bound = peak + 5 * eps + 1.11 * (z[1] - z[0]) / 2
+    assert bound < 1.46e-4 and 2 * bound < rosenblatt._PAGE_ERR
+    assert ndtr(-9.0) < 1.2e-19 and 0.5 * (1 + np.tanh(g[0])) == 0.0
+
+
+def level_table(joint, prefix):
+    """(start, length) of the level-len(prefix) table that the value
+    indices `prefix` lead to."""
+    node = 0
+    for j, v in enumerate(prefix):
+        idx, _, starts, lengths = joint.flat_trie[j]
+        s = starts[node]
+        node = s + int(np.flatnonzero(idx[s:s + lengths[node]] == v)[0])
+    _, _, starts, lengths = joint.flat_trie[len(prefix)]
+    return int(starts[node]), int(lengths[node])
+
+
+def level_edge(row, j, e, mix, joint):
+    """Two values of x_j less than 1e-15 apart, with the row's x_<j fixed,
+    whose u_j straddle edge e of the level-j table that the row's prefix
+    leads to (the lower one's entry is below e, the upper one's at least
+    e), and that edge's cumulative fraction. Found by bisection."""
+    prefix = rosenblatt._walk(rosenblatt._map(row[None, :j], mix), joint)[0, :j]
+    s, n = level_table(joint, prefix)
+    cumfrac = joint.flat_trie[j][1][s:s + n]
+    x = row[:j + 1].copy()
+
+    def u_j(v):
+        x[j] = v
+        return rosenblatt._map(x[None], mix)[0, j]
+
+    def reaches(v):
+        return np.searchsorted(cumfrac, u_j(v) - _U_TOL) >= e
+
+    lo, hi = -50.0, 50.0
+    assert not reaches(lo) and reaches(hi)
+    while hi - lo > 1e-15:
+        mid = lo + (hi - lo) / 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    for v in (lo, hi):
+        assert abs(u_j(v) - _U_TOL - cumfrac[e - 1]) < 1e-13
+    return lo, hi
+
+
+def cheap_jittered(forward, delta):
+    """_map with each u_j of the cheap pass moved by up to delta / 2, by a
+    fixed function of x_j's bits."""
+    def jittered_map(X, mix, skip_first=False, cheap=()):
+        u = forward(X, mix, skip_first, cheap)
+        for j in cheap:
+            bits = np.ascontiguousarray(X[:, j]).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            u[:, j] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * delta
+        return u
+
+    return jittered_map
+
+
+@st.composite
+def cheap_cases(draw):
+    """A table of 2 or 3 columns, k, the number of dither rows, how many
+    rows get placed at an edge of a level-1 or level-2 table, and a seed."""
+    kinds = draw(st.lists(st.sampled_from("co"), min_size=2, max_size=3))
+    k = draw(st.sampled_from((2, 3, 10)))
+    n = draw(st.integers(max(k, 4), 40))
+    width = draw(st.integers(1, len(kinds) - 1))
+    table = coded_table(kinds, n, draw(st.integers(0, n - 1)), width, draw(st.integers(0, 2**16)))
+    rows = draw(st.sampled_from((1, 2, 30, 200)))
+    return table, k, rows, draw(st.integers(0, 4)), draw(st.integers(0, 2**16))
+
+
+class TestCheapPass:
+    @settings(max_examples=60, deadline=None)
+    @given(case=cheap_cases(), jitter=st.booleans())
+    def test_rows_at_later_edges_are_released_exactly(self, case, jitter):
+        # rows within 1e-13 of an edge of their level-1 or level-2 table,
+        # with the cheap pass's u_j as computed or moved by up to delta / 2
+        table, k, rows, edges, seed = case
+        state = prepare(table, k, seed=0)
+        model, joint = state.model, state.joint
+        rng = np.random.default_rng(seed)
+        xt = sample_gaussian_batch(model, 1 / 3, rng.integers(0, table.n, rows), rng)
+        mix = rosenblatt._mixture(model, 1 / 3)
+        for _ in range(edges):
+            r, j = int(rng.integers(0, rows)), int(rng.integers(1, table.d))
+            prefix = rosenblatt._walk(rosenblatt._map(xt[None, r, :j], mix), joint)[0, :j]
+            n_next = level_table(joint, prefix)[1]
+            if n_next > 1:
+                xt[r, j] = level_edge(xt[r], j, int(rng.integers(1, n_next)), mix, joint)[
+                    int(rng.integers(0, 2))]
+        want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
+        with pytest.MonkeyPatch.context() as mp:
+            if jitter:
+                delta = rosenblatt._cheap_delta(len(model.sizes))
+                mp.setattr(rosenblatt, "_map", cheap_jittered(rosenblatt._map, delta))
+            got = gaussian_release_indices(xt, model, 1 / 3, joint)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_at_an_edge_are_flagged_and_placed_exactly(self, monkeypatch):
+        # 40 rows of one prefix, placed 1e-14 apart around each edge of its
+        # level-1 table: the cheap pass flags them, and the exact map of
+        # the flagged rows places each on the side of its edge
+        table = make_table(np.column_stack([np.arange(60) % 2, np.arange(60) % 7]))
+        state = prepare(table, 3, seed=0)
+        model, joint = state.model, state.joint
+        mix = rosenblatt._mixture(model, 1 / 3)
+        row = np.array([0.1, 0.0])
+        x1 = np.concatenate([level_edge(row, 1, e, mix, joint)[0] + 1e-14 * np.arange(-4, 4)
+                             for e in range(1, 7)])
+        xt = np.column_stack([np.full(len(x1), 0.1), x1])
+        want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
+        assert len(np.unique(want[:, 1])) == 7
+        walk, flagged = rosenblatt._walk, []
+
+        def counted_walk(u, joint, *args):
+            out = walk(u, joint, *args)
+            flagged.append(int((out[:, -1] < 0).sum()))
+            return out
+
+        monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
+        got = gaussian_release_indices(xt, model, 1 / 3, joint)
+        assert got.tobytes() == want.tobytes()
+        assert flagged == [len(xt), 0]
+
+
+class TestThreads:
+    def test_no_thread_below_the_threshold(self, dithered, monkeypatch):
+        # fewer than 2 * _THREAD_BLOCKS blocks start no thread, whatever the
+        # CPU count, and neither do as many rows mapped by the cheap pass
+        # alone, whose blocks are twice as long; 9 blocks start one. The
+        # bits stay the serial reference's
+        xt, model = dithered
+        submitted = []
+
+        class Pool(rosenblatt.ThreadPoolExecutor):
+            def submit(self, *args):
+                submitted.append(args)
+                return super().submit(*args)
+
+        monkeypatch.setattr(rosenblatt, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(rosenblatt, "_usable_cpus", lambda: 4)
+        rows = block_rows(len(model.sizes))
+        assert len(xt) == 8 * rows + 19 and rosenblatt._THREAD_BLOCKS == 4
+        ref = reference_forward(xt, model, 1 / 3)
+        small = xt[:7 * rows]
+        assert forward_gaussian(small, model, 1 / 3).tobytes() == ref[:7 * rows].tobytes()
+        rosenblatt._map(xt, rosenblatt._mixture(model, 1 / 3), True, (1, 2))
+        assert submitted == []
+        assert forward_gaussian(xt, model, 1 / 3).tobytes() == ref.tobytes()
+        assert len(submitted) == 1
+
+    def test_cheap_pass_rows_do_not_depend_on_blocks_or_threads(self, dithered, monkeypatch):
+        # the cheap pass's u, serial, on a thread per block, and row by row
+        xt, model = dithered
+        mix = rosenblatt._mixture(model, 1 / 3)
+        serial = rosenblatt._map(xt, mix, True, (1, 2))
+        monkeypatch.setattr(rosenblatt, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(rosenblatt, "_THREAD_BLOCKS", 1)
+        assert rosenblatt._map(xt, mix, True, (1, 2)).tobytes() == serial.tobytes()
+        for a, b in [(0, 1), (5, 90), (84, 86), (170, 355)]:
+            assert rosenblatt._map(xt[a:b], mix, True, (1, 2)).tobytes() == serial[a:b].tobytes()
+
+
+class TestReleaseShape:
+    def test_dither_of_another_width_rejected(self):
+        table = coded_table("ccc", 40, 0, 1, 5)
+        state = prepare(table, 3, seed=0)
+        model, joint = state.model, state.joint
+        xt = sample_gaussian_batch(model, 1 / 3, np.arange(40), np.random.default_rng(0))
+        for bad in (np.column_stack([xt, xt[:, 0]]), xt[:, :2], xt[:, 0], [[0.0] * 4]):
+            with pytest.raises(ShapeError, match=r"expected an \(N, 3\) array"):
+                gaussian_release_indices(bad, model, 1 / 3, joint)
+        want = gaussian_release_indices(xt, model, 1 / 3, joint)
+        got = gaussian_release_indices(xt.tolist(), model, 1 / 3, joint)
+        assert got.tobytes() == want.tobytes()
