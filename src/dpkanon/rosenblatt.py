@@ -34,6 +34,12 @@ _PAGE_B = 0.7988 * 0.04417
 _PAGE_CLIP = 9.0
 _PAGE_ERR = 3e-4
 
+# The first coordinate's interpolant (_root_interpolant): eps_0, the most
+# it may differ from the mixture CDF, and a bound on the third derivative
+# of the normal density, whose peak is 0.55059.
+_ROOT_ERR = 1e-6
+_PHI3_MAX = 0.551
+
 
 def _first(mask) -> tuple:
     """(row, dimension) of the first True entry of a 2-d mask."""
@@ -99,13 +105,13 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     made while the second core was free, two threads took 0.68x of one on 8
     blocks of three ndtr columns and 0.85x on 8 double blocks of the cheap
     pass, but tied or lost on 4 or fewer; while it was busy, they lost
-    5-10% at every size. So the rows mapped again and the bisection's
-    probes run on the calling thread. Doubling the cheap pass's blocks took
-    its two threads from 0.88x to 0.66x of one on 4000 rows, and one thread
-    from 59 to 55 ms. Every sum over the clusters is an einsum or a numpy
-    reduction along one row, never a BLAS product, so a record's u depends
-    neither on the block it falls in nor on the thread count nor on the
-    BLAS build.
+    5-10% at every size. So small maps, such as the rows mapped again and
+    the first coordinate's interpolant nodes, run on the calling thread.
+    Doubling the cheap pass's blocks took its two threads from 0.88x to
+    0.66x of one on 4000 rows, and one thread from 59 to 55 ms. Every sum
+    over the clusters is an einsum or a numpy reduction along one row,
+    never a BLAS product, so a record's u depends neither on the block it
+    falls in nor on the thread count nor on the BLAS build.
 
     Maps an (N, J) array of the leading J <= d columns of dither samples to
     the (N, J) array of their uniforms, with the centroids' and the Cholesky
@@ -303,70 +309,119 @@ def _walk(u: np.ndarray, joint: EmpiricalJoint, roots=None, cheap=(),
     return out
 
 
-def _root_entries(x0: np.ndarray, mix: tuple, cumfrac: np.ndarray) -> np.ndarray:
+def _root_interpolant(x0: np.ndarray, mix: tuple):
+    """A cubic Hermite interpolant u~ of the first coordinate's mixture CDF
+    at every first dither coordinate in x0, and the mask of the rows it
+    places; None when its nodes would number half the rows or more.
+
+    The bound. G(x) = sum_c prior_c Phi((x - m_c) / s_c), taken exactly
+    with the float centroids m_c, sds s_c and priors of `mix`, is the CDF
+    that _map computes at the first column. Its fourth derivative is
+    sum_c prior_c phi3(z_c) / s_c^4, where phi3 = phi''' and
+    |phi3(z)| = |z (z^2 - 3)| phi(z) peaks at z^2 = 3 - sqrt(6), at
+    0.55059 < _PHI3_MAX = 0.551 (test_phi3_grid_maximum measures it again).
+    On a cell [a, b] of width w, the cubic that matches G and G' at both
+    ends is within max |G''''| w^4 / 384 of G. So a cell no wider than
+    w_max, with w_max^4 = 384 eps_0 / (0.551 sum_c prior_c / s_c^4), keeps
+    it within eps_0 = _ROOT_ERR. w_max is computed as
+    s_min (384 eps_0 / (0.551 S))^(1/4), with s_min the least s_c and
+    S = sum_c prior_c (s_min / s_c)^4, positive and at most about 1, so that
+    no s_c^4 is formed and nothing overflows, whatever alpha is. 0.551 exceeds the peak by
+    7e-4 of itself, which covers the rounding of S, of w_max and of a
+    cell's width (a few eps each).
+
+    The nodes. The lattice lo + i step, with lo the least x0 and
+    step = w_max / 1.1, has a node at both ends of every lattice cell that
+    holds a record and nowhere else, so a far outlier adds two nodes, not
+    a run of empty cells. G at the nodes comes from _map, with its bits,
+    and G' from one einsum. Each row is placed between the consecutive
+    nodes around it. Rounding can leave a row past the last node, or widen
+    a cell past w_max where |x0| is some 1e14 steps or more; such rows are
+    not placed. A node costs about what a mapped row does, and its slope
+    as much again, so the interpolant pays while 2 nodes < N.
+    """
+    centroids, _, diag, _, prior, _ = mix
+    m, s = centroids[:, 0], diag[:, 0]
+    s_min = s.min()
+    spread = (prior * (s_min / s) ** 4).sum()
+    wide = s_min * (384 * _ROOT_ERR / (_PHI3_MAX * spread)) ** 0.25
+    step = wide / 1.1
+    lo = x0.min()
+    cells = np.floor((x0 - lo) / step)
+    lattice = np.unique(np.concatenate([cells, cells + 1]))
+    if 2 * len(lattice) >= len(x0):
+        return None
+    nodes = lo + lattice * step
+    g = _map(nodes[:, None], mix)[:, 0]
+    z = np.subtract(nodes[:, None], m)  # in place from here on: one (nodes, c) array
+    z /= s
+    z *= z
+    z *= -0.5
+    slope = np.einsum("nc,c->n", np.exp(z, out=z), prior / s) / np.sqrt(2 * np.pi)
+    k = np.minimum(np.searchsorted(nodes, x0, side="right") - 1, len(nodes) - 2)
+    a, b = nodes[k], nodes[k + 1]
+    w = b - a
+    f = np.divide(x0 - a, w, out=np.zeros_like(x0), where=w > 0)
+    u = (g[k] + f * f * (3 - 2 * f) * (g[k + 1] - g[k])
+         + w * f * (1 - f) * ((1 - f) * slope[k] - f * slope[k + 1]))
+    return u, (x0 <= b) & (w <= wide)
+
+
+def _root_entries(x0: np.ndarray, mix: tuple, cumfrac: np.ndarray):
     """Each record's entry in the root table, whose cumulative fractions
     are `cumfrac`, as the walk takes it from u0 = _map(x0[:, None], mix)[:, 0]
-    for first dither coordinates x0, mapping only a few records.
+    for first dither coordinates x0; None where _root_interpolant declines.
 
-    The bound. u0 is clip(s, tiny, 1) for s the float sum over the c
-    clusters of fl(prior_c * ndtr(z_c)), with z_c = fl(fl(x0 - m_c) / s_c).
-    Let g(x0) be clip(sum_c prior_c Phi(z_c), tiny, 1), with Phi and the sum
-    exact. g is non-decreasing in x0: fl(x0 - m_c) and fl(. / s_c) with
-    s_c > 0 are monotone, Phi is non-decreasing and the priors are
-    nonnegative, and clip is monotone. |u0 - g| <= delta = 4 (c + 2) eps:
-    ndtr is taken to be within 2 eps of Phi (its largest error, measured
-    against 120-bit mpmath at 150 000 points in [-40, 40], is 0.77 eps), each
-    product rounds by eps / 2 of itself, a sum of c nonnegative terms in any
-    order by (c - 1) eps / 2 of their total, which is at most about 1, and
-    clip is 1-Lipschitz. So with the records sorted by x0, every record
-    before record i has u0 <= u0_i + 2 delta, and every record after it
-    u0 >= u0_i - 2 delta. The walk's entry is non-decreasing in u0 and
-    rounding is monotone, so the entries before i are at most
-    entry(fl(u0_i + 2 delta)) and those after at least
-    entry(fl(u0_i - 2 delta)).
+    A row the interpolant places gets the entry of u~ - delta when it
+    equals that of u~ + delta, for delta = eps_0 + 3 delta_0 and
+    delta_0 = 4 (c + 2) eps. The walk's entry is non-decreasing in u0 and
+    rounding is monotone, so that is u0's entry once
+    |u~ - u0| < delta - eps. The other rows are mapped, and their entries
+    looked up.
 
-    The search. For each edge e in 1..G0-1, two bisections over the sorted
-    records run together, each round mapping the first column of the
-    distinct rows they probe. One finds the first position whose upper
-    bound reaches e, so every record before it has an entry below e; the
-    other the first whose lower bound reaches e, so every record from it on
-    has an entry of at least e. A record outside every window between an
-    edge's two positions has as its entry the number of edges whose second
-    position it has reached. A record inside one (its u0 lies within about
-    4 delta of that edge) is mapped, and its entry looked up. Records with
-    equal x0 have equal u0, so their order in the sort does not matter.
+    The bound. u0 = clip(s, tiny, 1), for s the float sum over the c
+    clusters of fl(prior_c ndtr(z_c)), z_c = fl(fl(x0 - m_c) / s_c). z_c is
+    within eps |z_c| of the exact z, which moves Phi by less than
+    max |z phi(z)| eps < 0.25 eps; ndtr is taken to be within 2 eps of Phi
+    (its largest error, measured against 120-bit mpmath at 150 000 points
+    in [-40, 40], is 0.77 eps); each product rounds by eps / 2 of itself,
+    and a sum of c nonnegative terms in any order by (c - 1) eps / 2 of
+    their total, at most about 1; clip is 1-Lipschitz, and it moves G by at
+    most c eps / 2 + tiny, as the priors sum to 1 within c eps / 2. So
+    |u0 - G| < (c + 3) eps <= delta_0 / 2. The spare half is room for the
+    tests, which move each u0 by up to delta_0 / 2: below, every u0, at a
+    row or at a node, is within delta_0 of G. Then |u~ - u0| is at most the
+    sum of
+    - eps_0, the interpolant's bound with exact node data;
+    - delta_0 from the node values, whose two weights are nonnegative and
+      sum to 1;
+    - 0.05 (c + 6) eps from the slopes. Each exp(-z^2 / 2) is within 2.2 eps
+      (z rounds by eps |z|, z^2 and exp by an eps each), and the einsum's
+      products, nonnegative sum and divides add (c + 4) eps / 2 of the
+      total, so a slope is within (c + 6) eps sum_c prior_c / s_c. The
+      slopes' weights sum to w f (1 - f) <= w / 4, and
+      w sum_c prior_c / s_c <= w (sum_c prior_c / s_c^4)^(1/4) < 0.17 (a
+      power mean);
+    - 6 eps from the float f and the cubic's terms, each at most 1;
+    - delta_0 from the row's own u0.
+    That is eps_0 + 2 delta_0 + (0.05 c + 6.3) eps < delta - eps for any
+    c >= 1.
     """
-    n, top = len(x0), len(cumfrac) - 1
-    order = np.argsort(x0)
+    fit = _root_interpolant(x0, mix)
+    if fit is None:
+        return None
+    u, placed = fit
+    top = len(cumfrac) - 1
 
     def entry(v):  # the walk's step 0
         return np.minimum(np.searchsorted(cumfrac, v - _U_TOL), top)
 
-    delta = 4 * (len(mix[0]) + 2) * np.finfo(float).eps  # c = len(centroids)
-    edge = np.tile(np.arange(1, top + 1), 2)
-    shift = np.repeat([2 * delta, -2 * delta], top)
-    lo = np.zeros(2 * top, dtype=np.intp)
-    hi = np.full(2 * top, n, dtype=np.intp)
-    while (lo < hi).any():
-        live = np.flatnonzero(lo < hi)
-        mid = (lo[live] + hi[live]) >> 1
-        rows, at = np.unique(mid, return_inverse=True)
-        u0 = _map(x0[order[rows], None], mix)[at, 0]
-        reached = entry(u0 + shift[live]) >= edge[live]
-        hi[live] = np.where(reached, mid, hi[live])
-        lo[live] = np.where(reached, lo[live], mid + 1)
-    below, above = lo[:top], lo[top:]
-
-    # sorted positions covered by a window [below_e, above_e)
-    depth = np.cumsum(np.bincount(below, minlength=n + 1)
-                      - np.bincount(above, minlength=n + 1))[:n]
-    unsure = np.flatnonzero(depth > 0)
-    entries = np.searchsorted(np.sort(above), np.arange(n), side="right")
+    delta = _ROOT_ERR + 12 * (len(mix[0]) + 2) * np.finfo(float).eps  # c = len(centroids)
+    entries = entry(u - delta)
+    unsure = np.flatnonzero(~placed | (entries != entry(u + delta)))
     if len(unsure):
-        entries[unsure] = entry(_map(x0[order[unsure], None], mix)[:, 0])
-    out = np.empty(n, dtype=np.intp)
-    out[order] = entries
-    return out
+        entries[unsure] = entry(_map(x0[unsure, None], mix)[:, 0])
+    return entries
 
 
 def _table_sizes(joint: EmpiricalJoint) -> np.ndarray:
@@ -409,9 +464,10 @@ def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> tuple:
     mapped again on all d columns, with a chance of about 2 delta E_j. Each
     cheap level saves more than half a column's cost per row (Page's form
     costs 3.7 ns a cell against ndtr's 17-25 ns), so a level pays while its
-    rows mapped again cost less than that. So the continuous root table
-    (2450 entries, 2 delta E_0 d about 4) stays exact, while the small tables
-    past it are cheap.
+    rows mapped again cost less than that. So a root table as large as the
+    continuous one (2450 entries, 2 delta E_0 d about 4) would stay exact
+    where the interpolant of _root_interpolant declines, while the small
+    tables past the root are cheap.
     """
     edges = ((_table_sizes(joint)[levels] - 1) * joint.counts).sum(axis=1) / joint.total
     return tuple(j for j, e in zip(levels, edges) if 2 * delta * e * joint.d < 0.5)
@@ -429,10 +485,11 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     continuous data the prefixes part after a column or two, and the map's
     last columns are skipped for nearly every row.
 
-    When the root table's G0 entries are few, 2 (G0 - 1) ceil(log2(N + 1))
-    < N, the bisection of _root_entries gives every row its root entry
-    exactly from at most that many mapped rows, plus the rows whose u_0 lies
-    at an edge, and the leading-column map skips the first column's CDF.
+    When the first coordinate's interpolant needs fewer than N / 2 nodes
+    (_root_interpolant), _root_entries gives every row its root entry
+    exactly from the mapped nodes and the rows whose u_0 lies within about
+    2 eps_0 of an edge, and the leading-column map skips the first column's
+    CDF. Otherwise the first column is mapped with the others.
 
     The levels _cheap_levels picks, the small tables, are mapped by the
     cheap pass and walked with its margin _cheap_delta(c): the rows whose
@@ -447,9 +504,8 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     width = _mapped_width(joint)
     mix = _mixture(model, alpha)
     delta = _cheap_delta(len(mix[0]))  # c = len(centroids)
-    cumfrac = joint.flat_trie[0][1]
-    skip_first = 2 * (len(cumfrac) - 1) * len(X).bit_length() < len(X)
-    roots = _root_entries(X[:, 0], mix, cumfrac) if skip_first else None
+    roots = _root_entries(X[:, 0], mix, joint.flat_trie[0][1])
+    skip_first = roots is not None
     cheap = _cheap_levels(joint, range(int(skip_first), width), delta)
     idx = _walk(_map(X[:, :width], mix, skip_first, cheap), joint, roots, cheap, delta)
     redo = np.flatnonzero(idx[:, -1] < 0)

@@ -322,13 +322,13 @@ def workload_table(kind: str, seed: int = 1):
 
 @pytest.mark.parametrize("kind, width", [("continuous", 2), ("ordinal", 3)])
 def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind, width):
-    # continuous keys part after two columns and the root table has 2450
-    # entries, so every row maps two columns, the first exactly, and only
-    # the rows the walk flags map all three; the ordinal root table has 10
-    # entries, so one-column probes of at most 2 * 9 rows bisect its edges,
-    # and then one three-column map skips the first column's CDF. The small
-    # tables past the root are mapped by the cheap pass, and the rows it
-    # leaves near an edge are flagged with the others
+    # continuous keys part after two columns, ordinal keys after three. On
+    # both tables one one-column map of the interpolant's nodes places the
+    # first coordinate, the few rows it leaves near a root edge are mapped
+    # on that column, and then one map of the leading columns skips the
+    # first column's CDF. The small tables past the root are mapped by the
+    # cheap pass, and the rows it leaves near an edge are flagged with the
+    # others
     maps, flagged = [], []
     forward, walk = rosenblatt._map, rosenblatt._walk
 
@@ -345,21 +345,21 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     transform(prepare(workload_table(kind), 10, seed=0), "gaussian")
     main = [m for m in maps if m[0] == 4000]
-    assert main == [(4000, width, kind == "ordinal", tuple(range(1, width)))]
-    probes, redo = maps[:maps.index(main[0])], maps[maps.index(main[0]) + 1:]
+    assert main == [(4000, width, True, tuple(range(1, width)))]
+    first, redo = maps[:maps.index(main[0])], maps[maps.index(main[0]) + 1:]
     assert redo == ([(flagged[0], 3, False, ())] if flagged[0] else [])
     assert flagged[1:] == [0] * len(redo)
     assert flagged[0] < 40
-    if kind == "continuous":
-        assert probes == []
-    else:
-        assert 0 < len(probes) <= (4000).bit_length()
-        assert all(cols == 1 and not skip and rows <= 18 for rows, cols, skip, _ in probes)
+    (nodes, *shape), unsure = first[0], first[1:]
+    assert shape == [1, False, ()] and nodes < 100
+    assert len(unsure) <= 1
+    assert all(m[1:] == (1, False, ()) and m[0] < 40 for m in unsure)
 
 
 # sha256 of each method's qi_hat bytes on workload_table(kind), k = 10,
-# seed 0, taken before the root entries were found by bisection; a change
-# that moves any release's bytes must say so and update them
+# seed 0, taken before the release first placed rows without mapping their
+# first coordinate, and kept by every change since; a change that moves any
+# release's bytes must say so and update them
 RELEASE_DIGESTS = {
     ("continuous", "centroid"): "0770805cb4d89a5c66d48d55d128310246f3b886a4e166e4a367011d0bd4aef6",
     ("continuous", "resample"): "8742f7da41f0ad00e4efe5b5bb5181e818ebdec60402278bd763003ef770d3f4",
@@ -388,8 +388,8 @@ def test_release_digest_unchanged(workload_states, kind, method):
 
 
 def root_delta(model):
-    """The bound _root_entries allows between a computed u_0 and a monotone
-    function of x_0."""
+    """delta_0, the bound _root_entries allows between a computed u_0 and the
+    mixture CDF at x_0."""
     return 4 * (len(model.sizes) + 2) * np.finfo(float).eps
 
 
@@ -397,13 +397,17 @@ def first_u(x0, mix):
     return rosenblatt._map(np.asarray(x0, dtype=float).reshape(-1, 1), mix)[:, 0]
 
 
+def root_entry(cumfrac, u0):
+    """The walk's step-0 entry for first coordinates u0."""
+    return np.minimum(np.searchsorted(cumfrac, np.asarray(u0) - _U_TOL), len(cumfrac) - 1)
+
+
 def root_edge(mix, cumfrac, e):
     """Two first coordinates less than 1e-15 apart whose u_0 straddle the
     walk's edge e of the root table: the lower one's entry is below e and
     the upper one's at least e. Found by bisection."""
     def reaches(x):
-        u0 = first_u([x], mix)[0]
-        return np.searchsorted(cumfrac, u0 - _U_TOL) >= e
+        return root_entry(cumfrac, first_u([x], mix))[0] >= e
 
     lo, hi = -50.0, 50.0
     assert not reaches(lo) and reaches(hi)
@@ -418,8 +422,8 @@ def root_edge(mix, cumfrac, e):
 
 def jittered(forward, delta):
     """_map with each computed u_0 moved by up to delta / 2, by a fixed
-    function of x_0's bits: still within delta of a monotone function, but
-    not monotone itself."""
+    function of x_0's bits: still within delta of the mixture CDF, but not
+    monotone in x_0."""
     def jittered_map(X, mix, skip_first=False, cheap=()):
         u = forward(X, mix, skip_first, cheap)
         if not skip_first:
@@ -446,16 +450,25 @@ def root_cases(draw):
     rest = [np.round(rng.standard_normal(n), 2) if kind == "c"
             else rng.integers(0, 3, n).astype(float) for kind in kinds]
     table = make_table(np.column_stack([first, *rest]))
-    rows = draw(st.sampled_from((1, 2, 30, 200)))
+    rows = draw(st.sampled_from((1, 2, 30, 200, 1000)))
     return table, k, rows, draw(st.integers(0, 5)), draw(st.integers(0, 3)), seed
+
+
+def edge_table():
+    """A 60-row table whose root table has 6 entries, its state (k = 3), and
+    the mixture at alpha = 1/3."""
+    state = prepare(make_table(np.column_stack([np.arange(60) % 6, np.arange(60) % 7])),
+                    3, seed=0)
+    return state, rosenblatt._mixture(state.model, 1 / 3)
 
 
 class TestRootEntries:
     @settings(max_examples=60, deadline=None)
     @given(case=root_cases(), jitter=st.booleans())
-    def test_bisected_entries_and_release_equal_the_walk(self, case, jitter):
+    def test_interpolated_entries_and_release_equal_the_walk(self, case, jitter):
         # G0 = 1, G0 = 2, one row, repeated x_0 and rows within 1e-13 of a
-        # root edge; with jitter, u_0 is no longer monotone in x_0
+        # root edge; with jitter, u_0 is no longer monotone in x_0. One or
+        # two rows take the exact first column, a thousand the interpolant
         table, k, rows, repeats, edges, seed = case
         state = prepare(table, k, seed=0)
         model, joint = state.model, state.joint
@@ -475,69 +488,98 @@ class TestRootEntries:
             want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
             roots = rosenblatt._root_entries(xt[:, 0], mix, cumfrac)
             got = gaussian_release_indices(xt, model, 1 / 3, joint)
-        assert idx0[roots].tolist() == want[:, 0].tolist()
+        if rows <= 2 or rows >= 1000:
+            assert (roots is None) == (rows <= 2)
+        if roots is not None:
+            assert idx0[roots].tolist() == want[:, 0].tolist()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["equal", "outlier", "shifted", "alpha=1e-6",
+                                      "alpha=1e300"])
+    def test_inputs_that_break_a_naive_grid(self, case):
+        # every x_0 equal (a lattice of one cell), one x_0 near 1e12 (two
+        # more nodes, not 1e13 empty cells), every x_0 moved by 1e15 (the
+        # lattice points round to 1/8, so the cells are too wide and their
+        # rows are mapped), a grid too fine to pay (the exact first column),
+        # and sds near 1e150, whose fourth powers overflow; any warning fails
+        # the suite
+        state, _ = edge_table()
+        model, joint = state.model, state.joint
+        alpha = {"alpha=1e-6": 1e-6, "alpha=1e300": 1e300}.get(case, 1 / 3)
+        rng = np.random.default_rng(4)
+        xt = sample_gaussian_batch(model, alpha, rng.integers(0, 60, 400), rng)
+        if case == "equal":
+            xt[:, 0] = xt[0, 0]
+        elif case == "outlier":
+            xt[7, 0] = 1e12
+        elif case == "shifted":
+            xt[:, 0] += 1e15
+        mix = rosenblatt._mixture(model, alpha)
+        idx0, cumfrac = joint.flat_trie[0][:2]
+        want = inverse_empirical_indices(forward_gaussian(xt, model, alpha), joint)
+        forward, mapped = rosenblatt._map, []
+
+        def kept_map(X, mix, *args):
+            mapped.append(X[:, 0].copy())
+            return forward(X, mix, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rosenblatt, "_map", kept_map)
+            roots = rosenblatt._root_entries(xt[:, 0], mix, cumfrac)
+        assert (roots is None) == (case == "alpha=1e-6")
+        if roots is not None:
+            assert idx0[roots].tolist() == want[:, 0].tolist()
+            u, placed = rosenblatt._root_interpolant(xt[:, 0], mix)
+            assert placed.all() == (case != "shifted")
+            # the rows left unplaced are mapped after the nodes
+            nodes, *again = mapped
+            assert np.isin(xt[~placed, 0], again).all()
+            err = np.abs(u - first_u(xt[:, 0], mix))[placed]
+            assert (err < rosenblatt._ROOT_ERR).all()
+        got = gaussian_release_indices(xt, model, alpha, joint)
         assert got.tobytes() == want.tobytes()
 
     def test_rows_near_an_edge_are_placed_exactly(self, monkeypatch):
         # 81 rows 1e-14 apart around each edge of a 6-entry root table, with
-        # u_0 jittered by up to delta / 2 so that it crosses each edge many
-        # times: those rows fall in the windows and are mapped one by one
-        table = make_table(np.column_stack([np.arange(60) % 6, np.arange(60) % 7]))
-        state = prepare(table, 3, seed=0)
+        # u_0 jittered by up to delta_0 / 2 so that it crosses each edge many
+        # times: the interpolant cannot place them, and every one is mapped
+        # again and placed exactly
+        state, mix = edge_table()
         model, joint = state.model, state.joint
-        idx0, cumfrac = joint.flat_trie[0][:2]
-        mix = rosenblatt._mixture(model, 1 / 3)
-        x0 = np.concatenate([root_edge(mix, cumfrac, e)[0] + 1e-14 * np.arange(-40, 41)
-                             for e in range(1, 6)])
-        x0 = np.random.default_rng(0).permutation(np.concatenate([x0, np.linspace(-3, 3, 200)]))
+        cumfrac = joint.flat_trie[0][1]
+        near = np.concatenate([root_edge(mix, cumfrac, e)[0] + 1e-14 * np.arange(-40, 41)
+                               for e in range(1, 6)])
+        x0 = np.random.default_rng(0).permutation(np.concatenate([near, np.linspace(-3, 3, 200)]))
         forward = jittered(rosenblatt._map, root_delta(model))
         mapped = []
 
         def counted_map(X, mix, skip_first=False, cheap=()):
-            mapped.append(len(X))
+            mapped.append(X[:, 0].copy())
             return forward(X, mix, skip_first, cheap)
 
         monkeypatch.setattr(rosenblatt, "_map", counted_map)
-        want = np.minimum(np.searchsorted(cumfrac, first_u(x0, mix) - _U_TOL), 5)
+        want = root_entry(cumfrac, first_u(x0, mix))
         mapped.clear()
         got = rosenblatt._root_entries(x0, mix, cumfrac)
         assert got.tolist() == want.tolist()
         # the jitter makes the entries of the rows at an edge disagree with
-        # their order in x_0, so a window holds more than the two probes
+        # their order in x_0
         order = np.argsort(x0)
         assert (np.diff(want[order]) < 0).any()
-        assert mapped[-1] > 2 * 5
-
-    def test_first_column_cdf_cells_on_the_ordinal_table(self, monkeypatch):
-        # the first dimension's ndtr cells are at most (probe + unsure
-        # rows + rows mapped again) * c: 2 (G0 - 1) probes per round, the
-        # rows whose u_0 lies within 5 delta of an edge, and the rows the
-        # cheap pass leaves near an edge at a later level
-        state = prepare(workload_table("ordinal"), 10, seed=0)
-        model, joint = state.model, state.joint
-        c, n = len(model.sizes), 4000
-        xt = sample_gaussian_batch(model, 1 / 3, np.arange(n), np.random.default_rng(3))
-        u0 = forward_gaussian(xt[:, :1], model, 1 / 3)[:, 0]
-        cumfrac = joint.flat_trie[0][1]
-        edge_gap = np.abs(u0[:, None] - _U_TOL - cumfrac[:-1]).min(axis=1)
-        unsure = int((edge_gap <= 5 * root_delta(model)).sum())
-        got, level_cells, _ = count_ndtr_cells(monkeypatch, xt, state)
-        assert got.tobytes() == inverse_empirical_indices(
-            forward_gaussian(xt, model, 1 / 3), joint).tobytes()
-        first_cells, redo_cells = level_cells[0], level_cells[1]
-        probes = 2 * (len(cumfrac) - 1) * n.bit_length()
-        assert first_cells <= (probes + unsure) * c + redo_cells
-        assert first_cells < n * c / 10
+        nodes, again = mapped
+        assert 2 * len(nodes) < len(x0)
+        assert np.isin(near, again).all() and len(again) < len(near) + 10
 
 
 def count_ndtr_cells(monkeypatch, xt, state):
-    """The release of xt, its ndtr cells per level and the rows its first
-    walk flags. Every ndtr call is counted, and each _map call's cells are
-    put to the levels it maps with ndtr (the call's share of the count must
-    agree)."""
+    """The release of xt, its ndtr cells per level, the rows its first walk
+    flags and the (rows, columns) of each _map call. Every ndtr call is
+    counted, and each _map call's cells are put to the levels it maps with
+    ndtr (the call's share of the count must agree)."""
     special = sys.modules["scipy.special"]
     ndtr_, forward, walk = special.ndtr, rosenblatt._map, rosenblatt._walk
-    cells, flagged, level_cells = [], [], np.zeros(state.joint.d, dtype=int)
+    cells, flagged, maps = [], [], []
+    level_cells = np.zeros(state.joint.d, dtype=int)
 
     def counted_ndtr(z, out=None):
         cells.append(z.size)
@@ -549,6 +591,7 @@ def count_ndtr_cells(monkeypatch, xt, state):
         levels = [j for j in range(int(skip_first), X.shape[1]) if j not in cheap]
         assert sum(cells) - before == len(X) * len(mix[0]) * len(levels)
         level_cells[levels] += len(X) * len(mix[0])
+        maps.append(X.shape)
         return u
 
     def counted_walk(u, joint, *args):
@@ -561,7 +604,32 @@ def count_ndtr_cells(monkeypatch, xt, state):
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     got = gaussian_release_indices(xt, state.model, 1 / 3, state.joint)
     monkeypatch.undo()
-    return got, level_cells, flagged[0]
+    return got, level_cells, flagged[0], maps
+
+
+@pytest.mark.parametrize("kind", ["continuous", "ordinal"])
+def test_first_level_cdf_cells(monkeypatch, workload_states, kind):
+    # the first level's ndtr cells are at most (nodes + unsure rows) * c
+    # plus the rows mapped again: the interpolant's nodes, the rows whose
+    # u_0 lies within 2 delta of a root edge, and the rows the cheap pass
+    # leaves near an edge at a later level; under a tenth of n * c
+    state = workload_states[kind]
+    model, joint = state.model, state.joint
+    c, n = len(model.sizes), 4000
+    xt = sample_gaussian_batch(model, 1 / 3, np.arange(n), np.random.default_rng(3))
+    u0 = forward_gaussian(xt[:, :1], model, 1 / 3)[:, 0]
+    cumfrac = joint.flat_trie[0][1]
+    delta = rosenblatt._ROOT_ERR + 3 * root_delta(model)
+    edge_gap = np.abs(u0[:, None] - _U_TOL - cumfrac[:-1]).min(axis=1)
+    unsure = int((edge_gap <= 2 * delta).sum())
+    got, level_cells, _, maps = count_ndtr_cells(monkeypatch, xt, state)
+    assert got.tobytes() == inverse_empirical_indices(
+        forward_gaussian(xt, model, 1 / 3), joint).tobytes()
+    nodes, cols = maps[0]
+    assert cols == 1 and 2 * nodes < n
+    first_cells, redo_cells = level_cells[0], level_cells[1]
+    assert first_cells <= (nodes + unsure) * c + redo_cells
+    assert first_cells < n * c / 10
 
 
 @pytest.mark.parametrize("kind", ["continuous", "ordinal"])
@@ -572,11 +640,22 @@ def test_later_level_cdf_cells(monkeypatch, workload_states, kind):
     state = workload_states[kind]
     c, n = len(state.model.sizes), 4000
     xt = sample_gaussian_batch(state.model, 1 / 3, np.arange(n), np.random.default_rng(3))
-    got, level_cells, flagged = count_ndtr_cells(monkeypatch, xt, state)
+    got, level_cells, flagged, _ = count_ndtr_cells(monkeypatch, xt, state)
     assert got.tobytes() == inverse_empirical_indices(
         forward_gaussian(xt, state.model, 1 / 3), state.joint).tobytes()
     assert all(cells <= flagged * c for cells in level_cells[1:])
     assert all(cells < 0.02 * n * c for cells in level_cells[1:])
+
+
+@pytest.mark.parametrize("alpha", [1 / 3, 0.05])
+def test_interpolant_error_on_the_continuous_table(workload_states, alpha):
+    # every row is placed, within eps_0 of its computed u_0
+    model = workload_states["continuous"].model
+    xt = sample_gaussian_batch(model, alpha, np.arange(4000), np.random.default_rng(3))
+    mix = rosenblatt._mixture(model, alpha)
+    u, placed = rosenblatt._root_interpolant(xt[:, 0], mix)
+    assert placed.all()
+    assert np.abs(u - first_u(xt[:, 0], mix)).max() < rosenblatt._ROOT_ERR
 
 
 def test_page_cdf_grid_maximum():
@@ -594,6 +673,22 @@ def test_page_cdf_grid_maximum():
     bound = peak + 5 * eps + 1.11 * (z[1] - z[0]) / 2
     assert bound < 1.46e-4 and 2 * bound < rosenblatt._PAGE_ERR
     assert ndtr(-9.0) < 1.2e-19 and 0.5 * (1 + np.tanh(g[0])) == 0.0
+
+
+def test_phi3_grid_maximum():
+    # the peak of |phi'''| = |z (z^2 - 3)| phi(z) that _root_interpolant's
+    # bound starts from, measured on a grid: the slope |phi''''| =
+    # |z^4 - 6 z^2 + 3| phi(z) stays below 1.2, so the peak between points
+    # exceeds the grid's by at most 1.2 h / 2; beyond 9, |phi'''| < 1e-15;
+    # and _PHI3_MAX exceeds the peak by 7e-4 of itself
+    z = np.linspace(-9, 9, 2_000_001)
+    phi = np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
+    peak = np.abs(z * (z * z - 3) * phi).max()
+    assert 0.55058 < peak < 0.55059
+    assert (np.abs(z**4 - 6 * z * z + 3) * phi).max() < 1.2
+    bound = peak + 1.2 * (z[1] - z[0]) / 2
+    assert bound < 0.5506 and 9 * (81 - 3) * phi[0] < 1e-15
+    assert rosenblatt._PHI3_MAX > bound and rosenblatt._PHI3_MAX - bound > 7e-4 * rosenblatt._PHI3_MAX
 
 
 def level_table(joint, prefix):
