@@ -454,8 +454,9 @@ def segment_cumfrac(counts, segment, n_segments: int) -> tuple:
 def searchsorted_segments(a, starts, lengths, v) -> np.ndarray:
     """Row-wise np.searchsorted(side="left"): the insertion point of v[r] in
     the sorted segment a[starts[r]:starts[r] + lengths[r]], relative to the
-    segment start. One vectorized binary search over all rows; v must not
-    be NaN.
+    segment start. One vectorized binary search over all rows. v may hold
+    -inf, which gives 0, and +inf, which gives the segment's length; it
+    must not hold NaN, whose comparisons are all False.
     """
     lo = np.zeros(len(v), dtype=np.intp)
     hi = np.array(lengths, dtype=np.intp)

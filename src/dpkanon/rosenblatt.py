@@ -273,46 +273,44 @@ def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
     return _walk(np.maximum(u, np.finfo(float).tiny), joint)  # clamp exact zeros
 
 
-def _walk(u: np.ndarray, joint: EmpiricalJoint, roots=None, cheap=(),
-          delta: float = 0.0) -> np.ndarray:
-    """inverse_empirical_indices of checked u with no exact zeros. Given
-    `roots`, the rows' entries in the root table, step 0 takes them and
-    does not read u[:, 0].
+def _walk(u: np.ndarray, joint: EmpiricalJoint, margin=0.0) -> np.ndarray:
+    """inverse_empirical_indices of checked u with no exact zeros, where
+    each u_j is known only to within margin_j of the u_j the walk reads.
 
-    At the levels in `cheap`, u_j is known only to within delta of the u_j
-    the walk reads (the cheap pass of _map). The entry is non-decreasing in
-    u_j, so a row whose entries for u_j - delta and u_j + delta agree has
-    that entry; a row whose entries differ is flagged as a row that needs a
-    u_j not given is, -1 from that dimension on.
+    `margin` is an array of u's shape, or one value for all of it: 0 for
+    the exact map, _cheap_delta(c) for the cheap pass of _map, and the
+    margin _root_interpolant gives for its u~_0. The entry is
+    non-decreasing in u_j, so a row whose entries for u_j - margin_j and
+    u_j + margin_j agree has that entry; a row whose entries differ is
+    flagged, -1 from that level on. They differ just when the lower entry
+    is not its table's last and u_j + margin_j passes its edge, so one
+    search serves both. An infinite margin flags exactly the rows whose
+    table has more than one entry, so u_j need not be known there, only
+    not NaN. The levels past u's columns take that rule without the search.
     """
+    margin = np.broadcast_to(margin, u.shape)
     out = np.empty((len(u), joint.d), dtype=np.intp)
     node = np.zeros(len(u), dtype=np.intp)
     flagged = np.zeros(len(u), dtype=bool)  # rows the walk cannot place
     for j, (idx, cumfrac, starts, lengths) in enumerate(joint.flat_trie):
         s, n_next = starts[node], lengths[node]
-
-        def entry(v):
-            pos = searchsorted_segments(cumfrac, s, n_next, v - _U_TOL)
-            return s + np.minimum(pos, n_next - 1)
-
         if j >= u.shape[1]:
             flagged |= n_next > 1
             node = s
-        elif j == 0 and roots is not None:
-            node = roots  # the root's entries start at 0
-        elif j in cheap:
-            node = entry(u[:, j] - delta)
-            flagged |= node != entry(u[:, j] + delta)
         else:
-            node = entry(u[:, j])
+            uj, mj = u[:, j], margin[:, j]
+            pos = searchsorted_segments(cumfrac, s, n_next, uj - mj - _U_TOL)
+            node = s + np.minimum(pos, n_next - 1)
+            flagged |= (pos < n_next - 1) & (cumfrac[node] < uj + mj - _U_TOL)
         out[:, j] = np.where(flagged, -1, idx[node])
     return out
 
 
 def _root_interpolant(x0: np.ndarray, mix: tuple):
     """A cubic Hermite interpolant u~ of the first coordinate's mixture CDF
-    at every first dither coordinate in x0, and the mask of the rows it
-    places; None when its nodes would number half the rows or more.
+    at every first dither coordinate in x0, and each row's margin for _walk:
+    delta = eps_0 + 12 (c + 2) eps on the rows it places, inf on the rest.
+    None when its nodes would number half the rows or more, or x0 is empty.
 
     The bound. G(x) = sum_c prior_c Phi((x - m_c) / s_c), taken exactly
     with the float centroids m_c, sds s_c and priors of `mix`, is the CDF
@@ -339,6 +337,39 @@ def _root_interpolant(x0: np.ndarray, mix: tuple):
     a cell past w_max where |x0| is some 1e14 steps or more; such rows are
     not placed. A node costs about what a mapped row does, and its slope
     as much again, so the interpolant pays while 2 nodes < N.
+
+    The margin. A placed row's u~ is within delta - eps of the u0 that
+    _map computes for it, so the walk, whose entry is non-decreasing in u0
+    while rounding is monotone, finds u0's entry wherever those of
+    u~ - delta and u~ + delta agree. u0 = clip(s, tiny, 1), for s the float
+    sum over the c clusters of fl(prior_c ndtr(z_c)),
+    z_c = fl(fl(x0 - m_c) / s_c). z_c is within eps |z_c| of the exact z,
+    which moves Phi by less than max |z phi(z)| eps < 0.25 eps; ndtr is
+    taken to be within 2 eps of Phi (its largest error, measured against
+    120-bit mpmath at 150 000 points in [-40, 40], is 0.77 eps); each
+    product rounds by eps / 2 of itself, and a sum of c nonnegative terms in
+    any order by (c - 1) eps / 2 of their total, at most about 1; clip is
+    1-Lipschitz, and it moves G by at most c eps / 2 + tiny, as the priors
+    sum to 1 within c eps / 2. So |u0 - G| < (c + 3) eps <= delta_0 / 2, for
+    delta_0 = 4 (c + 2) eps. The spare half is room for the tests, which
+    move each u0 by up to delta_0 / 2: below, every u0, at a row or at a
+    node, is within delta_0 of G. Then |u~ - u0| is at most the sum of
+    - eps_0, the interpolant's bound with exact node data;
+    - delta_0 from the node values, whose two weights are nonnegative and
+      sum to 1;
+    - 0.05 (c + 6) eps from the slopes. Each exp(-z^2 / 2) is within 2.2 eps
+      (z rounds by eps |z|, z^2 and exp by an eps each), and the einsum's
+      products, nonnegative sum and divides add (c + 4) eps / 2 of the
+      total, so a slope is within (c + 6) eps sum_c prior_c / s_c. The
+      slopes' weights sum to w f (1 - f) <= w / 4, and
+      w sum_c prior_c / s_c <= w (sum_c prior_c / s_c^4)^(1/4) < 0.17 (a
+      power mean);
+    - 6 eps from the float f and the cubic's terms, each at most 1;
+    - delta_0 from the row's own u0.
+    That is eps_0 + 2 delta_0 + (0.05 c + 6.3) eps < delta - eps, with
+    delta = eps_0 + 3 delta_0, for any c >= 1. The rows not placed get an
+    infinite margin, and u~ = 1/2 in place of whatever the cubic gave
+    there, which may be NaN.
     """
     centroids, _, diag, _, prior, _ = mix
     m, s = centroids[:, 0], diag[:, 0]
@@ -346,7 +377,7 @@ def _root_interpolant(x0: np.ndarray, mix: tuple):
     spread = (prior * (s_min / s) ** 4).sum()
     wide = s_min * (384 * _ROOT_ERR / (_PHI3_MAX * spread)) ** 0.25
     step = wide / 1.1
-    lo = x0.min()
+    lo = x0.min(initial=np.inf)  # inf when x0 is empty: no lattice, and None
     cells = np.floor((x0 - lo) / step)
     lattice = np.unique(np.concatenate([cells, cells + 1]))
     if 2 * len(lattice) >= len(x0):
@@ -364,64 +395,9 @@ def _root_interpolant(x0: np.ndarray, mix: tuple):
     f = np.divide(x0 - a, w, out=np.zeros_like(x0), where=w > 0)
     u = (g[k] + f * f * (3 - 2 * f) * (g[k + 1] - g[k])
          + w * f * (1 - f) * ((1 - f) * slope[k] - f * slope[k + 1]))
-    return u, (x0 <= b) & (w <= wide)
-
-
-def _root_entries(x0: np.ndarray, mix: tuple, cumfrac: np.ndarray):
-    """Each record's entry in the root table, whose cumulative fractions
-    are `cumfrac`, as the walk takes it from u0 = _map(x0[:, None], mix)[:, 0]
-    for first dither coordinates x0; None where _root_interpolant declines.
-
-    A row the interpolant places gets the entry of u~ - delta when it
-    equals that of u~ + delta, for delta = eps_0 + 3 delta_0 and
-    delta_0 = 4 (c + 2) eps. The walk's entry is non-decreasing in u0 and
-    rounding is monotone, so that is u0's entry once
-    |u~ - u0| < delta - eps. The other rows are mapped, and their entries
-    looked up.
-
-    The bound. u0 = clip(s, tiny, 1), for s the float sum over the c
-    clusters of fl(prior_c ndtr(z_c)), z_c = fl(fl(x0 - m_c) / s_c). z_c is
-    within eps |z_c| of the exact z, which moves Phi by less than
-    max |z phi(z)| eps < 0.25 eps; ndtr is taken to be within 2 eps of Phi
-    (its largest error, measured against 120-bit mpmath at 150 000 points
-    in [-40, 40], is 0.77 eps); each product rounds by eps / 2 of itself,
-    and a sum of c nonnegative terms in any order by (c - 1) eps / 2 of
-    their total, at most about 1; clip is 1-Lipschitz, and it moves G by at
-    most c eps / 2 + tiny, as the priors sum to 1 within c eps / 2. So
-    |u0 - G| < (c + 3) eps <= delta_0 / 2. The spare half is room for the
-    tests, which move each u0 by up to delta_0 / 2: below, every u0, at a
-    row or at a node, is within delta_0 of G. Then |u~ - u0| is at most the
-    sum of
-    - eps_0, the interpolant's bound with exact node data;
-    - delta_0 from the node values, whose two weights are nonnegative and
-      sum to 1;
-    - 0.05 (c + 6) eps from the slopes. Each exp(-z^2 / 2) is within 2.2 eps
-      (z rounds by eps |z|, z^2 and exp by an eps each), and the einsum's
-      products, nonnegative sum and divides add (c + 4) eps / 2 of the
-      total, so a slope is within (c + 6) eps sum_c prior_c / s_c. The
-      slopes' weights sum to w f (1 - f) <= w / 4, and
-      w sum_c prior_c / s_c <= w (sum_c prior_c / s_c^4)^(1/4) < 0.17 (a
-      power mean);
-    - 6 eps from the float f and the cubic's terms, each at most 1;
-    - delta_0 from the row's own u0.
-    That is eps_0 + 2 delta_0 + (0.05 c + 6.3) eps < delta - eps for any
-    c >= 1.
-    """
-    fit = _root_interpolant(x0, mix)
-    if fit is None:
-        return None
-    u, placed = fit
-    top = len(cumfrac) - 1
-
-    def entry(v):  # the walk's step 0
-        return np.minimum(np.searchsorted(cumfrac, v - _U_TOL), top)
-
-    delta = _ROOT_ERR + 12 * (len(mix[0]) + 2) * np.finfo(float).eps  # c = len(centroids)
-    entries = entry(u - delta)
-    unsure = np.flatnonzero(~placed | (entries != entry(u + delta)))
-    if len(unsure):
-        entries[unsure] = entry(_map(x0[unsure, None], mix)[:, 0])
-    return entries
+    placed = (x0 <= b) & (w <= wide)
+    delta = _ROOT_ERR + 12 * (len(m) + 2) * np.finfo(float).eps
+    return np.where(placed, u, 0.5), np.where(placed, delta, np.inf)
 
 
 def _table_sizes(joint: EmpiricalJoint) -> np.ndarray:
@@ -479,23 +455,23 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     for an (N, d) array of dither samples, mapping only what the walk reads.
 
     Every row is mapped on its leading _mapped_width(joint) columns and
-    walked; the rows that walk flags are mapped on all d columns and walked
-    again. A row's u depends on no other row and its leading columns equal
-    the full map's, so the indices are the full path's bit for bit. On
+    walked by one certified walk, in which each mapped u_j comes with its
+    evaluator's margin (_walk):
+    - the first coordinate's interpolant, when it needs fewer than N / 2
+      nodes (_root_interpolant), gives u~_0 and its margin, and the map
+      then skips the first column's CDF; otherwise the first column is
+      mapped with the others;
+    - the levels _cheap_levels picks, the small tables, are mapped by the
+      cheap pass, with the margin _cheap_delta(c);
+    - the other levels are mapped exactly, with margin 0.
+    The walk flags the rows whose u_j lies within its margin of an edge of
+    their table, and those that need a column not mapped. They are mapped
+    exactly on all d columns and walked again: one redo for every level.
+    A row's u depends on no other row and its leading columns equal the
+    full map's, so the indices are the full path's bit for bit. On
     continuous data the prefixes part after a column or two, and the map's
-    last columns are skipped for nearly every row.
-
-    When the first coordinate's interpolant needs fewer than N / 2 nodes
-    (_root_interpolant), _root_entries gives every row its root entry
-    exactly from the mapped nodes and the rows whose u_0 lies within about
-    2 eps_0 of an edge, and the leading-column map skips the first column's
-    CDF. Otherwise the first column is mapped with the others.
-
-    The levels _cheap_levels picks, the small tables, are mapped by the
-    cheap pass and walked with its margin _cheap_delta(c): the rows whose
-    u_j lies that close to an edge of their table are flagged too, and
-    mapped again exactly with the others. The mixture's constants are built
-    once for all of these maps.
+    last columns are skipped for nearly every row. The mixture's constants
+    are built once for the interpolant's nodes, the main map and the redo.
     """
     d = model.centroids.shape[1]
     X = _dither(xt, d)
@@ -504,10 +480,15 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     width = _mapped_width(joint)
     mix = _mixture(model, alpha)
     delta = _cheap_delta(len(mix[0]))  # c = len(centroids)
-    roots = _root_entries(X[:, 0], mix, joint.flat_trie[0][1])
-    skip_first = roots is not None
+    root = _root_interpolant(X[:, 0], mix)
+    skip_first = root is not None
     cheap = _cheap_levels(joint, range(int(skip_first), width), delta)
-    idx = _walk(_map(X[:, :width], mix, skip_first, cheap), joint, roots, cheap, delta)
+    u = _map(X[:, :width], mix, skip_first, cheap)
+    margin = np.zeros(u.shape)
+    margin[:, list(cheap)] = delta
+    if skip_first:
+        u[:, 0], margin[:, 0] = root
+    idx = _walk(u, joint, margin)
     redo = np.flatnonzero(idx[:, -1] < 0)
     if len(redo):
         idx[redo] = _walk(_map(X[redo], mix), joint)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dpkanon.dataset import DataTable, round_sig
+from dpkanon.dataset import _U_TOL, DataTable, round_sig
 
 
 def make_table(qi, y=None):
@@ -22,6 +22,32 @@ def index_rows(qi) -> np.ndarray:
     column after round_sig, found without the package's grouping."""
     rows = round_sig(np.asarray(qi, dtype=float))
     return np.column_stack([np.searchsorted(np.unique(col), col) for col in rows.T])
+
+
+def reference_tables(qi):
+    """{index prefix: (sorted next indices, cumulative fractions)} for every
+    prefix of length < d with a positive count, tallied per prefix."""
+    children = {}
+    for t, c in Counter(map(tuple, index_rows(qi).tolist())).items():
+        for j in range(len(t)):
+            children.setdefault(t[:j], Counter())[t[j]] += c
+    ref = {}
+    for prefix, ctr in children.items():
+        idx = np.array(sorted(ctr), dtype=int)
+        cnt = np.array([ctr[i] for i in idx], dtype=float)
+        ref[prefix] = (idx, np.cumsum(cnt) / cnt.sum())
+    return ref
+
+
+def reference_inverse(u, ref, d):
+    """Inverse conditional CDF chain of one uniform vector."""
+    prefix = ()
+    for j in range(d):
+        idx, cumfrac = ref[prefix]
+        uj = max(float(u[j]), np.finfo(float).tiny)
+        pos = int(np.searchsorted(cumfrac, uj - _U_TOL, side="left"))
+        prefix += (int(idx[min(pos, len(idx) - 1)]),)
+    return prefix
 
 
 def cluster_members(model) -> list:

@@ -2,8 +2,6 @@
 the records' index rows, found without the joint's grouping: its
 conditional CDF tables, and the batched inverse conditional CDF chain
 against a scalar walk over the reference tables."""
-from collections import Counter
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,22 +9,7 @@ from hypothesis import strategies as st
 from dpkanon.dataset import _U_TOL, build_empirical_joint
 from dpkanon.rosenblatt import inverse_empirical_indices
 
-from conftest import index_rows
-
-
-def reference_tables(qi):
-    """{index prefix: (sorted next indices, cumulative fractions)} for every
-    prefix of length < d with a positive count, tallied per prefix."""
-    children = {}
-    for t, c in Counter(map(tuple, index_rows(qi).tolist())).items():
-        for j in range(len(t)):
-            children.setdefault(t[:j], Counter())[t[j]] += c
-    ref = {}
-    for prefix, ctr in children.items():
-        idx = np.array(sorted(ctr), dtype=int)
-        cnt = np.array([ctr[i] for i in idx], dtype=float)
-        ref[prefix] = (idx, np.cumsum(cnt) / cnt.sum())
-    return ref
+from conftest import index_rows, reference_inverse, reference_tables
 
 
 def trie_tables(joint):
@@ -41,17 +24,6 @@ def trie_tables(joint):
             children.update((prefix + (int(idx[i]),), i) for i in range(s, e))
         nodes = children
     return tables
-
-
-def reference_inverse(u, ref, d):
-    """Inverse conditional CDF chain of one uniform vector."""
-    prefix = ()
-    for j in range(d):
-        idx, cumfrac = ref[prefix]
-        uj = max(float(u[j]), np.finfo(float).tiny)
-        pos = int(np.searchsorted(cumfrac, uj - _U_TOL, side="left"))
-        prefix += (int(idx[min(pos, len(idx) - 1)]),)
-    return prefix
 
 
 def upper_edges(cell, ref):

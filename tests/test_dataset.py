@@ -12,6 +12,7 @@ from dpkanon.dataset import (
     group_rows,
     load_table,
     round_sig,
+    searchsorted_segments,
     standardize,
 )
 from dpkanon.errors import (
@@ -441,3 +442,24 @@ def test_uniform_composition_matches_pmf():
     exp = joint.counts / joint.total * n_draws
     assert sum(obs) == n_draws
     assert stats.chisquare(obs, exp).pvalue > 0.01
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+       seed=st.integers(0, 2**16))
+def test_searchsorted_segments_matches_numpy(lengths, seed):
+    # each of 40 rows searches one of the sorted segments, empty ones too,
+    # for a value among the segment's own (ties), between them, or -inf
+    # and +inf, which the certified walk's infinite margin relies on: 0 and
+    # the segment's length
+    rng = np.random.default_rng(seed)
+    segments = [np.sort(rng.integers(0, 4, n)).astype(float) for n in lengths]
+    a = np.concatenate(segments)
+    offsets = np.cumsum([0] + lengths[:-1])
+    rows = rng.integers(0, len(segments), 40)
+    v = rng.choice([-np.inf, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, np.inf], 40)
+    got = searchsorted_segments(a, offsets[rows], np.array(lengths)[rows], v)
+    want = [np.searchsorted(segments[r], x, side="left") for r, x in zip(rows, v)]
+    assert got.tolist() == want
+    assert got[v == -np.inf].tolist() == [0] * int((v == -np.inf).sum())
+    assert got[v == np.inf].tolist() == np.array(lengths)[rows][v == np.inf].tolist()

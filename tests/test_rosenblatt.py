@@ -22,7 +22,7 @@ from dpkanon.rosenblatt import (
 )
 from dpkanon.synth import synthetic_table
 
-from conftest import make_table
+from conftest import make_table, reference_inverse, reference_tables
 
 
 def block_rows(c):
@@ -323,12 +323,13 @@ def workload_table(kind: str, seed: int = 1):
 @pytest.mark.parametrize("kind, width", [("continuous", 2), ("ordinal", 3)])
 def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind, width):
     # continuous keys part after two columns, ordinal keys after three. On
-    # both tables one one-column map of the interpolant's nodes places the
-    # first coordinate, the few rows it leaves near a root edge are mapped
-    # on that column, and then one map of the leading columns skips the
-    # first column's CDF. The small tables past the root are mapped by the
-    # cheap pass, and the rows it leaves near an edge are flagged with the
-    # others
+    # both tables the release makes three maps at most, in this order: one
+    # one-column map of the interpolant's nodes, which places the first
+    # coordinate; one map of the leading columns that skips the first
+    # column's CDF and maps the small tables past the root by the cheap
+    # pass; and one exact map of all d columns of the rows the walk flags,
+    # those near an edge at any level and those that need a column not
+    # mapped. No map of the first column alone
     maps, flagged = [], []
     forward, walk = rosenblatt._map, rosenblatt._walk
 
@@ -344,16 +345,12 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     monkeypatch.setattr(rosenblatt, "_map", counted_map)
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     transform(prepare(workload_table(kind), 10, seed=0), "gaussian")
-    main = [m for m in maps if m[0] == 4000]
-    assert main == [(4000, width, True, tuple(range(1, width)))]
-    first, redo = maps[:maps.index(main[0])], maps[maps.index(main[0]) + 1:]
+    (nodes, *shape), main, *redo = maps
+    assert shape == [1, False, ()] and nodes < 100
+    assert main == (4000, width, True, tuple(range(1, width)))
     assert redo == ([(flagged[0], 3, False, ())] if flagged[0] else [])
     assert flagged[1:] == [0] * len(redo)
     assert flagged[0] < 40
-    (nodes, *shape), unsure = first[0], first[1:]
-    assert shape == [1, False, ()] and nodes < 100
-    assert len(unsure) <= 1
-    assert all(m[1:] == (1, False, ()) and m[0] < 40 for m in unsure)
 
 
 # sha256 of each method's qi_hat bytes on workload_table(kind), k = 10,
@@ -388,8 +385,8 @@ def test_release_digest_unchanged(workload_states, kind, method):
 
 
 def root_delta(model):
-    """delta_0, the bound _root_entries allows between a computed u_0 and the
-    mixture CDF at x_0."""
+    """delta_0, the bound that _root_interpolant's margin allows between a
+    computed u_0 and the mixture CDF at x_0."""
     return 4 * (len(model.sizes) + 2) * np.finfo(float).eps
 
 
@@ -462,20 +459,46 @@ def edge_table():
     return state, rosenblatt._mixture(state.model, 1 / 3)
 
 
+def traced_release(xt, model, alpha, joint):
+    """gaussian_release_indices of xt, with the first coordinates of each
+    _map call and the indices of each _walk call, in order: when the
+    interpolant places the first coordinate, its nodes, the main map and
+    the redo of the flagged rows, and the main walk's column 0 holds the
+    root entries it certified (-1 on the rows left to the redo)."""
+    forward, walk, maps, walks = rosenblatt._map, rosenblatt._walk, [], []
+
+    def kept_map(X, mix, *args):
+        maps.append(X[:, 0].copy())
+        return forward(X, mix, *args)
+
+    def kept_walk(u, joint, *args):
+        out = walk(u, joint, *args)
+        walks.append(out.copy())  # the release writes the redo into out
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rosenblatt, "_map", kept_map)
+        mp.setattr(rosenblatt, "_walk", kept_walk)
+        got = gaussian_release_indices(xt, model, alpha, joint)
+    return got, maps, walks
+
+
 class TestRootEntries:
     @settings(max_examples=60, deadline=None)
     @given(case=root_cases(), jitter=st.booleans())
     def test_interpolated_entries_and_release_equal_the_walk(self, case, jitter):
         # G0 = 1, G0 = 2, one row, repeated x_0 and rows within 1e-13 of a
         # root edge; with jitter, u_0 is no longer monotone in x_0. One or
-        # two rows take the exact first column, a thousand the interpolant
+        # two rows take the exact first column, a thousand the interpolant.
+        # Every root entry the walk certifies is the exact walk's, and the
+        # rows it leaves are in the redo
         table, k, rows, repeats, edges, seed = case
         state = prepare(table, k, seed=0)
         model, joint = state.model, state.joint
         rng = np.random.default_rng(seed)
         xt = sample_gaussian_batch(model, 1 / 3, rng.integers(0, table.n, rows), rng)
         xt[rng.integers(0, rows, repeats), 0] = xt[rng.integers(0, rows, repeats), 0]
-        idx0, cumfrac = joint.flat_trie[0][:2]
+        cumfrac = joint.flat_trie[0][1]
         mix = rosenblatt._mixture(model, 1 / 3)
         for e in rng.integers(1, len(cumfrac), edges) if len(cumfrac) > 1 else []:
             for x in root_edge(mix, cumfrac, e):
@@ -486,12 +509,15 @@ class TestRootEntries:
             if jitter:
                 mp.setattr(rosenblatt, "_map", jittered(rosenblatt._map, root_delta(model)))
             want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
-            roots = rosenblatt._root_entries(xt[:, 0], mix, cumfrac)
-            got = gaussian_release_indices(xt, model, 1 / 3, joint)
+            got, maps, walks = traced_release(xt, model, 1 / 3, joint)
+        interpolated = len(maps[0]) < rows  # the nodes, not the main map
         if rows <= 2 or rows >= 1000:
-            assert (roots is None) == (rows <= 2)
-        if roots is not None:
-            assert idx0[roots].tolist() == want[:, 0].tolist()
+            assert interpolated == (rows > 2)
+        if interpolated:
+            roots = walks[0][:, 0]
+            sure = roots >= 0
+            assert roots[sure].tolist() == want[sure, 0].tolist()
+            assert np.isin(xt[~sure, 0], maps[2] if len(maps) > 2 else []).all()
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["equal", "outlier", "shifted", "alpha=1e-6",
@@ -500,9 +526,9 @@ class TestRootEntries:
         # every x_0 equal (a lattice of one cell), one x_0 near 1e12 (two
         # more nodes, not 1e13 empty cells), every x_0 moved by 1e15 (the
         # lattice points round to 1/8, so the cells are too wide and their
-        # rows are mapped), a grid too fine to pay (the exact first column),
-        # and sds near 1e150, whose fourth powers overflow; any warning fails
-        # the suite
+        # rows go to the redo), a grid too fine to pay (the exact first
+        # column), and sds near 1e150, whose fourth powers overflow; any
+        # warning fails the suite
         state, _ = edge_table()
         model, joint = state.model, state.joint
         alpha = {"alpha=1e-6": 1e-6, "alpha=1e300": 1e300}.get(case, 1 / 3)
@@ -515,60 +541,51 @@ class TestRootEntries:
         elif case == "shifted":
             xt[:, 0] += 1e15
         mix = rosenblatt._mixture(model, alpha)
-        idx0, cumfrac = joint.flat_trie[0][:2]
         want = inverse_empirical_indices(forward_gaussian(xt, model, alpha), joint)
-        forward, mapped = rosenblatt._map, []
-
-        def kept_map(X, mix, *args):
-            mapped.append(X[:, 0].copy())
-            return forward(X, mix, *args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rosenblatt, "_map", kept_map)
-            roots = rosenblatt._root_entries(xt[:, 0], mix, cumfrac)
-        assert (roots is None) == (case == "alpha=1e-6")
-        if roots is not None:
-            assert idx0[roots].tolist() == want[:, 0].tolist()
-            u, placed = rosenblatt._root_interpolant(xt[:, 0], mix)
+        got, maps, walks = traced_release(xt, model, alpha, joint)
+        fit = rosenblatt._root_interpolant(xt[:, 0], mix)
+        assert (fit is None) == (case == "alpha=1e-6")
+        if fit is not None:
+            u, margin = fit
+            placed = np.isfinite(margin)
             assert placed.all() == (case != "shifted")
-            # the rows left unplaced are mapped after the nodes
-            nodes, *again = mapped
-            assert np.isin(xt[~placed, 0], again).all()
+            roots = walks[0][:, 0]
+            sure = roots >= 0
+            assert not (sure & ~placed).any()
+            assert roots[sure].tolist() == want[sure, 0].tolist()
+            # the rows left unplaced are in the one redo, after the nodes
+            # and the main map
+            nodes, main, *redo = maps
+            assert len(redo) <= 1 and np.isin(xt[~sure, 0], redo).all()
             err = np.abs(u - first_u(xt[:, 0], mix))[placed]
             assert (err < rosenblatt._ROOT_ERR).all()
-        got = gaussian_release_indices(xt, model, alpha, joint)
         assert got.tobytes() == want.tobytes()
 
     def test_rows_near_an_edge_are_placed_exactly(self, monkeypatch):
         # 81 rows 1e-14 apart around each edge of a 6-entry root table, with
         # u_0 jittered by up to delta_0 / 2 so that it crosses each edge many
         # times: the interpolant cannot place them, and every one is mapped
-        # again and placed exactly
+        # again, in the one redo of all d columns, and placed exactly
         state, mix = edge_table()
         model, joint = state.model, state.joint
         cumfrac = joint.flat_trie[0][1]
         near = np.concatenate([root_edge(mix, cumfrac, e)[0] + 1e-14 * np.arange(-40, 41)
                                for e in range(1, 6)])
-        x0 = np.random.default_rng(0).permutation(np.concatenate([near, np.linspace(-3, 3, 200)]))
-        forward = jittered(rosenblatt._map, root_delta(model))
-        mapped = []
-
-        def counted_map(X, mix, skip_first=False, cheap=()):
-            mapped.append(X[:, 0].copy())
-            return forward(X, mix, skip_first, cheap)
-
-        monkeypatch.setattr(rosenblatt, "_map", counted_map)
-        want = root_entry(cumfrac, first_u(x0, mix))
-        mapped.clear()
-        got = rosenblatt._root_entries(x0, mix, cumfrac)
-        assert got.tolist() == want.tolist()
+        rng = np.random.default_rng(0)
+        x0 = rng.permutation(np.concatenate([near, np.linspace(-3, 3, 200)]))
+        xt = np.column_stack([x0, rng.standard_normal(len(x0))])
+        monkeypatch.setattr(rosenblatt, "_map", jittered(rosenblatt._map, root_delta(model)))
+        want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
+        got, maps, walks = traced_release(xt, model, 1 / 3, joint)
+        assert got.tobytes() == want.tobytes()
         # the jitter makes the entries of the rows at an edge disagree with
         # their order in x_0
         order = np.argsort(x0)
-        assert (np.diff(want[order]) < 0).any()
-        nodes, again = mapped
+        assert (np.diff(want[order, 0]) < 0).any()
+        nodes, main, again = maps
         assert 2 * len(nodes) < len(x0)
         assert np.isin(near, again).all() and len(again) < len(near) + 10
+        assert not np.isin(near, x0[walks[0][:, 0] >= 0]).any()
 
 
 def count_ndtr_cells(monkeypatch, xt, state):
@@ -609,10 +626,10 @@ def count_ndtr_cells(monkeypatch, xt, state):
 
 @pytest.mark.parametrize("kind", ["continuous", "ordinal"])
 def test_first_level_cdf_cells(monkeypatch, workload_states, kind):
-    # the first level's ndtr cells are at most (nodes + unsure rows) * c
-    # plus the rows mapped again: the interpolant's nodes, the rows whose
-    # u_0 lies within 2 delta of a root edge, and the rows the cheap pass
-    # leaves near an edge at a later level; under a tenth of n * c
+    # the first level's ndtr cells are the interpolant's nodes' and the
+    # redo's; the redo holds the rows whose u_0 the walk leaves near a root
+    # edge, no more than those within 2 delta of one, and the rows it flags
+    # at a later level; under a tenth of n * c
     state = workload_states[kind]
     model, joint = state.model, state.joint
     c, n = len(model.sizes), 4000
@@ -622,13 +639,15 @@ def test_first_level_cdf_cells(monkeypatch, workload_states, kind):
     delta = rosenblatt._ROOT_ERR + 3 * root_delta(model)
     edge_gap = np.abs(u0[:, None] - _U_TOL - cumfrac[:-1]).min(axis=1)
     unsure = int((edge_gap <= 2 * delta).sum())
+    u, margin = rosenblatt._root_interpolant(xt[:, 0], rosenblatt._mixture(model, 1 / 3))
+    assert (rosenblatt._walk(u[:, None], joint, margin[:, None])[:, 0] < 0).sum() <= unsure
     got, level_cells, _, maps = count_ndtr_cells(monkeypatch, xt, state)
     assert got.tobytes() == inverse_empirical_indices(
         forward_gaussian(xt, model, 1 / 3), joint).tobytes()
     nodes, cols = maps[0]
     assert cols == 1 and 2 * nodes < n
     first_cells, redo_cells = level_cells[0], level_cells[1]
-    assert first_cells <= (nodes + unsure) * c + redo_cells
+    assert first_cells == nodes * c + redo_cells
     assert first_cells < n * c / 10
 
 
@@ -653,8 +672,8 @@ def test_interpolant_error_on_the_continuous_table(workload_states, alpha):
     model = workload_states["continuous"].model
     xt = sample_gaussian_batch(model, alpha, np.arange(4000), np.random.default_rng(3))
     mix = rosenblatt._mixture(model, alpha)
-    u, placed = rosenblatt._root_interpolant(xt[:, 0], mix)
-    assert placed.all()
+    u, margin = rosenblatt._root_interpolant(xt[:, 0], mix)
+    assert np.isfinite(margin).all()
     assert np.abs(u - first_u(xt[:, 0], mix)).max() < rosenblatt._ROOT_ERR
 
 
@@ -813,6 +832,49 @@ class TestCheapPass:
         assert flagged == [len(xt), 0]
 
 
+@st.composite
+def walk_cases(draw):
+    """Ordinal or continuous records of 1 to 3 columns, a level j and a
+    generator."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        qi = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(float)
+    else:
+        qi = np.round(rng.normal(size=(n, d)), 1)
+    return qi, draw(st.integers(0, d - 1)), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=walk_cases())
+def test_walk_takes_one_margin_rule(case):
+    # a zero margin gives the plain walk's bytes; an infinite margin from
+    # column j on gives those of the walk of u's first j columns, the rule
+    # for a column not mapped; and a finite margin around an edge of row
+    # 0's level-j table flags that row -1 from level j on, and no other
+    qi, j, rng = case
+    joint = build_empirical_joint(qi)
+    u = rng.random((30, joint.d))
+    prefix = inverse_empirical_indices(u, joint)[0, :j]
+    s, n_next = level_table(joint, prefix)
+    if n_next > 1:  # u_0j on an edge of the table
+        u[0, j] = joint.flat_trie[j][1][s + rng.integers(0, n_next - 1)] + _U_TOL
+    ref = reference_tables(qi)
+    plain = np.array([reference_inverse(row, ref, joint.d) for row in u], dtype=np.intp)
+    walk = rosenblatt._walk
+    assert walk(u, joint, np.zeros(u.shape)).tobytes() == plain.tobytes()
+    margin = np.zeros(u.shape)
+    margin[:, j:] = np.inf
+    assert walk(u, joint, margin).tobytes() == walk(u[:, :j], joint).tobytes()
+    margin = np.zeros(u.shape)
+    margin[0, j] = 1e-9
+    got = walk(u, joint, margin)
+    assert got[1:].tobytes() == plain[1:].tobytes()
+    assert got[0, :j].tolist() == plain[0, :j].tolist()
+    assert (got[0, j:] == -1).all() if n_next > 1 else got[0].tolist() == plain[0].tolist()
+
+
 class TestThreads:
     def test_no_thread_below_the_threshold(self, dithered, monkeypatch):
         # fewer than 2 * _THREAD_BLOCKS blocks start no thread, whatever the
@@ -862,4 +924,16 @@ class TestReleaseShape:
                 gaussian_release_indices(bad, model, 1 / 3, joint)
         want = gaussian_release_indices(xt, model, 1 / 3, joint)
         got = gaussian_release_indices(xt.tolist(), model, 1 / 3, joint)
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_rows(self):
+        # no dither rows give a (0, d) release, as the full path does: the
+        # interpolant declines on an empty first column
+        state, mix = edge_table()
+        model, joint = state.model, state.joint
+        xt = np.zeros((0, 2))
+        assert rosenblatt._root_interpolant(xt[:, 0], mix) is None
+        want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
+        got = gaussian_release_indices(xt, model, 1 / 3, joint)
+        assert got.shape == (0, 2) and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
