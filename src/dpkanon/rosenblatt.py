@@ -16,7 +16,7 @@ from .errors import DomainError, ShapeError
 from .kmember import ClusterModel
 
 # A block of the Gaussian forward map takes max(_MIN_BLOCK, _BLOCK_CELLS // c)
-# records (twice the cells when no column calls ndtr), so its (block, c)
+# records (twice the cells when no column calls _phi), so its (block, c)
 # temporaries stay near _BLOCK_CELLS cells however many clusters there are,
 # and each thread's work array is bounded whatever n is.
 _MIN_BLOCK = 32
@@ -33,6 +33,17 @@ _PAGE_A = 0.7988
 _PAGE_B = 0.7988 * 0.04417
 _PAGE_CLIP = 9.0
 _PAGE_ERR = 3e-4
+
+# _phi's fit, proven within _PHI_ERR of the normal CDF: for 0 <= t <= _PHI_CUT,
+# Phi(-t) = exp(-t^2 / 2) P(t) / Q(t), with P of degree 7 and the monic Q of
+# degree 8, their coefficients from the constant term up (Q's leading 1 left
+# out). Past _PHI_CUT, Phi(-t) < Phi(-8.3) < eps / 4.
+_PHI_P = (14611.819395643257, 16394.848731410864, 9282.31653727212, 3233.799485318576,
+          737.0699060030632, 109.01317600591729, 9.675970992166684, 0.3989410065811848)
+_PHI_Q = (29223.638791286514, 56106.78766486895, 48719.55331294465, 25059.147936494235,
+          8377.962096722407, 1871.7496795427933, 274.2594834279589, 24.253901912554937)
+_PHI_CUT = 8.3
+_PHI_ERR = 3 * np.finfo(float).eps
 
 # The first coordinate's interpolant (_root_interpolant): eps_0, the most
 # it may differ from the mixture CDF, and a bound on the third derivative
@@ -96,15 +107,16 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
 
     Records are processed in blocks of max(_MIN_BLOCK, _BLOCK_CELLS // c)
     rows, over all c clusters at once (twice the cells when no column calls
-    ndtr, as in the cheap pass of gaussian_release_indices). Blocks are
+    _phi, as in the cheap pass of gaussian_release_indices). Blocks are
     independent, and the block kernel spends most of its time in numpy calls
     that release the GIL, so the blocks may run on several threads: the
     calling thread takes every share-th block and share - 1 helper threads
     take the rest. share is the number of usable CPUs, but at most one per
     _THREAD_BLOCKS blocks. At c = 400 on a 2-core VM, in alternating runs
     made while the second core was free, two threads took 0.68x of one on 8
-    blocks of three ndtr columns and 0.85x on 8 double blocks of the cheap
-    pass, but tied or lost on 4 or fewer; while it was busy, they lost
+    blocks of three exact columns (by scipy.special.ndtr, which _phi has
+    since replaced at 1.08x its cost a cell) and 0.85x on 8 double blocks
+    of the cheap pass, but tied or lost on 4 or fewer; while it was busy, they lost
     5-10% at every size. So small maps, such as the rows mapped again and
     the first coordinate's interpolant nodes, run on the calling thread.
     Doubling the cheap pass's blocks took its two threads from 0.88x to
@@ -123,23 +135,88 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     return _map(X, _mixture(model, alpha))
 
 
+def _phi(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The normal CDF Phi of each entry of z, into out, within
+    E_Phi = _PHI_ERR = 3 eps of Phi on all reals; NaN at NaN. out may be z;
+    scratch holds two arrays of z's shape, which it overwrites.
+
+    One rational branch, the form of W. J. Cody (Math. Comp. 23, 1969):
+    with t = min(|z|, T), T = _PHI_CUT, y = exp(-t^2 / 2) P(t) / Q(t)
+    stands for Phi(-t), and Phi(z) is 1 - y for z > 0 and y otherwise. On
+    (32, 400) blocks it costs 1.08x what scipy.special.ndtr does, 19.2
+    against 17.7 ns a cell on a shared 2-core VM (medians of 15 alternating
+    runs of 300 calls).
+
+    The bound. Let u = eps / 2.
+    - The fit. P / Q was fitted to R(t) = Phi(-t) exp(t^2 / 2) on [0, T] in
+      45-digit mpmath, weighted by exp(-t^2 / 2), so in Phi's own absolute
+      terms, to 1e-19 at its 400 points. With the coefficients as rounded
+      to floats, and exact arithmetic, exp(-t^2 / 2) |R - P / Q| peaks at
+      0.061 eps at 20 001 points over [0, T] (120-bit mpmath, scratch), and
+      it is smooth, so under 0.07 eps between them.
+    - The rounding. t is exact. P's coefficients and t are nonnegative, so
+      the computed P is sum_i a_i t^i (1 + theta_i) with
+      |theta_i| <= k_i u / (1 - k_i u), k_i the roundings a_i t^i passes:
+      2i + 1, and 14 for the leading term; Q's likewise, 15 for its t^8 and
+      t^7 terms. The exponent rounds by t^2 u / 2, which moves exp by that
+      much of itself; exp is taken to be within eps of itself, as in
+      _root_interpolant's slopes; the divide and the product round by u
+      each. So to first order |y - Phi(-t)| <= Phi(-t) rho(t) u plus the
+      fit's error, with
+      rho(t) = sum k_i a_i t^i / P + sum k_i b_i t^i / Q + t^2 / 2 + 4.
+      rho is at most 61, so the second-order terms are below 1e-12 of it.
+      On a grid of 2 000 001 points over [0, T], Phi(-t) rho(t) u peaks at
+      1.522 eps near t = 0.13, and it moves by less than 1e-5 eps between
+      points (test_phi_rounding_bound measures both again).
+    - 1 - y, in [1/2, 1], rounds by u / 2.
+    - Past T, 0 < Phi(-|z|) < Phi(-8.3) < 0.94 u / 2, so the y of t = T,
+      within 1e-30 of Phi(-T), is within u / 2 of Phi(-|z|).
+    So |_phi(z) - Phi(z)| < 1.522 eps + u / 2 + 0.07 eps < 1.9 eps. E_Phi
+    leaves the rest as room for an exp up to 2 eps further off.
+
+    Measured in scratch against 120-bit mpmath at 150 000 points over
+    [-T - 1, T + 1], half a grid and half uniform draws: the largest error
+    is 0.79 eps, against 0.82 eps for scipy.special.ndtr at the same points.
+    test_phi_against_ndtr checks the bound against ndtr on a grid.
+    """
+    t, q = scratch
+    upper = z > 0  # before out, which may be z, is written
+    np.abs(z, out=t)
+    np.minimum(t, _PHI_CUT, out=t)
+    np.multiply(t, _PHI_P[-1], out=out)  # P(t) by Horner
+    for a in _PHI_P[-2:0:-1]:
+        out += a
+        out *= t
+    out += _PHI_P[0]
+    np.add(t, _PHI_Q[-1], out=q)  # the monic Q(t) by Horner
+    for b in _PHI_Q[-2::-1]:
+        q *= t
+        q += b
+    out /= q
+    np.multiply(t, -0.5, out=q)
+    q *= t
+    out *= np.exp(q, out=q)
+    return np.subtract(1.0, out, out=out, where=upper)
+
+
 def _cheap_delta(c: int) -> float:
     """delta, the most a u_j of _map's cheap pass over c clusters can differ
     from the u_j the exact pass computes.
 
     Both passes compute every residual z_c, weight w_c (the prior at the
     first column) and the weights' sum W with the same ops and bits. The
-    exact pass takes u = sum_c w_c ndtr(z_c) / W, the cheap one
+    exact pass takes u = sum_c w_c _phi(z_c) / W, the cheap one
     u~ = 1/2 + 1/2 sum_c w_c t_c / W with t_c = tanh(g(z_c)),
     g(z) = z (a + b z^2) for z clipped to [-9, 9]. Let U and U~ be the same
     averages taken exactly, with Phi and Phi~ = (1 + tanh g) / 2 in place
-    of ndtr(z) and (1 + t) / 2.
+    of _phi(z) and (1 + t) / 2.
 
     |Phi~ - Phi| < 1.46e-4 on all reals. On a grid of 2 000 001 points over
     [-9, 9] (step h = 9e-6) the computed |Phi~ - ndtr| peaks at 1.4041e-4
     (test_page_cdf_grid_maximum measures it again), and the computed Phi~ is
-    within 3 eps of the exact one, ndtr within 2 eps of Phi. Both
-    derivatives are nonnegative, so their difference is at most the larger:
+    within 3 eps of the exact one, scipy.special.ndtr, the grid's oracle,
+    within 2 eps of Phi. Both derivatives are nonnegative, so their
+    difference is at most the larger:
     Phi' <= 0.4, and Phi~' = g' sech^2(g) / 2 is at most (a + 3b) / 2 < 0.46
     for |z| <= 1 and, as g' <= 3 |g| and sech^2(g) <= 4 exp(-2 |g|) there,
     at most 6 |g| exp(-2 |g|) <= 3 / e < 1.11 beyond. So |Phi~ - Phi| moves
@@ -149,14 +226,16 @@ def _cheap_delta(c: int) -> float:
     differences (at the first column, the priors sum to 1 within c eps / 2,
     which U~ takes as exact).
 
-    The rounding. ndtr's terms are nonnegative: the products round by eps / 2
-    of themselves, their sum in any order by (c - 1) eps / 2 of its total,
-    at most W, the sum W by as much and the divide by eps / 2; so
-    |u - U| <= (c + 3) eps. The tanh terms have both signs, but
-    |w_c t_c| <= w_c: t_c is within 2 eps of tanh g (g rounds by 2 eps of
-    itself, and |g| sech^2(g) < 1/2), and the rest rounds as above, so
-    |u~ - U~| <= (c + 3) eps. The final clip to [tiny, 1] moves neither
-    difference further. In all, |u - u~| < 1.46e-4 + 3 (c + 2) eps.
+    The rounding. _phi's terms are nonnegative and within E_Phi = 3 eps of
+    Phi's (_phi), which adds at most E_Phi to the average; the products
+    round by eps / 2 of themselves, their sum in any order by
+    (c - 1) eps / 2 of its total, at most W, the sum W by as much and the
+    divide by eps / 2; so |u - U| <= E_Phi + c eps = (c + 3) eps. The tanh
+    terms have both signs, but |w_c t_c| <= w_c: t_c is within 2 eps of
+    tanh g (g rounds by 2 eps of itself, and |g| sech^2(g) < 1/2), and the
+    rest rounds as above, so |u~ - U~| <= (c + 3) eps. The final clip to
+    [tiny, 1] moves neither difference further. In all,
+    |u - u~| < 1.46e-4 + 3 (c + 2) eps.
 
     delta = eps_Phi + 4 (c + 2) eps is more than twice that for any c below
     1e10. The spare half covers the rounding of u~ +- delta in the walk
@@ -172,9 +251,7 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.nd
     are not computed and u[:, 0] is NaN; its residuals and posterior update,
     which the later columns read, are, so those keep their bits. The
     columns in `cheap` are mapped by the cheap pass: Page's tanh form in
-    place of ndtr, within _cheap_delta(c) of the exact u_j."""
-    from scipy.special import ndtr
-
+    place of _phi, within _cheap_delta(c) of the exact u_j."""
     centroids, L, diag, log_diag, prior, log_prior = mix
     d = X.shape[1]  # the leading columns mapped
     skipped = int(skip_first)  # leading columns whose u is not computed
@@ -182,18 +259,19 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.nd
     u[:, :skipped] = np.nan
     if skipped == d:
         return u
-    exact = any(j not in cheap for j in range(skipped, d))  # some column calls ndtr
+    exact = any(j not in cheap for j in range(skipped, d))  # some column calls _phi
     rows = max(_MIN_BLOCK, (_BLOCK_CELLS if exact else 2 * _BLOCK_CELLS) // len(prior))
 
     def block(b: int, work: np.ndarray) -> None:
         xb = X[b:b + rows]
         # (block, c) slices of the thread's work array: the standardized
-        # residuals of each dimension, a temporary product and the log
-        # posteriors. The CDF terms of dimension j go in the last residual
-        # plane: no earlier dimension reads it, and the last dimension's
-        # residuals are read only by its own CDF.
+        # residuals of each dimension, the log posteriors, a temporary
+        # product and, when a column calls _phi, its second scratch plane.
+        # The CDF terms of dimension j go in the last residual plane: no
+        # earlier dimension reads it, and the last dimension's residuals are
+        # read only by its own CDF.
         z = work[:d, :len(xb)]
-        tmp, logpost = work[d:, :len(xb)]
+        logpost, tmp = work[d:d + 2, :len(xb)]
         phi = z[d - 1]
         logpost[:] = log_prior
         for j in range(d):
@@ -211,7 +289,7 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.nd
                     phi *= tmp
                     np.tanh(phi, out=phi)
                 else:
-                    ndtr(zj, out=phi)
+                    _phi(zj, phi, work[d + 1:, :len(xb)])
                 if j == 0:
                     uj = np.einsum("nc,c->n", phi, prior)
                 else:
@@ -234,7 +312,7 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.nd
     # The calling thread allocates every thread's work array, so the
     # helpers' temporaries do not stay resident in per-thread malloc arenas
     # after they exit. A pool with nothing submitted starts no thread.
-    works = [np.empty((d + 2, rows, len(prior))) for _ in range(share)]
+    works = [np.empty((d + 2 + exact, min(rows, len(X)), len(prior))) for _ in range(share)]
     with ThreadPoolExecutor(max_workers=max(1, share - 1)) as pool:
         helpers = [pool.submit(run, starts[i::share], works[i]) for i in range(1, share)]
         run(starts[0::share], works[0])
@@ -287,6 +365,9 @@ def _walk(u: np.ndarray, joint: EmpiricalJoint, margin=0.0) -> np.ndarray:
     search serves both. An infinite margin flags exactly the rows whose
     table has more than one entry, so u_j need not be known there, only
     not NaN. The levels past u's columns take that rule without the search.
+    At the root every row reads the one table, so np.searchsorted on it
+    stands in for searchsorted_segments: 0.40 against 0.97 ms on 4000 rows
+    of the 2450-entry release-continuous root (medians of 41 calls).
     """
     margin = np.broadcast_to(margin, u.shape)
     out = np.empty((len(u), joint.d), dtype=np.intp)
@@ -299,7 +380,11 @@ def _walk(u: np.ndarray, joint: EmpiricalJoint, margin=0.0) -> np.ndarray:
             node = s
         else:
             uj, mj = u[:, j], margin[:, j]
-            pos = searchsorted_segments(cumfrac, s, n_next, uj - mj - _U_TOL)
+            low = uj - mj - _U_TOL
+            if j == 0:  # every row at the root node
+                pos = np.searchsorted(cumfrac[starts[0]:starts[0] + lengths[0]], low)
+            else:
+                pos = searchsorted_segments(cumfrac, s, n_next, low)
             node = s + np.minimum(pos, n_next - 1)
             flagged |= (pos < n_next - 1) & (cumfrac[node] < uj + mj - _U_TOL)
         out[:, j] = np.where(flagged, -1, idx[node])
@@ -342,18 +427,17 @@ def _root_interpolant(x0: np.ndarray, mix: tuple):
     _map computes for it, so the walk, whose entry is non-decreasing in u0
     while rounding is monotone, finds u0's entry wherever those of
     u~ - delta and u~ + delta agree. u0 = clip(s, tiny, 1), for s the float
-    sum over the c clusters of fl(prior_c ndtr(z_c)),
+    sum over the c clusters of fl(prior_c _phi(z_c)),
     z_c = fl(fl(x0 - m_c) / s_c). z_c is within eps |z_c| of the exact z,
-    which moves Phi by less than max |z phi(z)| eps < 0.25 eps; ndtr is
-    taken to be within 2 eps of Phi (its largest error, measured against
-    120-bit mpmath at 150 000 points in [-40, 40], is 0.77 eps); each
-    product rounds by eps / 2 of itself, and a sum of c nonnegative terms in
-    any order by (c - 1) eps / 2 of their total, at most about 1; clip is
-    1-Lipschitz, and it moves G by at most c eps / 2 + tiny, as the priors
-    sum to 1 within c eps / 2. So |u0 - G| < (c + 3) eps <= delta_0 / 2, for
-    delta_0 = 4 (c + 2) eps. The spare half is room for the tests, which
-    move each u0 by up to delta_0 / 2: below, every u0, at a row or at a
-    node, is within delta_0 of G. Then |u~ - u0| is at most the sum of
+    which moves Phi by less than max |z phi(z)| eps < 0.25 eps; _phi is
+    within E_Phi = 3 eps of Phi (_phi); each product rounds by eps / 2 of
+    itself, and a sum of c nonnegative terms in any order by
+    (c - 1) eps / 2 of their total, at most about 1; clip is 1-Lipschitz,
+    and it moves G by at most c eps / 2 + tiny, as the priors sum to 1
+    within c eps / 2. So |u0 - G| < (c + 1) eps + E_Phi = (c + 4) eps
+    <= delta_0 / 2, for delta_0 = 4 (c + 2) eps. The spare half is room for
+    the tests, which move each u0 by up to delta_0 / 2: below, every u0, at
+    a row or at a node, is within delta_0 of G. Then |u~ - u0| is at most the sum of
     - eps_0, the interpolant's bound with exact node data;
     - delta_0 from the node values, whose two weights are nonnegative and
       sum to 1;
@@ -439,7 +523,7 @@ def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> tuple:
     A row's u_j falls within delta of one of its table's E_j edges, and is
     mapped again on all d columns, with a chance of about 2 delta E_j. Each
     cheap level saves more than half a column's cost per row (Page's form
-    costs 3.7 ns a cell against ndtr's 17-25 ns), so a level pays while its
+    costs 3.7 ns a cell against _phi's 19-27 ns), so a level pays while its
     rows mapped again cost less than that. So a root table as large as the
     continuous one (2450 entries, 2 delta E_0 d about 4) would stay exact
     where the interpolant of _root_interpolant declines, while the small

@@ -30,10 +30,17 @@ def block_rows(c):
     return max(rosenblatt._MIN_BLOCK, rosenblatt._BLOCK_CELLS // c)
 
 
+def cdf(z):
+    """rosenblatt._phi of z into a new array."""
+    z = np.asarray(z, dtype=float)
+    return rosenblatt._phi(z, np.empty_like(z), np.empty((2,) + z.shape))
+
+
 def reference_forward(X, model, alpha, gemv=False):
     """Serial reference for forward_gaussian: every row at once, with the
-    same arithmetic. With gemv=True, u[:, 0] is summed as the forward map
-    once did, by a BLAS product with the prior over blocks of 32 rows."""
+    same arithmetic and the same normal CDF. With gemv=True, u[:, 0] is
+    summed as the forward map once did, by a BLAS product with the prior
+    over blocks of 32 rows."""
     L = _loaded_cholesky(model, alpha)
     diag = np.diagonal(L, axis1=1, axis2=2)
     prior = model.sizes / model.sizes.sum()
@@ -46,7 +53,7 @@ def reference_forward(X, model, alpha, gemv=False):
             resid -= zk * L[:, j, k]
         zj = resid / diag[:, j]
         z.append(zj)
-        phi = ndtr(zj)
+        phi = cdf(zj)
         if j == 0 and gemv:
             u[:, 0] = np.concatenate([phi[b:b + 32] @ prior for b in range(0, len(X), 32)])
         elif j == 0:
@@ -588,19 +595,18 @@ class TestRootEntries:
         assert not np.isin(near, x0[walks[0][:, 0] >= 0]).any()
 
 
-def count_ndtr_cells(monkeypatch, xt, state):
-    """The release of xt, its ndtr cells per level, the rows its first walk
-    flags and the (rows, columns) of each _map call. Every ndtr call is
+def count_phi_cells(monkeypatch, xt, state):
+    """The release of xt, its _phi cells per level, the rows its first walk
+    flags and the (rows, columns) of each _map call. Every _phi call is
     counted, and each _map call's cells are put to the levels it maps with
-    ndtr (the call's share of the count must agree)."""
-    special = sys.modules["scipy.special"]
-    ndtr_, forward, walk = special.ndtr, rosenblatt._map, rosenblatt._walk
+    _phi (the call's share of the count must agree)."""
+    phi, forward, walk = rosenblatt._phi, rosenblatt._map, rosenblatt._walk
     cells, flagged, maps = [], [], []
     level_cells = np.zeros(state.joint.d, dtype=int)
 
-    def counted_ndtr(z, out=None):
+    def counted_phi(z, out, scratch):
         cells.append(z.size)
-        return ndtr_(z, out=out)
+        return phi(z, out, scratch)
 
     def counted_map(X, mix, skip_first=False, cheap=()):
         before = sum(cells)
@@ -616,7 +622,7 @@ def count_ndtr_cells(monkeypatch, xt, state):
         flagged.append(int((out[:, -1] < 0).sum()))
         return out
 
-    monkeypatch.setattr(special, "ndtr", counted_ndtr)
+    monkeypatch.setattr(rosenblatt, "_phi", counted_phi)
     monkeypatch.setattr(rosenblatt, "_map", counted_map)
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     got = gaussian_release_indices(xt, state.model, 1 / 3, state.joint)
@@ -626,7 +632,7 @@ def count_ndtr_cells(monkeypatch, xt, state):
 
 @pytest.mark.parametrize("kind", ["continuous", "ordinal"])
 def test_first_level_cdf_cells(monkeypatch, workload_states, kind):
-    # the first level's ndtr cells are the interpolant's nodes' and the
+    # the first level's _phi cells are the interpolant's nodes' and the
     # redo's; the redo holds the rows whose u_0 the walk leaves near a root
     # edge, no more than those within 2 delta of one, and the rows it flags
     # at a later level; under a tenth of n * c
@@ -641,7 +647,7 @@ def test_first_level_cdf_cells(monkeypatch, workload_states, kind):
     unsure = int((edge_gap <= 2 * delta).sum())
     u, margin = rosenblatt._root_interpolant(xt[:, 0], rosenblatt._mixture(model, 1 / 3))
     assert (rosenblatt._walk(u[:, None], joint, margin[:, None])[:, 0] < 0).sum() <= unsure
-    got, level_cells, _, maps = count_ndtr_cells(monkeypatch, xt, state)
+    got, level_cells, _, maps = count_phi_cells(monkeypatch, xt, state)
     assert got.tobytes() == inverse_empirical_indices(
         forward_gaussian(xt, model, 1 / 3), joint).tobytes()
     nodes, cols = maps[0]
@@ -653,13 +659,13 @@ def test_first_level_cdf_cells(monkeypatch, workload_states, kind):
 
 @pytest.mark.parametrize("kind", ["continuous", "ordinal"])
 def test_later_level_cdf_cells(monkeypatch, workload_states, kind):
-    # past the first level only the rows mapped again call ndtr: the rows
+    # past the first level only the rows mapped again call _phi: the rows
     # the cheap pass leaves near an edge and those that need a column not
     # mapped, under 2% of the rows at each level
     state = workload_states[kind]
     c, n = len(state.model.sizes), 4000
     xt = sample_gaussian_batch(state.model, 1 / 3, np.arange(n), np.random.default_rng(3))
-    got, level_cells, flagged, _ = count_ndtr_cells(monkeypatch, xt, state)
+    got, level_cells, flagged, _ = count_phi_cells(monkeypatch, xt, state)
     assert got.tobytes() == inverse_empirical_indices(
         forward_gaussian(xt, state.model, 1 / 3), state.joint).tobytes()
     assert all(cells <= flagged * c for cells in level_cells[1:])
@@ -708,6 +714,63 @@ def test_phi3_grid_maximum():
     bound = peak + 1.2 * (z[1] - z[0]) / 2
     assert bound < 0.5506 and 9 * (81 - 3) * phi[0] < 1e-15
     assert rosenblatt._PHI3_MAX > bound and rosenblatt._PHI3_MAX - bound > 7e-4 * rosenblatt._PHI3_MAX
+
+
+# scipy.special.ndtr's largest error against 120-bit mpmath at _phi's
+# 150 000 scratch points over [-9.3, 9.3], rounded up: the oracle's own
+# share when _phi is checked against it
+NDTR_ERR = 0.83 * np.finfo(float).eps
+
+
+def test_phi_rounding_bound():
+    # the sum _phi's docstring bounds its error by: P's and Q's coefficients
+    # positive, as the rounding bound needs; Phi(-t) rho(t) u peaks at
+    # 1.522 eps on a grid of [0, T] and moves by under 1e-5 eps between
+    # points; rho stays below 61; Phi(-T) < 0.94 u / 2; and the sum, with
+    # the fit's 0.07 eps, is below 1.9 eps, inside E_Phi = 3 eps, which is
+    # no more than the (c + 3) eps that the proofs of _cheap_delta and
+    # _root_interpolant allow at c = 1
+    eps = np.finfo(float).eps
+    p, q = np.array(rosenblatt._PHI_P), np.array(rosenblatt._PHI_Q + (1.0,))
+    assert (p > 0).all() and (q > 0).all()
+    t = np.linspace(0, rosenblatt._PHI_CUT, 2_000_001)
+    kp, kq = 2 * np.arange(len(p)) + 1, 2 * np.arange(len(q)) + 1
+    kp[-1], kq[-1] = kp[-2] + 1, kq[-2]  # P's leading term; Q's t^8 goes with t^7
+    terms_p = p[:, None] * t ** np.arange(len(p))[:, None]
+    terms_q = q[:, None] * t ** np.arange(len(q))[:, None]
+    rho = kp @ terms_p / terms_p.sum(0) + kq @ terms_q / terms_q.sum(0) + t * t / 2 + 4
+    bound = ndtr(-t) * rho * eps / 2
+    assert 1.52 * eps < bound.max() < 1.523 * eps and rho.max() < 61
+    assert np.abs(np.diff(bound)).max() < 1e-5 * eps
+    assert ndtr(-rosenblatt._PHI_CUT) < 0.94 * eps / 4
+    total = bound.max() + 1e-5 * eps + eps / 4 + 0.07 * eps
+    assert total < 1.9 * eps and rosenblatt._PHI_ERR == 3 * eps <= (1 + 3) * eps
+
+
+def test_phi_against_ndtr():
+    # on a grid of 2 000 001 points over [-T - 1, T + 1], _phi is within
+    # E_Phi of Phi, ndtr being within NDTR_ERR of it; it lies in [0, 1]; and
+    # _phi(z) + _phi(-z) = 1 within 2 E_Phi. NaN stays NaN
+    t = rosenblatt._PHI_CUT
+    z = np.linspace(-t - 1, t + 1, 2_000_001)
+    p = cdf(z)
+    assert (np.abs(p - ndtr(z)) + NDTR_ERR <= rosenblatt._PHI_ERR).all()
+    assert ((p >= 0) & (p <= 1)).all()
+    assert (np.abs(p + cdf(-z) - 1) <= 2 * rosenblatt._PHI_ERR).all()
+    assert np.isnan(cdf([np.nan])).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.one_of(st.floats(-rosenblatt._PHI_CUT - 1, rosenblatt._PHI_CUT + 1),
+                   st.floats(allow_nan=False)))
+def test_phi_within_its_bound_at_any_double(z):
+    # the grid's checks at any double, the infinities and the range ends too
+    p, q = cdf([z, -z])
+    assert abs(p - ndtr(z)) + NDTR_ERR <= rosenblatt._PHI_ERR
+    assert 0 <= p <= 1 and abs(p + q - 1) <= 2 * rosenblatt._PHI_ERR
+    # in place, as _map calls it at its last column
+    x = np.array([z])
+    assert rosenblatt._phi(x, x, np.empty((2, 1)))[0] == p
 
 
 def level_table(joint, prefix):
@@ -873,6 +936,31 @@ def test_walk_takes_one_margin_rule(case):
     assert got[1:].tobytes() == plain[1:].tobytes()
     assert got[0, :j].tolist() == plain[0, :j].tolist()
     assert (got[0, j:] == -1).all() if n_next > 1 else got[0].tolist() == plain[0].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=walk_cases(), margins=st.lists(st.sampled_from([0.0, 1e-9, 0.1, np.inf]),
+                                           min_size=30, max_size=30))
+def test_walk_root_positions_equal_a_per_row_search(case, margins):
+    # the root level's entry or flag of each row is the one a per-row
+    # np.searchsorted on the root table gives for u_0 - margin - _U_TOL,
+    # -inf under an infinite margin, with the edge above against
+    # u_0 + margin - _U_TOL, +inf there; u_0 is drawn on the edges too
+    qi, _, rng = case
+    joint = build_empirical_joint(qi)
+    idx, cumfrac, starts, lengths = joint.flat_trie[0]
+    root = cumfrac[starts[0]:starts[0] + lengths[0]]
+    u = rng.random((30, joint.d))
+    u[::3, 0] = np.minimum(rng.choice(root, 10) + _U_TOL, 1.0)
+    margin = np.zeros(u.shape)
+    margin[:, 0] = margins
+    want = []
+    for u0, m in zip(u[:, 0], margins):
+        pos = np.searchsorted(root, u0 - m - _U_TOL)
+        node = min(pos, len(root) - 1)
+        unsure = pos < len(root) - 1 and root[node] < u0 + m - _U_TOL
+        want.append(-1 if unsure else idx[starts[0] + node])
+    assert rosenblatt._walk(u, joint, margin)[:, 0].tolist() == want
 
 
 class TestThreads:
