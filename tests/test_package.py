@@ -54,8 +54,8 @@ def test_every_src_name_has_a_caller():
 
 # exports that no code in the package names: library entry points that no
 # command reaches
-LIBRARY_ONLY = {"forward_gaussian", "inverse_empirical_indices", "total_distortion",
-                "validate_k_anonymous"}
+LIBRARY_ONLY = {"forward_gaussian", "inverse_empirical_indices", "match_min_distance",
+                "total_distortion", "validate_k_anonymous"}
 
 
 def test_every_export_has_a_caller_or_is_library_only():
@@ -134,17 +134,17 @@ _BLAS_FUNCS = {
 BLAS_ALLOWED = {
     ("shiftlearn.py", "logistic_weights", "@"): (
         4, "the IRLS fit's linear predictor, gradient and Hessian; the "
-           "weights feed only the regression fields, which ROADMAP item 4 "
+           "weights feed only the regression fields, which ROADMAP item 8 "
            "makes independent of the BLAS build"),
     ("shiftlearn.py", "logistic_weights", "solve"): (
         1, "the IRLS Newton step's p x p system, as above"),
     ("shiftlearn.py", "weighted_least_squares", "lstsq"): (
         1, "the ridge WLS fit (LAPACK gelsd); its last bits follow the BLAS "
-           "thread count, ROADMAP item 4"),
+           "thread count, ROADMAP item 8"),
     ("experiment.py", "_sweep_rows", "@"): (
         1, "test_design @ coef, the held-out predictions scored by relative "
            "bias and R^2; no release reads them"),
-    ("reid.py", "match_min_distance", "matmul"): (
+    ("reid.py", "_match", "matmul"): (
         1, "the candidate pairs' inner products, summed as a BLAS dot so that "
            "they round as the dense distance matrix did"),
 }
@@ -227,6 +227,8 @@ def _run_fresh(code: str, *argv) -> str:
 
 
 _PRINT_MODULES = "\nimport sys\nprint(' '.join(sys.modules))"
+_RUN_CLI = "import sys\nfrom dpkanon.cli import main\nassert main(sys.argv[1:]) == 0"
+_BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 _SWEEP_MODULES = {f"dpkanon.{name}" for name in ("experiment", "reid", "shiftlearn", "synth")}
 
 
@@ -235,8 +237,7 @@ def _loaded_by_anonymize(tmp_path, method: str) -> set:
     data = tmp_path / "in.csv"
     data.write_text("x0,x1,cost\n" + "".join(
         f"{i % 3},{i % 5},{i * 0.5}\n" for i in range(12)))
-    code = "import sys\nfrom dpkanon.cli import main\nassert main(sys.argv[1:]) == 0"
-    out = _run_fresh(code + _PRINT_MODULES, "anonymize", "--input", str(data),
+    out = _run_fresh(_RUN_CLI + _PRINT_MODULES, "anonymize", "--input", str(data),
                      "--output", str(tmp_path / "out.csv"), "--qi-cols", "x0,x1",
                      "--response-col", "cost", "--k", "3", "--method", method)
     return set(out.split())
@@ -277,16 +278,37 @@ def test_gaussian_run_without_scipy(tmp_path):
     data.write_text("x0,x1,x2,cost\n" + "".join(
         f"{i * 7919 % 40 / 7:.4f},{i * 104729 % 9 / 4:.4f},{i % 4},{i * 0.5}\n"
         for i in range(300)))
-    run = "import sys\nfrom dpkanon.cli import main\nassert main(sys.argv[1:]) == 0"
-    block = "import sys\nsys.modules['scipy'] = None\n"
     written = []
-    for name, code in [("free", run), ("blocked", block + run)]:
+    for name, code in [("free", _RUN_CLI), ("blocked", _BLOCK_SCIPY + _RUN_CLI)]:
         out = tmp_path / f"{name}.csv"
         _run_fresh(code, "anonymize", "--input", str(data), "--output", str(out),
                    "--qi-cols", "x0,x1,x2", "--response-col", "cost", "--k", "3",
                    "--method", "gaussian", "--seed", "4")
         written.append(out.read_bytes())
     assert written[0] == written[1] and len(written[0].splitlines()) == 301
+
+
+_EXPERIMENT = ("experiment", "--n", "200", "--test-n", "200", "--k-grid", "5",
+               "--shift", "none,nonparametric,logistic", "--trials", "2")
+
+
+def test_experiment_run_loads_no_scipy(tmp_path):
+    # the sweep's reidentification matcher is numpy code, as the forward map is
+    loaded = set(_run_fresh(_RUN_CLI + _PRINT_MODULES, *_EXPERIMENT,
+                            "--output", str(tmp_path / "m.json")).split())
+    assert _SWEEP_MODULES | {"dpkanon.rosenblatt"} <= loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_experiment_run_without_scipy(tmp_path):
+    # with every scipy import blocked, `experiment` writes the bytes of a run
+    # that may import it
+    written = []
+    for name, code in [("free", _RUN_CLI), ("blocked", _BLOCK_SCIPY + _RUN_CLI)]:
+        out = tmp_path / f"{name}.json"
+        _run_fresh(code, *_EXPERIMENT, "--output", str(out))
+        written.append(out.read_bytes())
+    assert written[0] == written[1] and b'"reid_average": null' not in written[0]
 
 
 def test_exports_resolve_on_first_access():

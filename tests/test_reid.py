@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from dpkanon.dataset import round_sig, standardize
+from dpkanon import reid
+from dpkanon.dataset import group_rows, round_sig, standardize
 from dpkanon.dither import substream
 from dpkanon.errors import DomainError, ShapeError
 from dpkanon.pipeline import prepare, transform
@@ -114,24 +116,73 @@ def test_matches_dense_reference(case, seed):
     assert rng.random() == ref_rng.random()
 
 
-class CountingTree(cKDTree):
-    """cKDTree that records how many rows each ball query takes."""
+@settings(max_examples=200, deadline=None)
+@given(match_cases(), st.integers(0, 2**16), st.sampled_from([2, 3, 5]),
+       st.sampled_from([1, 7, 64]))
+def test_matches_dense_reference_on_small_leaves(case, seed, leaf, cells):
+    # leaves of a few tuples and blocks of a few cells, so that the splits,
+    # the box descent and the blocks past the first all run
+    t, anon = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with patch.object(reid, "_LEAF", leaf), patch.object(reid, "_BLOCK_CELLS", cells):
+        got = match_min_distance(t, anon, rng)
+    assert got.tolist() == reference_match(t, anon, ref_rng).tolist()
+    assert rng.random() == ref_rng.random()
 
-    rows = []
 
-    def query_ball_point(self, x, r, **kwargs):
-        CountingTree.rows.append(len(x))
-        return super().query_ball_point(x, r, **kwargs)
+@settings(max_examples=200, deadline=None)
+@given(match_cases(), st.sampled_from([2, 3, 5, reid._LEAF]), st.sampled_from([1, 7, 64]))
+def test_candidates_hold_every_near_tuple(case, leaf, cells):
+    # every tuple that a KD-tree ball query finds within the nearest
+    # squared distance plus _TIE_TOL is a candidate of its row
+    t, anon = case
+    std, rows, _, row_sq = reid._queries(t)
+    tuples, _ = group_rows(std.apply_qi(anon.qi_hat))
+    with patch.object(reid, "_LEAF", leaf), patch.object(reid, "_BLOCK_CELLS", cells):
+        row, cand, starts = reid._candidates(
+            rows, row_sq, tuples, np.einsum("ij,ij->i", tuples, tuples))
+    assert np.array_equal(starts, np.searchsorted(row, np.arange(len(rows))))
+    assert np.all(np.diff(row) >= 0) and len(np.unique(row)) == len(rows)
+    tree = cKDTree(tuples)
+    dist, _ = tree.query(rows)
+    for x, ball in enumerate(tree.query_ball_point(rows, np.sqrt(dist**2 + _TIE_TOL))):
+        assert set(ball) <= set(cand[row == x].tolist())
 
 
-@pytest.mark.parametrize("kind, ball_rows", [
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 3), st.sampled_from([1.0, 1e2, 1e3, 1e4]),
+       st.sampled_from([2, 5, reid._LEAF]))
+def test_candidates_hold_the_expanded_form_tie_set(seed, d, scale, leaf):
+    # far from the origin the expanded form's rounding, not the tolerance,
+    # decides which tuples tie, and only the slack covers it: points a few
+    # 1e-5 apart around a centre of norm up to about 1e4
+    rng = np.random.default_rng(seed)
+    centre = scale * rng.normal(size=d)
+    rows = group_rows(centre + 1e-5 * rng.integers(-3, 4, size=(20, d)))[0]
+    tuples = group_rows(centre + 1e-5 * rng.integers(-3, 4, size=(30, d)))[0]
+    row_sq = np.einsum("ij,ij->i", rows, rows)
+    c = np.einsum("ij,ij->i", tuples, tuples)
+    with patch.object(reid, "_LEAF", leaf):
+        row, cand, _ = reid._candidates(rows, row_sq, tuples, c)
+    # every pair's expanded form, as the scoring computes it
+    n, m = len(rows), len(tuples)
+    xc = np.matmul(np.repeat(rows, m, axis=0)[:, None, :],
+                   np.tile(tuples, (n, 1))[:, :, None]).reshape(n, m)
+    e = row_sq[:, None] - 2.0 * xc + c
+    for x in range(n):
+        ties = np.flatnonzero(e[x] <= e[x].min() + _TIE_TOL)
+        assert set(ties.tolist()) <= set(cand[row == x].tolist())
+
+
+@pytest.mark.parametrize("kind, pairs", [
     # each record's copy is its only near tuple, and a one-tuple release
-    # has no second tuple, so neither needs a ball query
-    ("isolated", 0), ("single", 0),
-    # half-step offsets put two tuples at one distance from every record
-    ("grid", 60),
+    # has one tuple: one candidate for each of the 60 distinct rows
+    ("isolated", 60), ("single", 60),
+    # half-step offsets put two tuples at one distance from each of the
+    # grid's 13 distinct rows
+    ("grid", 26),
 ])
-def test_ball_query_only_where_a_second_tuple_is_near(monkeypatch, kind, ball_rows):
+def test_candidates_only_where_a_second_tuple_is_near(monkeypatch, kind, pairs):
     rng = np.random.default_rng(41)
     if kind == "grid":
         # every record has tuples half a step away on either side
@@ -144,11 +195,18 @@ def test_ball_query_only_where_a_second_tuple_is_near(monkeypatch, kind, ball_ro
             qi_hat = np.repeat(qi_hat[:1], 60, axis=0)
     t = make_table(qi, y=rng.normal(size=60))
     anon = as_anon(t, qi_hat)
-    monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
-    monkeypatch.setattr(CountingTree, "rows", [])
+    scored = []
+
+    def counted(*args):
+        found = candidates(*args)
+        scored.append(len(found[1]))
+        return found
+
+    candidates = reid._candidates
+    monkeypatch.setattr(reid, "_candidates", counted)
     got = match_min_distance(t, anon, np.random.default_rng(2))
     assert got.tolist() == reference_match(t, anon, np.random.default_rng(2)).tolist()
-    assert sum(CountingTree.rows) == ball_rows
+    assert scored == [pairs]
 
 
 def test_all_rows_tie_without_dense_matrix():
