@@ -34,6 +34,17 @@ _PAGE_B = 0.7988 * 0.04417
 _PAGE_CLIP = 9.0
 _PAGE_ERR = 3e-4
 
+# float32's unit roundoff 2^-24, plus eps for the exact pass's own rounding
+# (_single_margin); the most numpy's float32 tanh may differ from tanh (in
+# units of u) and exp from exp (relative, in units of u), above what
+# test_float32_function_error measures under every CPU dispatch; and the
+# size, 2^40, past which a constant or sample keeps the cheap pass in float64
+_U = 2.0**-24 + np.finfo(float).eps
+_TANH32_ERR = 3.0
+_EXP32_ERR = 5.0
+_SINGLE_RANGE = 2.0**40
+_SINGLE_PAYS = 8
+
 # _phi's fit, proven within _PHI_ERR of the normal CDF: for 0 <= t <= _PHI_CUT,
 # Phi(-t) = exp(-t^2 / 2) P(t) / Q(t), with P of degree 7 and the monic Q of
 # degree 8, their coefficients from the constant term up (Q's leading 1 left
@@ -107,7 +118,8 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
 
     Records are processed in blocks of max(_MIN_BLOCK, _BLOCK_CELLS // c)
     rows, over all c clusters at once (twice the cells when no column calls
-    _phi, as in the cheap pass of gaussian_release_indices). Blocks are
+    _phi, as in the cheap pass of gaussian_release_indices, and twice again
+    on its float32 planes, so the bytes stay the same). Blocks are
     independent, and the block kernel spends most of its time in numpy calls
     that release the GIL, so the blocks may run on several threads: the
     calling thread takes every share-th block and share - 1 helper threads
@@ -120,7 +132,11 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     5-10% at every size. So small maps, such as the rows mapped again and
     the first coordinate's interpolant nodes, run on the calling thread.
     Doubling the cheap pass's blocks took its two threads from 0.88x to
-    0.66x of one on 4000 rows, and one thread from 59 to 55 ms. Every sum
+    0.66x of one on 4000 rows, and one thread from 59 to 55 ms. On float32
+    planes, doubling them again took two threads from 23.5-38.4 ms to
+    16.9-26.4 ms on the 4000-row ordinal map, less in each of ten
+    alternating rounds made while a probe of the second core read
+    0.6-1.2x. Every sum
     over the clusters is an einsum or a numpy reduction along one row,
     never a BLAS product, so a record's u depends neither on the block it
     falls in nor on the thread count nor on the BLAS build.
@@ -132,7 +148,7 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     block, and the J columns are the full map's first J bit for bit.
     """
     X = _dither(xt, model.centroids.shape[1])
-    return _map(X, _mixture(model, alpha))
+    return _map(X, _mixture(model, alpha))[0]
 
 
 def _phi(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -240,30 +256,218 @@ def _cheap_delta(c: int) -> float:
     delta = eps_Phi + 4 (c + 2) eps is more than twice that for any c below
     1e10. The spare half covers the rounding of u~ +- delta in the walk
     (eps), and leaves room for a further error of up to delta / 2, as the
-    tests add to u~.
+    tests add to u~. On float32 planes the pass adds its own rounding to
+    this, row by row (_single_margin).
     """
     return _PAGE_ERR + 4 * (c + 2) * np.finfo(float).eps
 
 
-def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.ndarray:
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for the unit roundoff u = _U."""
+    return k * _U / (1 - k * _U)
+
+
+def _single(mix: tuple, X: np.ndarray):
+    """The constants of _map's float32 cheap pass over the leading columns
+    of the samples X, and the terms of its per-row bound (_single_margin);
+    None when they lie outside float32's safe range: a sample, centroid or
+    factor entry past _SINGLE_RANGE = R in size, a conditional sd outside
+    [1 / R, R], a residual that could pass R, or nu (a_j + b_j + 1) > 1e-3
+    (_single_margin's terms). In the range, no cast or float32 op overflows
+    (|z| <= R makes z^2 <= 2^80), and every rounding is within the bound.
+
+    The float32 constants shift the log priors and each column's log sds by
+    the midpoint of their range, which moves every posterior log of a row
+    by one constant, so the weights keep their ratios; the terms are built
+    in float64 from the float64 constants."""
+    centroids, L, diag, log_diag, prior, log_prior = mix
+    c, d = len(prior), X.shape[1]
+    m, s = centroids[:, :d], diag[:, :d]
+    size = np.abs(np.tril(L[:, :d, :d], -1))  # the factors' off-diagonal entries
+    x_max = np.abs(X).max(axis=0, initial=0.0)
+    if not (x_max.max(initial=0.0) <= _SINGLE_RANGE and np.abs(m).max() <= _SINGLE_RANGE
+            and size.max() <= _SINGLE_RANGE
+            and (s >= 1 / _SINGLE_RANGE).all() and (s <= _SINGLE_RANGE).all()):
+        return None
+    nu = _gamma(d + 4)
+    rho = size / s[:, :, None]  # rho[c, j, k] = |L_cjk| / s_cj
+    a, b, z_max = np.zeros((c, d)), np.zeros((c, d)), np.zeros(d)
+    for j in range(d):
+        r = rho[:, j, :j]
+        a[:, j] = 2 * np.abs(m[:, j]) / s[:, j] + (1 + nu) * (r * a[:, :j]).sum(axis=1)
+        b[:, j] = 2 * r.sum(axis=1) + (1 + nu) * (r * (b[:, :j] + 1)).sum(axis=1)
+        z_max[j] = ((x_max[j] + np.abs(m[:, j]) + (size[:, j, :j] * z_max[:j]).sum(axis=1))
+                    / s[:, j]).max()
+        if z_max[j] > _SINGLE_RANGE or nu * (a[:, j].max() + b[:, j].max() + 1) > 1e-3:
+            return None
+    a, b = a.max(axis=0), b.max(axis=0)
+    lp = log_prior - (log_prior.max() + log_prior.min()) / 2
+    ld = log_diag[:, :d] - (log_diag[:, :d].max(axis=0) + log_diag[:, :d].min(axis=0)) / 2
+    f32 = tuple(np.asarray(v, dtype=np.float32) for v in (m, L[:, :d, :d], s, ld, prior, lp))
+    # v_cj = lp_c - sum_{k<j} ld_ck, the log weight of cluster c at level j
+    # before the residuals, and lam_cj = |lp_c| + sum_{k<j} |ld_ck|
+    before = np.zeros((2, c, d))
+    np.cumsum([ld[:, :-1], np.abs(ld[:, :-1])], axis=2, out=before[:, :, 1:])
+    v = lp[:, None] - before[0]
+    lam = np.abs(lp)[:, None] + before[1]
+    return f32, (c, nu, a, b, v.max(axis=0), np.ptp(v, axis=0), lam.max(axis=0))
+
+
+def _single_margin(single: tuple, j: int, top: np.ndarray) -> np.ndarray:
+    """The margin of the float32 cheap pass's u~_j at each row, whose
+    largest float32 posterior log at level j is `top` (any values at j = 0):
+    delta + 2 R for delta = _cheap_delta(c) and R the row's float32 term
+    below; inf where that term's exp step is not small.
+
+    The proof bounds |u~_j - u_j| by 1.46e-4 + (c + 3.5) eps + R, for u_j
+    the exact pass's value, so the margin is more than twice that; its
+    spare half covers the walk's rounding of u~ +- margin and the tests'
+    jitter of up to margin / 2, as in _cheap_delta. All sums are exact
+    arithmetic on the float64 constants of _mixture, u = _U (float32's unit
+    roundoff 2^-24, plus eps for the exact pass, below) and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 3-4: a recursive sum of k + 1 terms in any order
+    moves each term by at most gamma_k of itself).
+
+    Reference. z*, the exact residuals of the float64 samples and
+    constants, l*_c = lp_c - sum_{k<j} (z*_ck^2 / 2 + ld_ck), the exact
+    posterior logs, p*_c their normalized exponentials, and
+    U* = sum_c p*_c Phi(z*_cj). The exact pass's u_j is within
+    (c + 3) eps of the same average at its own float64 z and weights
+    (_cheap_delta), and its rounding of z and of the logs is bounded by
+    the terms below with eps / 2 in place of 2^-24, which taking
+    u = 2^-24 + eps covers. The final 1/2 + u~ / 2 in float64 rounds by
+    eps / 2.
+
+    Residuals. Write rho_cjk = |L_cjk| / s_cj (s the conditional sds),
+    mu_cj = |m_cj| / s_cj and Z_c = max_{k<j} |z*_ck|. The float32 residual
+    of column j sums x_j, -m_cj and the products -z^_ck L_cjk, each rounded
+    on entry (a cast, or a cast and a product), so it is within
+    gamma_{j+3} (|x_j| + |m_cj| + sum_k |z^_ck L_cjk|) of that sum with the
+    computed z^; the divide by the cast s moves z^ by gamma_2 of itself.
+    With |x_j| / s_cj <= mu_cj + sum_k rho_cjk |z*_ck| + |z*_cj| (the exact
+    residual's own equation), and nu = gamma_{d+4},
+    |z^_cj - z*_cj| <= nu (a_cj + b_cj Z_c + |z*_cj|), by induction on j,
+    with a_cj = 2 mu_cj + (1 + nu) sum_k rho_cjk a_ck and
+    b_cj = 2 sum_k rho_cjk + (1 + nu) sum_k rho_cjk (b_ck + 1). a_j and b_j
+    are their maxima over the clusters; _single keeps nu (a_j + b_j + 1)
+    <= 1e-3, so products of two rounding terms stay below 1e-3 of the
+    terms they ride on, and the factor 1.01 on R covers them. So does it
+    cover underflow: a float32 cast or result below 2^-126 errs by up to
+    2^-150, not by u of itself. In a residual that adds under
+    2^-150 (j + 3 + sum_k |z^_ck|) / s_cj <= 2^-109 (1 + sum_k |z^_ck|) (a
+    factor entry that tiny errs by 2^-150 times |z^_ck|), and with
+    (1 + nu) b_j < 2500 bounding how far it spreads to the later columns,
+    under 1e-29 (1 + sqrt(j Q_c)) in all; so under 1e-28 (1 + Q_c) in a log
+    below, far inside 1e-2 of R, whose sums' term alone is over u.
+
+    The weights' lemma. Let v_c = lp_c - sum_{k<j} ld_ck,
+    Q_c = sum_{k<j} z*_ck^2, so that l*_c = v_c - Q_c / 2, V = max v_c and
+    D* = log c + V - max_c l*_c >= 0. By Hoelder, for 0 <= eta <= 1/2,
+    sum_c exp(v_c - (1/2 - eta) Q_c) <= (sum_c exp(l*_c))^(1 - 2 eta)
+    (sum_c exp(v_c))^(2 eta), so E_p*[exp(eta Q)] <= exp(2 eta D*), and by
+    Jensen E_p*[Q] <= 2 D* and E_p*[sqrt(Q)] <= sqrt(2 D*).
+
+    The terms of R.
+    - Sums: the float32 products w t and their sum err by gamma_c of
+      sum w |t| <= W, the sum W by gamma_{c-1} of itself and the divide by
+      u, so the ratio is within gamma_{2c+1} of sum w t / W, and half that
+      moves u~: S = gamma_{2c+1} / 2.
+    - Page's form: g = z (a + b z^2) takes five roundings on nonnegative
+      terms, so it is within gamma_5 |g| of g with the float64 a and b,
+      which moves tanh by |g| sech^2 <= 0.45 of that; numpy's float32 tanh
+      is within _TANH32_ERR u of tanh (test_float32_function_error): so
+      T = (_TANH32_ERR u + 0.45 gamma_5) / 2. Under p*, the cheap form at
+      the clipped float32 z^ is within 1.46e-4 of Phi(z^) (_cheap_delta).
+    - Residuals under p*: |Phi(z^) - Phi(z*)| <= 0.4 nu (a_j + b_j Z) plus
+      at most 0.25 nu from the |z*_cj| term (|z| phi(z) < 0.25), so
+      E_p* <= 0.4 nu (a_j + b_j sqrt(2 D*)) + 0.25 nu.
+    - Weights. Each float32 weight is exp(l^_c - l^_max) with the
+      subtraction rounding by u (l^_max - l^_c) <= u (spread_j + Q_c / 2)
+      (spread_j = max v - min v), and exp by _EXP32_ERR u of itself (or,
+      below 2^-126, by less than 2^-126, under c 2^-126 of u~ in all). The
+      float32 logs are a recursive sum of lp, -ld_k and -z^_ck^2 / 2, 2j + 1
+      terms each rounded once on entry, so within
+      gamma_{2j+1} (lam_j + Q_c / 2) of the same sum with z^
+      (lam_j = max_c |lp_c| + sum_{k<j} |ld_ck|), which is within
+      sum_k |z^_ck - z*_ck| |z*_ck| <= nu (a~ sqrt(j Q_c) + (b~ sqrt(j) + 1) Q_c)
+      of l*_c (a~, b~ the maxima of a_k, b_k over k < j). With
+      sqrt(Q) <= (kappa + Q / kappa) / 2 for any kappa > 0, each log weight
+      is off by r_c with |r_c| <= A + H Q_c, where
+      A = gamma_{2j+1} lam_j + u spread_j + _EXP32_ERR u + B kappa / 2,
+      H = gamma_{2j+1} / 2 + nu (b~ sqrt(j) + 1) + u / 2 + B / (2 kappa),
+      B = nu a~ sqrt(j). By the lemma, E_p*[exp(|r|)] <= exp(omega),
+      omega = A + 2 H D*. The float32 weights are p*_c exp(r_c) up to a
+      common factor, so for f in [0, 1],
+      |sum_c (p^_c - p*_c) f_c| <= sum_c p*_c |exp(r_c) - 1| / sum_c p*_c exp(r_c)
+      <= exp(omega) (exp(omega) - 1), as Jensen bounds the denominator by
+      exp(-omega) from below.
+    - D* from the row's own logs. At the computed arg max c^, l*_c^ is
+      within A + H Q_c^ of l^_max and Q_c^ <= 2 (V - l*_c^), so
+      D* <= (D^ + A) / (1 - 2 H), with D^ = log c + V - l^_max. Rows with
+      omega > 1e-3 get an infinite margin: the redo maps them exactly.
+    At j = 0 the weights are the priors, rounded by u each and summed
+    without a divide: omega = u, and Q = 0.
+
+    So R = 1.01 (S + T + 0.4 nu (a_j + b_j sqrt(2 D*)) + 0.25 nu
+    + exp(omega) (exp(omega) - 1)). kappa = sqrt(2 D_t), with
+    D_t = log c + spread_j + j / 2 the D of a row that sits one sd from its
+    own cluster's centroid, makes the split tight there. On the benchmark
+    tables (c = 400, alpha = 1/3) R is 4e-5 to 5e-5 at most rows, against
+    S = 2.4e-5.
+    """
+    c, nu, a, b, top_v, spread, lam = single[1]
+    u = _U
+    base = _gamma(2 * c + 1) / 2 + (_TANH32_ERR * u + 0.45 * _gamma(5)) / 2 + 0.25 * nu
+    if j == 0:
+        omega = np.full(len(top), u)
+        reach = 0.4 * nu * a[0]
+    else:
+        spread_j, lam_j = spread[j], lam[j]
+        kappa = np.sqrt(2 * (np.log(c) + spread_j + j / 2))
+        big_b = nu * a[:j].max() * np.sqrt(j)
+        g = _gamma(2 * j + 1)
+        big_a = g * lam_j + u * spread_j + _EXP32_ERR * u + big_b * kappa / 2
+        big_h = g / 2 + nu * (b[:j].max() * np.sqrt(j) + 1) + u / 2 + big_b / (2 * kappa)
+        d_star = (np.log(c) + top_v[j] - top.astype(float) + big_a) / (1 - 2 * big_h)
+        omega = big_a + 2 * big_h * d_star
+        reach = 0.4 * nu * (a[j] + b[j] * np.sqrt(2 * np.maximum(d_star, 0)))
+    small = np.minimum(omega, 1e-3)  # the rows past it get inf, and no overflow
+    r = 1.01 * (base + reach + np.exp(small) * np.expm1(small))
+    return np.where(omega <= 1e-3, _cheap_delta(c) + 2 * r, np.inf)
+
+
+def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=(), single=None) -> tuple:
     """forward_gaussian of checked samples X under the constants `mix` of
-    _mixture. With skip_first, the first column's CDF terms and their sum
-    are not computed and u[:, 0] is NaN; its residuals and posterior update,
-    which the later columns read, are, so those keep their bits. The
-    columns in `cheap` are mapped by the cheap pass: Page's tanh form in
-    place of _phi, within _cheap_delta(c) of the exact u_j."""
+    _mixture, and each u_j's margin for _walk. With skip_first, the first
+    column's CDF terms and their sum are not computed and u[:, 0] is NaN;
+    its residuals and posterior update, which the later columns read, are,
+    so those keep their bits. The columns in `cheap` are mapped by the cheap
+    pass, Page's tanh form in place of _phi: on float64 planes within
+    _cheap_delta(c) of the exact u_j, or, with `single` from _single(mix, X)
+    and no column left to _phi, on float32 planes within each row's margin
+    from _single_margin. The exact columns' margin is 0."""
     centroids, L, diag, log_diag, prior, log_prior = mix
     d = X.shape[1]  # the leading columns mapped
     skipped = int(skip_first)  # leading columns whose u is not computed
     u = np.empty(X.shape)
     u[:, :skipped] = np.nan
     if skipped == d:
-        return u
+        return u, np.zeros(X.shape)
     exact = any(j not in cheap for j in range(skipped, d))  # some column calls _phi
-    rows = max(_MIN_BLOCK, (_BLOCK_CELLS if exact else 2 * _BLOCK_CELLS) // len(prior))
+    if exact:
+        single = None
+    # a map with no exact column has short ops, so its blocks take twice the
+    # cells, and twice again on float32 planes, which take half the bytes
+    cells = _BLOCK_CELLS if exact else (2 if single is None else 4) * _BLOCK_CELLS
+    rows = max(_MIN_BLOCK, cells // len(prior))
+    if single is not None:
+        centroids, L, diag, log_diag, prior, log_prior = single[0]
+        top = np.empty(X.shape, dtype=np.float32)  # each level's largest posterior log
+    dtype = centroids.dtype
 
     def block(b: int, work: np.ndarray) -> None:
-        xb = X[b:b + rows]
+        xb = X[b:b + rows].astype(dtype, copy=False)
         # (block, c) slices of the thread's work array: the standardized
         # residuals of each dimension, the log posteriors, a temporary
         # product and, when a column calls _phi, its second scratch plane.
@@ -282,7 +486,8 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.nd
             zj /= diag[:, j]
             if j >= skipped:
                 if j in cheap:  # phi = tanh(g(clip(z))), into the free planes
-                    np.clip(zj, -_PAGE_CLIP, _PAGE_CLIP, out=phi)
+                    np.minimum(zj, _PAGE_CLIP, out=phi)
+                    np.maximum(phi, -_PAGE_CLIP, out=phi)
                     np.multiply(phi, phi, out=tmp)
                     tmp *= _PAGE_B
                     tmp += _PAGE_A
@@ -293,10 +498,16 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.nd
                 if j == 0:
                     uj = np.einsum("nc,c->n", phi, prior)
                 else:
-                    w = np.exp(np.subtract(logpost, logpost.max(axis=1, keepdims=True),
-                                           out=tmp), out=tmp)
+                    most = logpost.max(axis=1, keepdims=True)
+                    if single is not None:
+                        top[b:b + rows, j] = most[:, 0]
+                    w = np.exp(np.subtract(logpost, most, out=tmp), out=tmp)
                     uj = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
-                u[b:b + rows, j] = 0.5 + 0.5 * uj if j in cheap else uj
+                if j in cheap:  # 1/2 + uj / 2 in float64
+                    uj = np.multiply(uj, 0.5, out=u[b:b + rows, j])
+                    uj += 0.5
+                else:
+                    u[b:b + rows, j] = uj
             if j + 1 < d:
                 np.multiply(zj, 0.5, out=tmp)
                 tmp *= zj
@@ -312,16 +523,22 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=()) -> np.nd
     # The calling thread allocates every thread's work array, so the
     # helpers' temporaries do not stay resident in per-thread malloc arenas
     # after they exit. A pool with nothing submitted starts no thread.
-    works = [np.empty((d + 2 + exact, min(rows, len(X)), len(prior))) for _ in range(share)]
+    works = [np.empty((d + 2 + exact, min(rows, len(X)), len(prior)), dtype=dtype)
+             for _ in range(share)]
     with ThreadPoolExecutor(max_workers=max(1, share - 1)) as pool:
         helpers = [pool.submit(run, starts[i::share], works[i]) for i in range(1, share)]
         run(starts[0::share], works[0])
         for f in helpers:
             f.result()
+    del works  # before the margins' temporaries, which then reuse its memory
 
     mapped = u[:, skipped:]
     np.clip(mapped, np.finfo(float).tiny, 1.0, out=mapped)
-    return u
+    margin = np.zeros(X.shape)
+    for j in cheap:
+        margin[:, j] = (_cheap_delta(len(prior)) if single is None
+                        else _single_margin(single, j, top[:, j]))
+    return u, margin
 
 
 def inverse_empirical_indices(u, joint: EmpiricalJoint) -> np.ndarray:
@@ -467,7 +684,7 @@ def _root_interpolant(x0: np.ndarray, mix: tuple):
     if 2 * len(lattice) >= len(x0):
         return None
     nodes = lo + lattice * step
-    g = _map(nodes[:, None], mix)[:, 0]
+    g = _map(nodes[:, None], mix)[0][:, 0]
     z = np.subtract(nodes[:, None], m)  # in place from here on: one (nodes, c) array
     z /= s
     z *= z
@@ -523,14 +740,51 @@ def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> tuple:
     A row's u_j falls within delta of one of its table's E_j edges, and is
     mapped again on all d columns, with a chance of about 2 delta E_j. Each
     cheap level saves more than half a column's cost per row (Page's form
-    costs 3.7 ns a cell against _phi's 19-27 ns), so a level pays while its
-    rows mapped again cost less than that. So a root table as large as the
+    costs 5.0 ns a cell on float64 planes and 2.3 ns on float32 ones,
+    against _phi's 26 ns, on (64, 400) planes of a shared 2-core VM), so a
+    level pays while its rows mapped again cost less than that. So a root table as large as the
     continuous one (2450 entries, 2 delta E_0 d about 4) would stay exact
     where the interpolant of _root_interpolant declines, while the small
     tables past the root are cheap.
     """
-    edges = ((_table_sizes(joint)[levels] - 1) * joint.counts).sum(axis=1) / joint.total
-    return tuple(j for j, e in zip(levels, edges) if 2 * delta * e * joint.d < 0.5)
+    return tuple(j for j, e in zip(levels, _edges(joint, levels))
+                 if 2 * delta * e * joint.d < 0.5)
+
+
+def _edges(joint: EmpiricalJoint, levels) -> np.ndarray:
+    """E_j for each level j in `levels`: the mean edge count (entries - 1)
+    of the level-j tables the records' keys walk."""
+    return ((_table_sizes(joint)[list(levels)] - 1) * joint.counts).sum(axis=1) / joint.total
+
+
+def _single_pass(joint: EmpiricalJoint, cheap: tuple, levels: range, mix: tuple,
+                 X: np.ndarray, delta: float):
+    """_single(mix, X) when the main map of X runs its cheap pass on float32
+    planes, else None. That needs every level in `levels`, those the map
+    computes a CDF at, to be cheap, and X and the constants to lie in
+    float32's safe range (_single). Then float32 pays while the rows its
+    wider margins add to the redo cost less than its cheaper cells save. A
+    row mapped again costs d columns of _phi cells, and float32 saves about
+    1 / _SINGLE_PAYS of a _phi cell on each of the width = X.shape[1]
+    columns whose residuals the map computes: 4.0 ns (ordinal) and 2.9 ns
+    (continuous) a cell of the benchmark tables' main maps, against _phi's
+    26 ns. So the rule is 2 (margin_j - delta) E_j d, summed over the cheap
+    levels, below width / _SINGLE_PAYS, with E_j the mean edge count of
+    _cheap_levels and margin_j the margin of a row one sd from its
+    cluster's centroid (_single_margin), about 2 (margin_j - delta) E_j the
+    share of rows it adds to the redo.
+    """
+    if not cheap or len(cheap) < len(levels):
+        return None
+    single = _single(mix, X)
+    if single is None:
+        return None
+    _, _, _, _, top_v, spread, _ = single[1]
+    extra = 0.0
+    for j, e in zip(cheap, _edges(joint, cheap)):
+        typical = np.array([top_v[j] - spread[j] - j / 2])  # D = log c + spread_j + j / 2
+        extra += 2 * (_single_margin(single, j, typical)[0] - delta) * e * joint.d
+    return single if extra * _SINGLE_PAYS < X.shape[1] else None
 
 
 def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
@@ -567,13 +821,12 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     root = _root_interpolant(X[:, 0], mix)
     skip_first = root is not None
     cheap = _cheap_levels(joint, range(int(skip_first), width), delta)
-    u = _map(X[:, :width], mix, skip_first, cheap)
-    margin = np.zeros(u.shape)
-    margin[:, list(cheap)] = delta
+    single = _single_pass(joint, cheap, range(int(skip_first), width), mix, X[:, :width], delta)
+    u, margin = _map(X[:, :width], mix, skip_first, cheap, single)
     if skip_first:
         u[:, 0], margin[:, 0] = root
     idx = _walk(u, joint, margin)
     redo = np.flatnonzero(idx[:, -1] < 0)
     if len(redo):
-        idx[redo] = _walk(_map(X[redo], mix), joint)
+        idx[redo] = _walk(_map(X[redo], mix)[0], joint)
     return idx

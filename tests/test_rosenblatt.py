@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -340,9 +341,9 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     maps, flagged = [], []
     forward, walk = rosenblatt._map, rosenblatt._walk
 
-    def counted_map(X, mix, skip_first=False, cheap=()):
-        maps.append((*X.shape, skip_first, cheap))
-        return forward(X, mix, skip_first, cheap)
+    def counted_map(X, mix, skip_first=False, cheap=(), single=None):
+        maps.append((*X.shape, skip_first, cheap, single is not None))
+        return forward(X, mix, skip_first, cheap, single)
 
     def counted_walk(u, joint, *args):
         out = walk(u, joint, *args)
@@ -353,9 +354,9 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     transform(prepare(workload_table(kind), 10, seed=0), "gaussian")
     (nodes, *shape), main, *redo = maps
-    assert shape == [1, False, ()] and nodes < 100
-    assert main == (4000, width, True, tuple(range(1, width)))
-    assert redo == ([(flagged[0], 3, False, ())] if flagged[0] else [])
+    assert shape == [1, False, (), False] and nodes < 100
+    assert main == (4000, width, True, tuple(range(1, width)), True)
+    assert redo == ([(flagged[0], 3, False, (), False)] if flagged[0] else [])
     assert flagged[1:] == [0] * len(redo)
     assert flagged[0] < 40
 
@@ -398,7 +399,7 @@ def root_delta(model):
 
 
 def first_u(x0, mix):
-    return rosenblatt._map(np.asarray(x0, dtype=float).reshape(-1, 1), mix)[:, 0]
+    return rosenblatt._map(np.asarray(x0, dtype=float).reshape(-1, 1), mix)[0][:, 0]
 
 
 def root_entry(cumfrac, u0):
@@ -428,13 +429,13 @@ def jittered(forward, delta):
     """_map with each computed u_0 moved by up to delta / 2, by a fixed
     function of x_0's bits: still within delta of the mixture CDF, but not
     monotone in x_0."""
-    def jittered_map(X, mix, skip_first=False, cheap=()):
-        u = forward(X, mix, skip_first, cheap)
+    def jittered_map(X, mix, skip_first=False, cheap=(), single=None):
+        u, margin = forward(X, mix, skip_first, cheap, single)
         if not skip_first:
             bits = np.ascontiguousarray(X[:, 0]).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             u[:, 0] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * delta
             np.clip(u[:, 0], np.finfo(float).tiny, 1.0, out=u[:, 0])
-        return u
+        return u, margin
 
     return jittered_map
 
@@ -608,14 +609,14 @@ def count_phi_cells(monkeypatch, xt, state):
         cells.append(z.size)
         return phi(z, out, scratch)
 
-    def counted_map(X, mix, skip_first=False, cheap=()):
+    def counted_map(X, mix, skip_first=False, cheap=(), single=None):
         before = sum(cells)
-        u = forward(X, mix, skip_first, cheap)
+        got = forward(X, mix, skip_first, cheap, single)
         levels = [j for j in range(int(skip_first), X.shape[1]) if j not in cheap]
         assert sum(cells) - before == len(X) * len(mix[0]) * len(levels)
         level_cells[levels] += len(X) * len(mix[0])
         maps.append(X.shape)
-        return u
+        return got
 
     def counted_walk(u, joint, *args):
         out = walk(u, joint, *args)
@@ -698,6 +699,37 @@ def test_page_cdf_grid_maximum():
     bound = peak + 5 * eps + 1.11 * (z[1] - z[0]) / 2
     assert bound < 1.46e-4 and 2 * bound < rosenblatt._PAGE_ERR
     assert ndtr(-9.0) < 1.2e-19 and 0.5 * (1 + np.tanh(g[0])) == 0.0
+
+
+def every_float32(lo, hi, stride):
+    """Every stride-th float32 in [lo, hi), in order."""
+    ends = np.array([lo, hi], dtype=np.float32).view(np.uint32)
+    return np.arange(ends[0], ends[1], stride, dtype=np.uint32).view(np.float32)
+
+
+def test_float32_function_error():
+    # the constants _single_margin's proof takes for the running numpy's
+    # float32 tanh and exp, measured on every 61st float32 of their ranges
+    # (about 5 M points each): tanh, odd, within _TANH32_ERR u of tanh in
+    # absolute terms over the Page arguments up to g(9) < 33, and 1 past
+    # them; exp within _EXP32_ERR u of itself, relative, over the weights'
+    # arguments down to the float32 normal range, below 2^-126 past it, and
+    # exactly 1 at 0. Also the proof's peak of |g| sech^2(g), under 0.45
+    u = 2.0**-24
+    x = every_float32(2.0**-30, 33.0, 61)
+    t = np.tanh(x)
+    assert (np.tanh(-x) == -t).all() and np.tanh(np.float32(33.0)) == 1
+    tanh_err = np.abs(t - np.tanh(x.astype(float))).max() / u
+    assert tanh_err < rosenblatt._TANH32_ERR
+    y = -every_float32(2.0**-30, 104.0, 61)
+    e, exact = np.exp(y), np.exp(y.astype(float))
+    normal = exact >= 2.0**-126
+    exp_err = (np.abs(e - exact) / exact)[normal].max() / u
+    assert exp_err < rosenblatt._EXP32_ERR and (e[~normal] < 2.0**-126).all()
+    assert np.exp(np.float32(0)) == 1
+    g = np.linspace(0, 3, 300_001)
+    peak = (g / np.cosh(g) ** 2).max()
+    assert 0.4477 < peak < 0.4478 and peak + 3e-5 < 0.45  # slope below 1 between points
 
 
 def test_phi3_grid_maximum():
@@ -790,14 +822,14 @@ def level_edge(row, j, e, mix, joint):
     whose u_j straddle edge e of the level-j table that the row's prefix
     leads to (the lower one's entry is below e, the upper one's at least
     e), and that edge's cumulative fraction. Found by bisection."""
-    prefix = rosenblatt._walk(rosenblatt._map(row[None, :j], mix), joint)[0, :j]
+    prefix = rosenblatt._walk(rosenblatt._map(row[None, :j], mix)[0], joint)[0, :j]
     s, n = level_table(joint, prefix)
     cumfrac = joint.flat_trie[j][1][s:s + n]
     x = row[:j + 1].copy()
 
     def u_j(v):
         x[j] = v
-        return rosenblatt._map(x[None], mix)[0, j]
+        return rosenblatt._map(x[None], mix)[0][0, j]
 
     def reaches(v):
         return np.searchsorted(cumfrac, u_j(v) - _U_TOL) >= e
@@ -815,15 +847,16 @@ def level_edge(row, j, e, mix, joint):
     return lo, hi
 
 
-def cheap_jittered(forward, delta):
-    """_map with each u_j of the cheap pass moved by up to delta / 2, by a
-    fixed function of x_j's bits."""
-    def jittered_map(X, mix, skip_first=False, cheap=()):
-        u = forward(X, mix, skip_first, cheap)
+def cheap_jittered(forward):
+    """_map with each u_j of the cheap pass moved by up to half its margin,
+    by a fixed function of x_j's bits; rows of infinite margin stay."""
+    def jittered_map(X, mix, skip_first=False, cheap=(), single=None):
+        u, margin = forward(X, mix, skip_first, cheap, single)
         for j in cheap:
             bits = np.ascontiguousarray(X[:, j]).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            u[:, j] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * delta
-        return u
+            half = np.where(np.isfinite(margin[:, j]), margin[:, j], 0.0)
+            u[:, j] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * half
+        return u, margin
 
     return jittered_map
 
@@ -841,12 +874,34 @@ def cheap_cases(draw):
     return table, k, rows, draw(st.integers(0, 4)), draw(st.integers(0, 2**16))
 
 
+@st.composite
+def mixture_cases(draw):
+    """A mixture of c clusters in d dimensions, a within-cluster spread,
+    alpha, dither rows drawn from it with some rows moved far out, and a
+    generator."""
+    d = draw(st.integers(1, 5))
+    c = draw(st.sampled_from((1, 2, 9, 60, 400, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    spread = draw(st.sampled_from((0.0, 0.1, 1.0)))
+    a = rng.standard_normal((c, d, d)) * spread
+    model = SimpleNamespace(centroids=np.round(rng.standard_normal((c, d)) * 1.5, 1),
+                            covariances=np.einsum("cij,ckj->cik", a, a) / d,
+                            sizes=rng.integers(2, 20, c), assignment=np.arange(c))
+    alpha = draw(st.sampled_from((1e-4, 1e-3, 0.05, 1 / 3, 4.0)))
+    rows = draw(st.integers(1, 80))
+    X = sample_gaussian_batch(model, alpha, rng.integers(0, c, rows), rng)
+    far = rng.integers(0, rows, draw(st.integers(0, 3)))
+    X[far] += rng.choice([-1.0, 1.0], (len(far), d)) * 10.0 ** rng.uniform(0, 6, (len(far), d))
+    return model, alpha, X
+
+
 class TestCheapPass:
     @settings(max_examples=60, deadline=None)
     @given(case=cheap_cases(), jitter=st.booleans())
     def test_rows_at_later_edges_are_released_exactly(self, case, jitter):
         # rows within 1e-13 of an edge of their level-1 or level-2 table,
-        # with the cheap pass's u_j as computed or moved by up to delta / 2
+        # with the cheap pass's u_j as computed or moved by up to half its
+        # margin
         table, k, rows, edges, seed = case
         state = prepare(table, k, seed=0)
         model, joint = state.model, state.joint
@@ -855,7 +910,7 @@ class TestCheapPass:
         mix = rosenblatt._mixture(model, 1 / 3)
         for _ in range(edges):
             r, j = int(rng.integers(0, rows)), int(rng.integers(1, table.d))
-            prefix = rosenblatt._walk(rosenblatt._map(xt[None, r, :j], mix), joint)[0, :j]
+            prefix = rosenblatt._walk(rosenblatt._map(xt[None, r, :j], mix)[0], joint)[0, :j]
             n_next = level_table(joint, prefix)[1]
             if n_next > 1:
                 xt[r, j] = level_edge(xt[r], j, int(rng.integers(1, n_next)), mix, joint)[
@@ -863,8 +918,7 @@ class TestCheapPass:
         want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
         with pytest.MonkeyPatch.context() as mp:
             if jitter:
-                delta = rosenblatt._cheap_delta(len(model.sizes))
-                mp.setattr(rosenblatt, "_map", cheap_jittered(rosenblatt._map, delta))
+                mp.setattr(rosenblatt, "_map", cheap_jittered(rosenblatt._map))
             got = gaussian_release_indices(xt, model, 1 / 3, joint)
         assert got.tobytes() == want.tobytes()
 
@@ -893,6 +947,140 @@ class TestCheapPass:
         got = gaussian_release_indices(xt, model, 1 / 3, joint)
         assert got.tobytes() == want.tobytes()
         assert flagged == [len(xt), 0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=mixture_cases())
+    def test_float32_pass_within_half_its_margin(self, case):
+        # the float32 cheap pass's u~ lies within half its margin of the
+        # exact u, with the first column cheap (the priors' level) or
+        # skipped, and within 3 R of the float64 cheap pass's, R = (margin -
+        # delta) / 2 its float32 term: the Page form's slope is at most
+        # 1.11 where Phi's is 0.4, and |z| times it at most 0.67 where
+        # |z| phi(z) < 0.25, so R's terms bound the float32 pass's distance
+        # to the exact-arithmetic Page average within a factor 2.8. Rows of
+        # an infinite margin are left to the redo
+        model, alpha, X = case
+        c, d = len(model.sizes), X.shape[1]
+        mix = rosenblatt._mixture(model, alpha)
+        single = rosenblatt._single(mix, X)
+        if single is None:  # out of float32's safe range: nothing to check
+            return
+        u = rosenblatt._map(X, mix)[0]
+        delta = rosenblatt._cheap_delta(c)
+        eps = np.finfo(float).eps
+        for skip in {0, min(1, d - 1)}:
+            cheap = tuple(range(skip, d))
+            got, margin = rosenblatt._map(X, mix, bool(skip), cheap, single)
+            cheap64, margin64 = rosenblatt._map(X, mix, bool(skip), cheap)
+            assert (margin[:, cheap] > delta).all() and (margin64[:, cheap] == delta).all()
+            sure = np.isfinite(margin[:, cheap])
+            gap = np.abs(got[:, cheap] - u[:, cheap])[sure]
+            assert (gap <= margin[:, cheap][sure] / 2).all()
+            r = (margin[:, cheap][sure] - delta) / 2
+            gap64 = np.abs(got[:, cheap] - cheap64[:, cheap])[sure]
+            assert (gap64 <= 3 * r + 2 * (c + 3) * eps).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=mixture_cases())
+    def test_float32_margin_is_the_proofs_sum(self, case):
+        # each row's float32 margin is delta + 2 R, R the sum that
+        # _single_margin's docstring proves, rebuilt here cluster by cluster
+        # in float64, with each row's D from its exact largest posterior log
+        # in place of the float32 one (they differ by some u |l|)
+        model, alpha, X = case
+        first = slice(0, 400)  # the loops below take a while past that
+        model = SimpleNamespace(centroids=model.centroids[first], sizes=model.sizes[first],
+                                covariances=model.covariances[first])
+        mix = rosenblatt._mixture(model, alpha)
+        single = rosenblatt._single(mix, X)
+        if single is None:
+            return
+        centroids, L, diag, log_diag, prior, log_prior = mix
+        c, d = len(prior), X.shape[1]
+        u = 2.0**-24 + np.finfo(float).eps
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        nu = gamma(d + 4)
+        a, b = np.zeros((c, d)), np.zeros((c, d))
+        for ci in range(c):
+            for j in range(d):
+                rho = [abs(L[ci, j, k]) / diag[ci, j] for k in range(j)]
+                a[ci, j] = (2 * abs(centroids[ci, j]) / diag[ci, j]
+                            + (1 + nu) * sum(r * a[ci, k] for k, r in enumerate(rho)))
+                b[ci, j] = 2 * sum(rho) + (1 + nu) * sum(r * (b[ci, k] + 1) for k, r in enumerate(rho))
+        a, b = a.max(axis=0), b.max(axis=0)
+        lp = log_prior - (log_prior.max() + log_prior.min()) / 2
+        ld = log_diag - (log_diag.max(axis=0) + log_diag.min(axis=0)) / 2
+        z = np.empty((len(X), c, d))
+        for j in range(d):
+            z[:, :, j] = (X[:, None, j] - centroids[:, j]
+                          - (z[:, :, :j] * L[None, :, j, :j]).sum(axis=2)) / diag[:, j]
+        S = gamma(2 * c + 1) / 2
+        T = (rosenblatt._TANH32_ERR * u + 0.45 * gamma(5)) / 2
+        delta = rosenblatt._cheap_delta(c)
+        got = rosenblatt._map(X, mix, False, tuple(range(d)), single)[1]
+        for j in range(d):
+            if j == 0:
+                omega = np.full(len(X), u)
+                reach = 0.4 * nu * a[0]
+            else:
+                v = lp - ld[:, :j].sum(axis=1)
+                lam = (np.abs(lp) + np.abs(ld[:, :j]).sum(axis=1)).max()
+                spread = v.max() - v.min()
+                top = (v - (z[:, :, :j] ** 2).sum(axis=2) / 2).max(axis=1)
+                kappa = np.sqrt(2 * (np.log(c) + spread + j / 2))
+                B = nu * a[:j].max() * np.sqrt(j)
+                A = gamma(2 * j + 1) * lam + u * spread + rosenblatt._EXP32_ERR * u + B * kappa / 2
+                H = (gamma(2 * j + 1) / 2 + nu * (b[:j].max() * np.sqrt(j) + 1) + u / 2
+                     + B / (2 * kappa))
+                D = (np.log(c) + v.max() - top + A) / (1 - 2 * H)
+                omega = A + 2 * H * D
+                reach = 0.4 * nu * (a[j] + b[j] * np.sqrt(2 * np.maximum(D, 0)))
+            small = np.minimum(omega, 1e-3)
+            R = 1.01 * (S + T + reach + 0.25 * nu + np.exp(small) * np.expm1(small))
+            want = np.where(omega <= 1e-3, delta + 2 * R, np.inf)
+            clear = np.abs(omega - 1e-3) > 1e-6  # off the cutoff, which the float32 top may tip
+            assert (np.isfinite(got[clear, j]) == np.isfinite(want[clear])).all()
+            sure = clear & np.isfinite(want)
+            np.testing.assert_allclose(got[sure, j] - delta, want[sure] - delta, rtol=1e-5)
+
+    @pytest.mark.parametrize("case", ["alpha=1e-9", "alpha=1e300", "scaled 1e30",
+                                      "tiny covariances", "priced out"])
+    def test_float32_range(self, monkeypatch, case):
+        # releases at a tiny and a huge alpha, on a column scaled by 1e30,
+        # with covariances of 1e-50 between columns (rounding noise a CSV's
+        # clusters can carry, whose factor entries underflow in float32),
+        # and with a float32 cell saving only 1e-4 of a _phi cell: any
+        # warning (an overflow in a float32 cast, say) fails the suite, the
+        # main map keeps float64 planes just where the constants leave
+        # float32's safe range or float32 does not pay, and the bytes are
+        # the exact path's
+        table = workload_table("ordinal")
+        if case == "scaled 1e30":
+            table = make_table(table.qi * np.array([1e30, 1.0, 1.0]))
+        if case == "priced out":
+            monkeypatch.setattr(rosenblatt, "_SINGLE_PAYS", 1e4)
+        alpha = {"alpha=1e-9": 1e-9, "alpha=1e300": 1e300}.get(case, 1 / 3)
+        state = prepare(table, 10, seed=0)
+        if case == "tiny covariances":
+            cov = state.model.covariances
+            cov[:, 1, 0] = cov[:, 0, 1] = cov[:, 1, 0] + 1e-50
+            low = np.abs(_loaded_cholesky(state.model, alpha)[:, 1, 0])
+            assert ((low > 0) & (low < np.finfo(np.float32).tiny)).any()
+        forward, planes = rosenblatt._map, []
+
+        def counted_map(X, mix, skip_first=False, cheap=(), single=None):
+            planes.append(single is not None)
+            return forward(X, mix, skip_first, cheap, single)
+
+        xt = sample_gaussian_batch(state.model, alpha, np.arange(4000), np.random.default_rng(3))
+        want = inverse_empirical_indices(forward_gaussian(xt, state.model, alpha), state.joint)
+        monkeypatch.setattr(rosenblatt, "_map", counted_map)
+        got = gaussian_release_indices(xt, state.model, alpha, state.joint)
+        assert got.tobytes() == want.tobytes()
+        assert any(planes) == (case in ("scaled 1e30", "tiny covariances"))
 
 
 @st.composite
@@ -990,15 +1178,23 @@ class TestThreads:
         assert len(submitted) == 1
 
     def test_cheap_pass_rows_do_not_depend_on_blocks_or_threads(self, dithered, monkeypatch):
-        # the cheap pass's u, serial, on a thread per block, and row by row
+        # the cheap pass's u and margins, on float64 and on float32 planes,
+        # serial, on a thread per block, and row by row
         xt, model = dithered
         mix = rosenblatt._mixture(model, 1 / 3)
-        serial = rosenblatt._map(xt, mix, True, (1, 2))
+        single = rosenblatt._single(mix, xt)
+        assert single is not None
+        serial = [np.hstack(rosenblatt._map(xt, mix, True, (1, 2), s)) for s in (None, single)]
+        assert (serial[0][:, 4:] == rosenblatt._cheap_delta(len(model.sizes))).all()
+        assert (serial[1][:, 4:] > serial[0][:, 4:]).all()
         monkeypatch.setattr(rosenblatt, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(rosenblatt, "_THREAD_BLOCKS", 1)
-        assert rosenblatt._map(xt, mix, True, (1, 2)).tobytes() == serial.tobytes()
-        for a, b in [(0, 1), (5, 90), (84, 86), (170, 355)]:
-            assert rosenblatt._map(xt[a:b], mix, True, (1, 2)).tobytes() == serial[a:b].tobytes()
+        for s, want in zip((None, single), serial):
+            got = np.hstack(rosenblatt._map(xt, mix, True, (1, 2), s))
+            assert got.tobytes() == want.tobytes()
+            for a, b in [(0, 1), (5, 90), (84, 86), (170, 355)]:
+                got = np.hstack(rosenblatt._map(xt[a:b], mix, True, (1, 2), s))
+                assert got.tobytes() == want[a:b].tobytes()
 
 
 class TestReleaseShape:
