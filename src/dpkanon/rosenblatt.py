@@ -37,13 +37,13 @@ _PAGE_ERR = 3e-4
 # float32's unit roundoff 2^-24, plus eps for the exact pass's own rounding
 # (_single_margin); the most numpy's float32 tanh may differ from tanh (in
 # units of u) and exp from exp (relative, in units of u), above what
-# test_float32_function_error measures under every CPU dispatch; and the
-# size, 2^40, past which a constant or sample keeps the cheap pass in float64
+# test_float32_function_error measures under every CPU dispatch (_single_margin
+# bounds what errors beyond these the margin absorbs); and the size, 2^40,
+# past which a constant or sample keeps the cheap pass in float64
 _U = 2.0**-24 + np.finfo(float).eps
 _TANH32_ERR = 3.0
 _EXP32_ERR = 5.0
 _SINGLE_RANGE = 2.0**40
-_SINGLE_PAYS = 8
 
 # _phi's fit, proven within _PHI_ERR of the normal CDF: for 0 <= t <= _PHI_CUT,
 # Phi(-t) = exp(-t^2 / 2) P(t) / Q(t), with P of degree 7 and the monic Q of
@@ -118,8 +118,7 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
 
     Records are processed in blocks of max(_MIN_BLOCK, _BLOCK_CELLS // c)
     rows, over all c clusters at once (twice the cells when no column calls
-    _phi, as in the cheap pass of gaussian_release_indices, and twice again
-    on its float32 planes, so the bytes stay the same). Blocks are
+    _phi, as in the cheap pass of gaussian_release_indices). Blocks are
     independent, and the block kernel spends most of its time in numpy calls
     that release the GIL, so the blocks may run on several threads: the
     calling thread takes every share-th block and share - 1 helper threads
@@ -132,11 +131,7 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     5-10% at every size. So small maps, such as the rows mapped again and
     the first coordinate's interpolant nodes, run on the calling thread.
     Doubling the cheap pass's blocks took its two threads from 0.88x to
-    0.66x of one on 4000 rows, and one thread from 59 to 55 ms. On float32
-    planes, doubling them again took two threads from 23.5-38.4 ms to
-    16.9-26.4 ms on the 4000-row ordinal map, less in each of ten
-    alternating rounds made while a probe of the second core read
-    0.6-1.2x. Every sum
+    0.66x of one on 4000 rows, and one thread from 59 to 55 ms. Every sum
     over the clusters is an einsum or a numpy reduction along one row,
     never a BLAS product, so a record's u depends neither on the block it
     falls in nor on the thread count nor on the BLAS build.
@@ -415,6 +410,21 @@ def _single_margin(single: tuple, j: int, top: np.ndarray) -> np.ndarray:
     own cluster's centroid, makes the split tight there. On the benchmark
     tables (c = 400, alpha = 1/3) R is 4e-5 to 5e-5 at most rows, against
     S = 2.4e-5.
+
+    The measured constants. numpy states no bound for its float32 tanh and
+    exp, so _TANH32_ERR and _EXP32_ERR sit above the errors
+    test_float32_function_error measures on the running build (1.01 u and
+    3.38 u, 1.71 u and 1.00 u at the baseline dispatch). Were tanh off by
+    Delta_t u and exp by Delta_e u beyond them, R would grow by at most
+    1.01 u (Delta_t / 2 + 1.01 Delta_e): T takes tanh's error at 1/2; exp's
+    moves each |r_c|, so omega, by Delta_e u, and not D*'s bound, which
+    takes A only as a bound on the logs' error; and
+    exp(omega) (exp(omega) - 1) grows by at most 1.01 of omega's growth
+    while omega < 2e-3. The margin exceeds twice the proven bound by
+    8e-6 + (2 c + 1) eps, so it stays over twice the true bound while
+    Delta_t / 2 + 1.01 Delta_e < 66, and exceeds the bound itself by more
+    than 1.54e-4, so the walk's entries, and the released bytes, stay
+    exact while Delta_t / 2 + 1.01 Delta_e < 2500.
     """
     c, nu, a, b, top_v, spread, lam = single[1]
     u = _U
@@ -455,11 +465,9 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=(), single=N
     if skipped == d:
         return u, np.zeros(X.shape)
     exact = any(j not in cheap for j in range(skipped, d))  # some column calls _phi
-    if exact:
-        single = None
-    # a map with no exact column has short ops, so its blocks take twice the
-    # cells, and twice again on float32 planes, which take half the bytes
-    cells = _BLOCK_CELLS if exact else (2 if single is None else 4) * _BLOCK_CELLS
+    assert single is None or not exact, "float32 planes need every column cheap"
+    # a map with no exact column has short ops, so its blocks take twice the cells
+    cells = _BLOCK_CELLS if exact else 2 * _BLOCK_CELLS
     rows = max(_MIN_BLOCK, cells // len(prior))
     if single is not None:
         centroids, L, diag, log_diag, prior, log_prior = single[0]
@@ -747,44 +755,8 @@ def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> tuple:
     where the interpolant of _root_interpolant declines, while the small
     tables past the root are cheap.
     """
-    return tuple(j for j, e in zip(levels, _edges(joint, levels))
-                 if 2 * delta * e * joint.d < 0.5)
-
-
-def _edges(joint: EmpiricalJoint, levels) -> np.ndarray:
-    """E_j for each level j in `levels`: the mean edge count (entries - 1)
-    of the level-j tables the records' keys walk."""
-    return ((_table_sizes(joint)[list(levels)] - 1) * joint.counts).sum(axis=1) / joint.total
-
-
-def _single_pass(joint: EmpiricalJoint, cheap: tuple, levels: range, mix: tuple,
-                 X: np.ndarray, delta: float):
-    """_single(mix, X) when the main map of X runs its cheap pass on float32
-    planes, else None. That needs every level in `levels`, those the map
-    computes a CDF at, to be cheap, and X and the constants to lie in
-    float32's safe range (_single). Then float32 pays while the rows its
-    wider margins add to the redo cost less than its cheaper cells save. A
-    row mapped again costs d columns of _phi cells, and float32 saves about
-    1 / _SINGLE_PAYS of a _phi cell on each of the width = X.shape[1]
-    columns whose residuals the map computes: 4.0 ns (ordinal) and 2.9 ns
-    (continuous) a cell of the benchmark tables' main maps, against _phi's
-    26 ns. So the rule is 2 (margin_j - delta) E_j d, summed over the cheap
-    levels, below width / _SINGLE_PAYS, with E_j the mean edge count of
-    _cheap_levels and margin_j the margin of a row one sd from its
-    cluster's centroid (_single_margin), about 2 (margin_j - delta) E_j the
-    share of rows it adds to the redo.
-    """
-    if not cheap or len(cheap) < len(levels):
-        return None
-    single = _single(mix, X)
-    if single is None:
-        return None
-    _, _, _, _, top_v, spread, _ = single[1]
-    extra = 0.0
-    for j, e in zip(cheap, _edges(joint, cheap)):
-        typical = np.array([top_v[j] - spread[j] - j / 2])  # D = log c + spread_j + j / 2
-        extra += 2 * (_single_margin(single, j, typical)[0] - delta) * e * joint.d
-    return single if extra * _SINGLE_PAYS < X.shape[1] else None
+    edges = ((_table_sizes(joint)[levels] - 1) * joint.counts).sum(axis=1) / joint.total
+    return tuple(j for j, e in zip(levels, edges) if 2 * delta * e * joint.d < 0.5)
 
 
 def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
@@ -800,7 +772,10 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
       then skips the first column's CDF; otherwise the first column is
       mapped with the others;
     - the levels _cheap_levels picks, the small tables, are mapped by the
-      cheap pass, with the margin _cheap_delta(c);
+      cheap pass, with the margin _cheap_delta(c); when it picks every
+      level the map computes a CDF at, and _single finds the samples and
+      constants in float32's safe range, on float32 planes, with each
+      row's margin from _single_margin;
     - the other levels are mapped exactly, with margin 0.
     The walk flags the rows whose u_j lies within its margin of an edge of
     their table, and those that need a column not mapped. They are mapped
@@ -820,8 +795,10 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     delta = _cheap_delta(len(mix[0]))  # c = len(centroids)
     root = _root_interpolant(X[:, 0], mix)
     skip_first = root is not None
-    cheap = _cheap_levels(joint, range(int(skip_first), width), delta)
-    single = _single_pass(joint, cheap, range(int(skip_first), width), mix, X[:, :width], delta)
+    levels = range(int(skip_first), width)
+    cheap = _cheap_levels(joint, levels, delta)
+    # float32 planes when no column of the main map calls _phi, in float32's safe range
+    single = _single(mix, X[:, :width]) if cheap and len(cheap) == len(levels) else None
     u, margin = _map(X[:, :width], mix, skip_first, cheap, single)
     if skip_first:
         u[:, 0], margin[:, 0] = root

@@ -1047,21 +1047,18 @@ class TestCheapPass:
             np.testing.assert_allclose(got[sure, j] - delta, want[sure] - delta, rtol=1e-5)
 
     @pytest.mark.parametrize("case", ["alpha=1e-9", "alpha=1e300", "scaled 1e30",
-                                      "tiny covariances", "priced out"])
+                                      "tiny covariances"])
     def test_float32_range(self, monkeypatch, case):
         # releases at a tiny and a huge alpha, on a column scaled by 1e30,
-        # with covariances of 1e-50 between columns (rounding noise a CSV's
-        # clusters can carry, whose factor entries underflow in float32),
-        # and with a float32 cell saving only 1e-4 of a _phi cell: any
-        # warning (an overflow in a float32 cast, say) fails the suite, the
-        # main map keeps float64 planes just where the constants leave
-        # float32's safe range or float32 does not pay, and the bytes are
-        # the exact path's
+        # and with covariances of 1e-50 between columns (rounding noise a
+        # CSV's clusters can carry, whose factor entries underflow in
+        # float32): any warning (an overflow in a float32 cast, say) fails
+        # the suite, the main map keeps float64 planes just where the
+        # constants leave float32's safe range, and the bytes are the exact
+        # path's
         table = workload_table("ordinal")
         if case == "scaled 1e30":
             table = make_table(table.qi * np.array([1e30, 1.0, 1.0]))
-        if case == "priced out":
-            monkeypatch.setattr(rosenblatt, "_SINGLE_PAYS", 1e4)
         alpha = {"alpha=1e-9": 1e-9, "alpha=1e300": 1e300}.get(case, 1 / 3)
         state = prepare(table, 10, seed=0)
         if case == "tiny covariances":
