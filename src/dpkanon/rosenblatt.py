@@ -16,7 +16,7 @@ from .errors import DomainError, ShapeError
 from .kmember import ClusterModel
 
 # A block of the Gaussian forward map takes max(_MIN_BLOCK, _BLOCK_CELLS // c)
-# records (twice the cells when no column calls _phi), so its (block, c)
+# records (twice the cells in the float32 cheap pass), so its (block, c)
 # temporaries stay near _BLOCK_CELLS cells however many clusters there are,
 # and each thread's work array is bounded whatever n is.
 _MIN_BLOCK = 32
@@ -39,7 +39,7 @@ _PAGE_ERR = 3e-4
 # units of u) and exp from exp (relative, in units of u), above what
 # test_float32_function_error measures under every CPU dispatch (_single_margin
 # bounds what errors beyond these the margin absorbs); and the size, 2^40,
-# past which a constant or sample keeps the cheap pass in float64
+# past which a constant or sample keeps the main map exact
 _U = 2.0**-24 + np.finfo(float).eps
 _TANH32_ERR = 3.0
 _EXP32_ERR = 5.0
@@ -117,24 +117,25 @@ def forward_gaussian(xt, model: ClusterModel, alpha: float):
     shift, so far-from-centroid points do not underflow.
 
     Records are processed in blocks of max(_MIN_BLOCK, _BLOCK_CELLS // c)
-    rows, over all c clusters at once (twice the cells when no column calls
-    _phi, as in the cheap pass of gaussian_release_indices). Blocks are
-    independent, and the block kernel spends most of its time in numpy calls
-    that release the GIL, so the blocks may run on several threads: the
-    calling thread takes every share-th block and share - 1 helper threads
-    take the rest. share is the number of usable CPUs, but at most one per
-    _THREAD_BLOCKS blocks. At c = 400 on a 2-core VM, in alternating runs
-    made while the second core was free, two threads took 0.68x of one on 8
-    blocks of three exact columns (by scipy.special.ndtr, which _phi has
-    since replaced at 1.08x its cost a cell) and 0.85x on 8 double blocks
-    of the cheap pass, but tied or lost on 4 or fewer; while it was busy, they lost
-    5-10% at every size. So small maps, such as the rows mapped again and
-    the first coordinate's interpolant nodes, run on the calling thread.
-    Doubling the cheap pass's blocks took its two threads from 0.88x to
-    0.66x of one on 4000 rows, and one thread from 59 to 55 ms. Every sum
-    over the clusters is an einsum or a numpy reduction along one row,
-    never a BLAS product, so a record's u depends neither on the block it
-    falls in nor on the thread count nor on the BLAS build.
+    rows, over all c clusters at once (twice the cells in the float32 cheap
+    pass of gaussian_release_indices). Blocks are independent, and the
+    block kernel spends most of its time in numpy calls that release the
+    GIL, so the blocks may run on several threads: the calling thread takes
+    every share-th block and share - 1 helper threads take the rest. share
+    is the number of usable CPUs, but at most one per _THREAD_BLOCKS blocks.
+    At c = 400 on a 2-core VM, in alternating runs made while the second
+    core was free, two threads took 0.68x of one on 8 blocks of three exact
+    columns (by scipy.special.ndtr, which _phi has since replaced at 1.08x
+    its cost a cell), but tied or lost on 4 or fewer; while it was busy,
+    they lost 5-10% at every size. So small maps, such as the rows mapped
+    again and the first coordinate's interpolant nodes, run on the calling
+    thread. The float32 cheap pass gains less: two threads took 0.73-1.21x
+    of one on the 4000-row main maps of the benchmark tables (63 blocks at
+    c = 400), and 0.61-0.86x at 16000 rows (c = 1600), in alternating pairs
+    each with a probe of the second core. Every sum over the clusters is an
+    einsum or a numpy reduction along one row, never a BLAS product, so a
+    record's u depends neither on the block it falls in nor on the thread
+    count nor on the BLAS build.
 
     Maps an (N, J) array of the leading J <= d columns of dither samples to
     the (N, J) array of their uniforms, with the centroids' and the Cholesky
@@ -211,13 +212,16 @@ def _phi(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _cheap_delta(c: int) -> float:
-    """delta, the most a u_j of _map's cheap pass over c clusters can differ
-    from the u_j the exact pass computes.
+    """delta, the float64 part of the margin of _map's cheap pass over c
+    clusters: more than twice the most that Page's form moves a u_j when
+    it takes _phi's place on the exact pass's own float64 residuals and
+    weights. _single_margin adds the float32 planes' rounding to it, row
+    by row; delta is no margin on its own.
 
-    Both passes compute every residual z_c, weight w_c (the prior at the
-    first column) and the weights' sum W with the same ops and bits. The
-    exact pass takes u = sum_c w_c _phi(z_c) / W, the cheap one
-    u~ = 1/2 + 1/2 sum_c w_c t_c / W with t_c = tanh(g(z_c)),
+    The exact pass computes every residual z_c, weight w_c (the prior at
+    the first column) and the weights' sum W, and takes
+    u = sum_c w_c _phi(z_c) / W. Page's average of the same z_c, w_c and W
+    in float64 is u~ = 1/2 + 1/2 sum_c w_c t_c / W with t_c = tanh(g(z_c)),
     g(z) = z (a + b z^2) for z clipped to [-9, 9]. Let U and U~ be the same
     averages taken exactly, with Phi and Phi~ = (1 + tanh g) / 2 in place
     of _phi(z) and (1 + t) / 2.
@@ -249,10 +253,9 @@ def _cheap_delta(c: int) -> float:
     |u - u~| < 1.46e-4 + 3 (c + 2) eps.
 
     delta = eps_Phi + 4 (c + 2) eps is more than twice that for any c below
-    1e10. The spare half covers the rounding of u~ +- delta in the walk
-    (eps), and leaves room for a further error of up to delta / 2, as the
-    tests add to u~. On float32 planes the pass adds its own rounding to
-    this, row by row (_single_margin).
+    1e10: the margin's spare half covers the walk's rounding of
+    u~ +- margin (eps), and leaves room for a further error of up to
+    margin / 2, as the tests add to u~.
     """
     return _PAGE_ERR + 4 * (c + 2) * np.finfo(float).eps
 
@@ -268,8 +271,9 @@ def _single(mix: tuple, X: np.ndarray):
     None when they lie outside float32's safe range: a sample, centroid or
     factor entry past _SINGLE_RANGE = R in size, a conditional sd outside
     [1 / R, R], a residual that could pass R, or nu (a_j + b_j + 1) > 1e-3
-    (_single_margin's terms). In the range, no cast or float32 op overflows
-    (|z| <= R makes z^2 <= 2^80), and every rounding is within the bound.
+    (_single_margin's terms), and the main map is then exact. In the range,
+    no cast or float32 op overflows (|z| <= R makes z^2 <= 2^80), and every
+    rounding is within the bound.
 
     The float32 constants shift the log priors and each column's log sds by
     the midpoint of their range, which moves every posterior log of a row
@@ -447,30 +451,26 @@ def _single_margin(single: tuple, j: int, top: np.ndarray) -> np.ndarray:
     return np.where(omega <= 1e-3, _cheap_delta(c) + 2 * r, np.inf)
 
 
-def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=(), single=None) -> tuple:
+def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, single=None) -> tuple:
     """forward_gaussian of checked samples X under the constants `mix` of
     _mixture, and each u_j's margin for _walk. With skip_first, the first
     column's CDF terms and their sum are not computed and u[:, 0] is NaN;
     its residuals and posterior update, which the later columns read, are,
-    so those keep their bits. The columns in `cheap` are mapped by the cheap
-    pass, Page's tanh form in place of _phi: on float64 planes within
-    _cheap_delta(c) of the exact u_j, or, with `single` from _single(mix, X)
-    and no column left to _phi, on float32 planes within each row's margin
-    from _single_margin. The exact columns' margin is 0."""
-    centroids, L, diag, log_diag, prior, log_prior = mix
+    so those keep their bits. Without `single` every column is exact, with
+    margin 0. With `single` from _single(mix, X), every mapped column goes
+    through the cheap pass, Page's tanh form in place of _phi on float32
+    planes, within each row's margin from _single_margin."""
+    exact = single is None
+    centroids, L, diag, log_diag, prior, log_prior = mix if exact else single[0]
     d = X.shape[1]  # the leading columns mapped
     skipped = int(skip_first)  # leading columns whose u is not computed
     u = np.empty(X.shape)
     u[:, :skipped] = np.nan
     if skipped == d:
         return u, np.zeros(X.shape)
-    exact = any(j not in cheap for j in range(skipped, d))  # some column calls _phi
-    assert single is None or not exact, "float32 planes need every column cheap"
-    # a map with no exact column has short ops, so its blocks take twice the cells
-    cells = _BLOCK_CELLS if exact else 2 * _BLOCK_CELLS
-    rows = max(_MIN_BLOCK, cells // len(prior))
-    if single is not None:
-        centroids, L, diag, log_diag, prior, log_prior = single[0]
+    # the cheap pass has short ops, so its blocks take twice the cells
+    rows = max(_MIN_BLOCK, (_BLOCK_CELLS if exact else 2 * _BLOCK_CELLS) // len(prior))
+    if not exact:
         top = np.empty(X.shape, dtype=np.float32)  # each level's largest posterior log
     dtype = centroids.dtype
 
@@ -478,8 +478,8 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=(), single=N
         xb = X[b:b + rows].astype(dtype, copy=False)
         # (block, c) slices of the thread's work array: the standardized
         # residuals of each dimension, the log posteriors, a temporary
-        # product and, when a column calls _phi, its second scratch plane.
-        # The CDF terms of dimension j go in the last residual plane: no
+        # product and, in the exact map, _phi's second scratch plane. The
+        # CDF terms of dimension j go in the last residual plane: no
         # earlier dimension reads it, and the last dimension's residuals are
         # read only by its own CDF.
         z = work[:d, :len(xb)]
@@ -493,7 +493,9 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=(), single=N
                 zj -= np.multiply(z[k], L[:, j, k], out=tmp)
             zj /= diag[:, j]
             if j >= skipped:
-                if j in cheap:  # phi = tanh(g(clip(z))), into the free planes
+                if exact:
+                    _phi(zj, phi, work[d + 1:, :len(xb)])
+                else:  # phi = tanh(g(clip(z))), into the free planes
                     np.minimum(zj, _PAGE_CLIP, out=phi)
                     np.maximum(phi, -_PAGE_CLIP, out=phi)
                     np.multiply(phi, phi, out=tmp)
@@ -501,21 +503,19 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=(), single=N
                     tmp += _PAGE_A
                     phi *= tmp
                     np.tanh(phi, out=phi)
-                else:
-                    _phi(zj, phi, work[d + 1:, :len(xb)])
                 if j == 0:
                     uj = np.einsum("nc,c->n", phi, prior)
                 else:
                     most = logpost.max(axis=1, keepdims=True)
-                    if single is not None:
+                    if not exact:
                         top[b:b + rows, j] = most[:, 0]
                     w = np.exp(np.subtract(logpost, most, out=tmp), out=tmp)
                     uj = np.einsum("nc,nc->n", w, phi) / w.sum(axis=1)
-                if j in cheap:  # 1/2 + uj / 2 in float64
+                if exact:
+                    u[b:b + rows, j] = uj
+                else:  # 1/2 + uj / 2 in float64
                     uj = np.multiply(uj, 0.5, out=u[b:b + rows, j])
                     uj += 0.5
-                else:
-                    u[b:b + rows, j] = uj
             if j + 1 < d:
                 np.multiply(zj, 0.5, out=tmp)
                 tmp *= zj
@@ -543,9 +543,9 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, cheap=(), single=N
     mapped = u[:, skipped:]
     np.clip(mapped, np.finfo(float).tiny, 1.0, out=mapped)
     margin = np.zeros(X.shape)
-    for j in cheap:
-        margin[:, j] = (_cheap_delta(len(prior)) if single is None
-                        else _single_margin(single, j, top[:, j]))
+    if not exact:
+        for j in range(skipped, d):
+            margin[:, j] = _single_margin(single, j, top[:, j])
     return u, margin
 
 
@@ -581,9 +581,9 @@ def _walk(u: np.ndarray, joint: EmpiricalJoint, margin=0.0) -> np.ndarray:
     each u_j is known only to within margin_j of the u_j the walk reads.
 
     `margin` is an array of u's shape, or one value for all of it: 0 for
-    the exact map, _cheap_delta(c) for the cheap pass of _map, and the
-    margin _root_interpolant gives for its u~_0. The entry is
-    non-decreasing in u_j, so a row whose entries for u_j - margin_j and
+    the exact map, each row's margin from _single_margin for the cheap pass
+    of _map, and the margin _root_interpolant gives for its u~_0. The entry
+    is non-decreasing in u_j, so a row whose entries for u_j - margin_j and
     u_j + margin_j agree has that entry; a row whose entries differ is
     flagged, -1 from that level on. They differ just when the lower entry
     is not its table's last and u_j + margin_j passes its edge, so one
@@ -740,23 +740,24 @@ def _mapped_width(joint: EmpiricalJoint) -> int:
     return best
 
 
-def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> tuple:
-    """The levels j in `levels` that the cheap pass maps: those where
-    2 delta E_j d < 1/2, with E_j the mean edge count (entries - 1) of the
-    level-j tables the records' keys walk.
+def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> bool:
+    """Whether the cheap pass pays at every level j in `levels`: whether
+    2 delta E_j d < 1/2 at each, with E_j the mean edge count (entries - 1)
+    of the level-j tables the records' keys walk.
 
     A row's u_j falls within delta of one of its table's E_j edges, and is
     mapped again on all d columns, with a chance of about 2 delta E_j. Each
     cheap level saves more than half a column's cost per row (Page's form
-    costs 5.0 ns a cell on float64 planes and 2.3 ns on float32 ones,
-    against _phi's 26 ns, on (64, 400) planes of a shared 2-core VM), so a
-    level pays while its rows mapped again cost less than that. So a root table as large as the
-    continuous one (2450 entries, 2 delta E_0 d about 4) would stay exact
-    where the interpolant of _root_interpolant declines, while the small
-    tables past the root are cheap.
+    costs 2.3 ns a cell on float32 planes, against _phi's 26 ns, on
+    (64, 400) planes of a shared 2-core VM), so a level pays while its rows
+    mapped again cost less than that. The cheap pass maps every level or
+    none, so one level that does not pay keeps the whole map exact: a root
+    table as large as the continuous one (2450 entries, 2 delta E_0 d
+    about 4) where the interpolant of _root_interpolant declines, say,
+    while the small tables past the root pay.
     """
     edges = ((_table_sizes(joint)[levels] - 1) * joint.counts).sum(axis=1) / joint.total
-    return tuple(j for j, e in zip(levels, edges) if 2 * delta * e * joint.d < 0.5)
+    return bool((2 * delta * edges * joint.d < 0.5).all())
 
 
 def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
@@ -771,12 +772,11 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
       nodes (_root_interpolant), gives u~_0 and its margin, and the map
       then skips the first column's CDF; otherwise the first column is
       mapped with the others;
-    - the levels _cheap_levels picks, the small tables, are mapped by the
-      cheap pass, with the margin _cheap_delta(c); when it picks every
-      level the map computes a CDF at, and _single finds the samples and
-      constants in float32's safe range, on float32 planes, with each
-      row's margin from _single_margin;
-    - the other levels are mapped exactly, with margin 0.
+    - the main map computes the other levels by the float32 cheap pass,
+      with each row's margin from _single_margin, when _cheap_levels says
+      it pays at every one of them and _single finds the samples and
+      constants in float32's safe range; otherwise it maps them exactly,
+      with margin 0.
     The walk flags the rows whose u_j lies within its margin of an edge of
     their table, and those that need a column not mapped. They are mapped
     exactly on all d columns and walked again: one redo for every level.
@@ -796,10 +796,9 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     root = _root_interpolant(X[:, 0], mix)
     skip_first = root is not None
     levels = range(int(skip_first), width)
-    cheap = _cheap_levels(joint, levels, delta)
-    # float32 planes when no column of the main map calls _phi, in float32's safe range
-    single = _single(mix, X[:, :width]) if cheap and len(cheap) == len(levels) else None
-    u, margin = _map(X[:, :width], mix, skip_first, cheap, single)
+    # the float32 cheap pass when some level is left to map and it pays at every one
+    single = _single(mix, X[:, :width]) if levels and _cheap_levels(joint, levels, delta) else None
+    u, margin = _map(X[:, :width], mix, skip_first, single)
     if skip_first:
         u[:, 0], margin[:, 0] = root
     idx = _walk(u, joint, margin)

@@ -37,11 +37,18 @@ def cdf(z):
     return rosenblatt._phi(z, np.empty_like(z), np.empty((2,) + z.shape))
 
 
-def reference_forward(X, model, alpha, gemv=False):
+def page_cdf(z):
+    """Page's tanh form of the normal CDF, as the cheap pass takes it, in
+    float64."""
+    t = np.clip(z, -rosenblatt._PAGE_CLIP, rosenblatt._PAGE_CLIP)
+    return (1 + np.tanh(t * (rosenblatt._PAGE_A + rosenblatt._PAGE_B * t * t))) / 2
+
+
+def reference_forward(X, model, alpha, gemv=False, cdf=cdf):
     """Serial reference for forward_gaussian: every row at once, with the
-    same arithmetic and the same normal CDF. With gemv=True, u[:, 0] is
-    summed as the forward map once did, by a BLAS product with the prior
-    over blocks of 32 rows."""
+    same arithmetic and, by default, the same normal CDF. With gemv=True,
+    u[:, 0] is summed as the forward map once did, by a BLAS product with
+    the prior over blocks of 32 rows."""
     L = _loaded_cholesky(model, alpha)
     diag = np.diagonal(L, axis1=1, axis2=2)
     prior = model.sizes / model.sizes.sum()
@@ -334,16 +341,16 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     # both tables the release makes three maps at most, in this order: one
     # one-column map of the interpolant's nodes, which places the first
     # coordinate; one map of the leading columns that skips the first
-    # column's CDF and maps the small tables past the root by the cheap
-    # pass; and one exact map of all d columns of the rows the walk flags,
+    # column's CDF and maps the small tables past the root by the float32
+    # cheap pass; and one exact map of all d columns of the rows the walk flags,
     # those near an edge at any level and those that need a column not
     # mapped. No map of the first column alone
     maps, flagged = [], []
     forward, walk = rosenblatt._map, rosenblatt._walk
 
-    def counted_map(X, mix, skip_first=False, cheap=(), single=None):
-        maps.append((*X.shape, skip_first, cheap, single is not None))
-        return forward(X, mix, skip_first, cheap, single)
+    def counted_map(X, mix, skip_first=False, single=None):
+        maps.append((*X.shape, skip_first, single is not None))
+        return forward(X, mix, skip_first, single)
 
     def counted_walk(u, joint, *args):
         out = walk(u, joint, *args)
@@ -354,9 +361,9 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
     transform(prepare(workload_table(kind), 10, seed=0), "gaussian")
     (nodes, *shape), main, *redo = maps
-    assert shape == [1, False, (), False] and nodes < 100
-    assert main == (4000, width, True, tuple(range(1, width)), True)
-    assert redo == ([(flagged[0], 3, False, (), False)] if flagged[0] else [])
+    assert shape == [1, False, False] and nodes < 100
+    assert main == (4000, width, True, True)
+    assert redo == ([(flagged[0], 3, False, False)] if flagged[0] else [])
     assert flagged[1:] == [0] * len(redo)
     assert flagged[0] < 40
 
@@ -429,8 +436,8 @@ def jittered(forward, delta):
     """_map with each computed u_0 moved by up to delta / 2, by a fixed
     function of x_0's bits: still within delta of the mixture CDF, but not
     monotone in x_0."""
-    def jittered_map(X, mix, skip_first=False, cheap=(), single=None):
-        u, margin = forward(X, mix, skip_first, cheap, single)
+    def jittered_map(X, mix, skip_first=False, single=None):
+        u, margin = forward(X, mix, skip_first, single)
         if not skip_first:
             bits = np.ascontiguousarray(X[:, 0]).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             u[:, 0] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * delta
@@ -609,10 +616,10 @@ def count_phi_cells(monkeypatch, xt, state):
         cells.append(z.size)
         return phi(z, out, scratch)
 
-    def counted_map(X, mix, skip_first=False, cheap=(), single=None):
+    def counted_map(X, mix, skip_first=False, single=None):
         before = sum(cells)
-        got = forward(X, mix, skip_first, cheap, single)
-        levels = [j for j in range(int(skip_first), X.shape[1]) if j not in cheap]
+        got = forward(X, mix, skip_first, single)
+        levels = [] if single is not None else list(range(int(skip_first), X.shape[1]))
         assert sum(cells) - before == len(X) * len(mix[0]) * len(levels)
         level_cells[levels] += len(X) * len(mix[0])
         maps.append(X.shape)
@@ -848,14 +855,14 @@ def level_edge(row, j, e, mix, joint):
 
 
 def cheap_jittered(forward):
-    """_map with each u_j of the cheap pass moved by up to half its margin,
-    by a fixed function of x_j's bits; rows of infinite margin stay."""
-    def jittered_map(X, mix, skip_first=False, cheap=(), single=None):
-        u, margin = forward(X, mix, skip_first, cheap, single)
-        for j in cheap:
-            bits = np.ascontiguousarray(X[:, j]).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            half = np.where(np.isfinite(margin[:, j]), margin[:, j], 0.0)
-            u[:, j] += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * half
+    """_map with each u_j moved by up to half its margin, by a fixed
+    function of x_j's bits: the cheap pass's; the exact map's margin is 0,
+    and rows of infinite margin stay."""
+    def jittered_map(X, mix, skip_first=False, single=None):
+        u, margin = forward(X, mix, skip_first, single)
+        bits = np.ascontiguousarray(X).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        half = np.where(np.isfinite(margin), margin, 0.0)
+        u += ((bits >> np.uint64(11)) / 2.0**53 - 0.5) * half
         return u, margin
 
     return jittered_map
@@ -952,13 +959,14 @@ class TestCheapPass:
     @given(case=mixture_cases())
     def test_float32_pass_within_half_its_margin(self, case):
         # the float32 cheap pass's u~ lies within half its margin of the
-        # exact u, with the first column cheap (the priors' level) or
-        # skipped, and within 3 R of the float64 cheap pass's, R = (margin -
-        # delta) / 2 its float32 term: the Page form's slope is at most
-        # 1.11 where Phi's is 0.4, and |z| times it at most 0.67 where
-        # |z| phi(z) < 0.25, so R's terms bound the float32 pass's distance
-        # to the exact-arithmetic Page average within a factor 2.8. Rows of
-        # an infinite margin are left to the redo
+        # exact u, with the first column mapped (the priors' level) or
+        # skipped, and within 3 R of the serial reference's Page average in
+        # float64, R = (margin - delta) / 2 its float32 term: the Page
+        # form's slope is at most 1.11 where Phi's is 0.4, and |z| times it
+        # at most 0.67 where |z| phi(z) < 0.25, so R's terms bound the
+        # float32 pass's distance to the exact-arithmetic Page average
+        # within a factor 2.8. Rows of an infinite margin are left to the
+        # redo
         model, alpha, X = case
         c, d = len(model.sizes), X.shape[1]
         mix = rosenblatt._mixture(model, alpha)
@@ -966,27 +974,27 @@ class TestCheapPass:
         if single is None:  # out of float32's safe range: nothing to check
             return
         u = rosenblatt._map(X, mix)[0]
+        page = reference_forward(X, model, alpha, cdf=page_cdf)
         delta = rosenblatt._cheap_delta(c)
         eps = np.finfo(float).eps
         for skip in {0, min(1, d - 1)}:
-            cheap = tuple(range(skip, d))
-            got, margin = rosenblatt._map(X, mix, bool(skip), cheap, single)
-            cheap64, margin64 = rosenblatt._map(X, mix, bool(skip), cheap)
-            assert (margin[:, cheap] > delta).all() and (margin64[:, cheap] == delta).all()
-            sure = np.isfinite(margin[:, cheap])
-            gap = np.abs(got[:, cheap] - u[:, cheap])[sure]
-            assert (gap <= margin[:, cheap][sure] / 2).all()
-            r = (margin[:, cheap][sure] - delta) / 2
-            gap64 = np.abs(got[:, cheap] - cheap64[:, cheap])[sure]
-            assert (gap64 <= 3 * r + 2 * (c + 3) * eps).all()
+            got, margin = rosenblatt._map(X, mix, bool(skip), single)
+            assert (margin[:, :skip] == 0).all() and (margin[:, skip:] > delta).all()
+            sure = np.isfinite(margin[:, skip:])
+            gap = np.abs(got[:, skip:] - u[:, skip:])[sure]
+            assert (gap <= margin[:, skip:][sure] / 2).all()
+            r = (margin[:, skip:][sure] - delta) / 2
+            gap_page = np.abs(got[:, skip:] - page[:, skip:])[sure]
+            assert (gap_page <= 3 * r + 2 * (c + 3) * eps).all()
 
     @settings(max_examples=40, deadline=None)
     @given(case=mixture_cases())
     def test_float32_margin_is_the_proofs_sum(self, case):
         # each row's float32 margin is delta + 2 R, R the sum that
         # _single_margin's docstring proves, rebuilt here cluster by cluster
-        # in float64, with each row's D from its exact largest posterior log
-        # in place of the float32 one (they differ by some u |l|)
+        # in float64 from the largest float32 posterior log the pass
+        # computed, which lies within the proof's A + H Q of the exact one
+        # (not within some u |l|: the float32 residuals err by nu a_j)
         model, alpha, X = case
         first = slice(0, 400)  # the loops below take a while past that
         model = SimpleNamespace(centroids=model.centroids[first], sizes=model.sizes[first],
@@ -1020,7 +1028,15 @@ class TestCheapPass:
         S = gamma(2 * c + 1) / 2
         T = (rosenblatt._TANH32_ERR * u + 0.45 * gamma(5)) / 2
         delta = rosenblatt._cheap_delta(c)
-        got = rosenblatt._map(X, mix, False, tuple(range(d)), single)[1]
+        single_margin, tops = rosenblatt._single_margin, {}
+
+        def recorded(single, j, top):
+            tops[j] = top.copy()  # unset at j = 0, which reads no top
+            return single_margin(single, j, top)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rosenblatt, "_single_margin", recorded)
+            got = rosenblatt._map(X, mix, False, single)[1]
         for j in range(d):
             if j == 0:
                 omega = np.full(len(X), u)
@@ -1029,12 +1045,14 @@ class TestCheapPass:
                 v = lp - ld[:, :j].sum(axis=1)
                 lam = (np.abs(lp) + np.abs(ld[:, :j]).sum(axis=1)).max()
                 spread = v.max() - v.min()
-                top = (v - (z[:, :, :j] ** 2).sum(axis=2) / 2).max(axis=1)
+                Q = (z[:, :, :j] ** 2).sum(axis=2)
                 kappa = np.sqrt(2 * (np.log(c) + spread + j / 2))
                 B = nu * a[:j].max() * np.sqrt(j)
                 A = gamma(2 * j + 1) * lam + u * spread + rosenblatt._EXP32_ERR * u + B * kappa / 2
                 H = (gamma(2 * j + 1) / 2 + nu * (b[:j].max() * np.sqrt(j) + 1) + u / 2
                      + B / (2 * kappa))
+                top = tops[j].astype(float)
+                assert (np.abs(top - (v - Q / 2).max(axis=1)) <= A + H * Q.max(axis=1)).all()
                 D = (np.log(c) + v.max() - top + A) / (1 - 2 * H)
                 omega = A + 2 * H * D
                 reach = 0.4 * nu * (a[j] + b[j] * np.sqrt(2 * np.maximum(D, 0)))
@@ -1047,16 +1065,23 @@ class TestCheapPass:
             np.testing.assert_allclose(got[sure, j] - delta, want[sure] - delta, rtol=1e-5)
 
     @pytest.mark.parametrize("case", ["alpha=1e-9", "alpha=1e300", "scaled 1e30",
-                                      "tiny covariances"])
+                                      "tiny covariances", "binary x0"])
     def test_float32_range(self, monkeypatch, case):
         # releases at a tiny and a huge alpha, on a column scaled by 1e30,
-        # and with covariances of 1e-50 between columns (rounding noise a
-        # CSV's clusters can carry, whose factor entries underflow in
-        # float32): any warning (an overflow in a float32 cast, say) fails
-        # the suite, the main map keeps float64 planes just where the
-        # constants leave float32's safe range, and the bytes are the exact
-        # path's
-        table = workload_table("ordinal")
+        # with covariances of 1e-50 between columns (rounding noise a CSV's
+        # clusters can carry, whose factor entries underflow in float32),
+        # and on a binary x0 with two 3-decimal normal columns, whose
+        # level-1 tables are too large for the cheap rule while its level-2
+        # tables are not: any warning (an overflow in a float32 cast, say)
+        # fails the suite, the one main map runs exact just where the
+        # constants leave float32's safe range or a level does not pay, and
+        # the bytes are the exact path's
+        if case == "binary x0":
+            rng = np.random.default_rng(5)
+            table = make_table(np.column_stack([rng.integers(0, 2, 4000),
+                                                np.round(rng.standard_normal((4000, 2)), 3)]))
+        else:
+            table = workload_table("ordinal")
         if case == "scaled 1e30":
             table = make_table(table.qi * np.array([1e30, 1.0, 1.0]))
         alpha = {"alpha=1e-9": 1e-9, "alpha=1e300": 1e300}.get(case, 1 / 3)
@@ -1066,18 +1091,25 @@ class TestCheapPass:
             cov[:, 1, 0] = cov[:, 0, 1] = cov[:, 1, 0] + 1e-50
             low = np.abs(_loaded_cholesky(state.model, alpha)[:, 1, 0])
             assert ((low > 0) & (low < np.finfo(np.float32).tiny)).any()
-        forward, planes = rosenblatt._map, []
+        if case == "binary x0":
+            delta = rosenblatt._cheap_delta(len(state.model.sizes))
+            assert rosenblatt._mapped_width(state.joint) == 3
+            assert rosenblatt._cheap_levels(state.joint, range(2, 3), delta)
+            assert not rosenblatt._cheap_levels(state.joint, range(1, 3), delta)
+        forward, maps = rosenblatt._map, []
 
-        def counted_map(X, mix, skip_first=False, cheap=(), single=None):
-            planes.append(single is not None)
-            return forward(X, mix, skip_first, cheap, single)
+        def counted_map(X, mix, skip_first=False, single=None):
+            maps.append((len(X), single is not None))
+            return forward(X, mix, skip_first, single)
 
         xt = sample_gaussian_batch(state.model, alpha, np.arange(4000), np.random.default_rng(3))
         want = inverse_empirical_indices(forward_gaussian(xt, state.model, alpha), state.joint)
         monkeypatch.setattr(rosenblatt, "_map", counted_map)
         got = gaussian_release_indices(xt, state.model, alpha, state.joint)
         assert got.tobytes() == want.tobytes()
-        assert any(planes) == (case in ("scaled 1e30", "tiny covariances"))
+        float32 = case in ("scaled 1e30", "tiny covariances")
+        assert [single for rows, single in maps if rows == len(xt)] == [float32]
+        assert any(single for _, single in maps) == float32
 
 
 @st.composite
@@ -1151,8 +1183,8 @@ def test_walk_root_positions_equal_a_per_row_search(case, margins):
 class TestThreads:
     def test_no_thread_below_the_threshold(self, dithered, monkeypatch):
         # fewer than 2 * _THREAD_BLOCKS blocks start no thread, whatever the
-        # CPU count, and neither do as many rows mapped by the cheap pass
-        # alone, whose blocks are twice as long; 9 blocks start one. The
+        # CPU count, and neither do as many rows mapped by the float32 cheap
+        # pass, whose blocks are twice as long; 9 blocks start one. The
         # bits stay the serial reference's
         xt, model = dithered
         submitted = []
@@ -1169,29 +1201,29 @@ class TestThreads:
         ref = reference_forward(xt, model, 1 / 3)
         small = xt[:7 * rows]
         assert forward_gaussian(small, model, 1 / 3).tobytes() == ref[:7 * rows].tobytes()
-        rosenblatt._map(xt, rosenblatt._mixture(model, 1 / 3), True, (1, 2))
+        mix = rosenblatt._mixture(model, 1 / 3)
+        rosenblatt._map(xt, mix, True, rosenblatt._single(mix, xt))
         assert submitted == []
         assert forward_gaussian(xt, model, 1 / 3).tobytes() == ref.tobytes()
         assert len(submitted) == 1
 
     def test_cheap_pass_rows_do_not_depend_on_blocks_or_threads(self, dithered, monkeypatch):
-        # the cheap pass's u and margins, on float64 and on float32 planes,
-        # serial, on a thread per block, and row by row
+        # the cheap pass's u and margins, serial, on a thread per block,
+        # and row by row
         xt, model = dithered
         mix = rosenblatt._mixture(model, 1 / 3)
         single = rosenblatt._single(mix, xt)
         assert single is not None
-        serial = [np.hstack(rosenblatt._map(xt, mix, True, (1, 2), s)) for s in (None, single)]
-        assert (serial[0][:, 4:] == rosenblatt._cheap_delta(len(model.sizes))).all()
-        assert (serial[1][:, 4:] > serial[0][:, 4:]).all()
+        want = np.hstack(rosenblatt._map(xt, mix, True, single))
+        assert (want[:, 3] == 0).all()
+        assert (want[:, 4:] > rosenblatt._cheap_delta(len(model.sizes))).all()
         monkeypatch.setattr(rosenblatt, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(rosenblatt, "_THREAD_BLOCKS", 1)
-        for s, want in zip((None, single), serial):
-            got = np.hstack(rosenblatt._map(xt, mix, True, (1, 2), s))
-            assert got.tobytes() == want.tobytes()
-            for a, b in [(0, 1), (5, 90), (84, 86), (170, 355)]:
-                got = np.hstack(rosenblatt._map(xt[a:b], mix, True, (1, 2), s))
-                assert got.tobytes() == want[a:b].tobytes()
+        got = np.hstack(rosenblatt._map(xt, mix, True, single))
+        assert got.tobytes() == want.tobytes()
+        for a, b in [(0, 1), (5, 90), (84, 86), (170, 355)]:
+            got = np.hstack(rosenblatt._map(xt[a:b], mix, True, single))
+            assert got.tobytes() == want[a:b].tobytes()
 
 
 class TestReleaseShape:
