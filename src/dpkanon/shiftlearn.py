@@ -19,6 +19,11 @@ _IRLS_MAX_ITER = 100
 _IRLS_TOL = 1e-8
 # the ridge penalty on the non-intercept coefficients of a per-record fit
 _RIDGE = 1e-8
+_EPS = np.finfo(float).eps
+# the primal fit's iterative refinement stops once a correction fails to
+# halve the one before, or falls to the rounding of b; the cap only guards a
+# slow contraction
+_REFINE_MAX = 10
 
 
 def _checked(w: np.ndarray) -> np.ndarray:
@@ -152,13 +157,35 @@ def apply_design(info: DesignInfo, qi) -> np.ndarray:
 
 
 def weighted_least_squares(design, y, weights, ridge: float = _RIDGE) -> np.ndarray:
-    """Coefficients of a ridge-stabilized weighted least squares fit:
-    np.linalg.lstsq (LAPACK gelsd, an SVD-based solver) on the sqrt-weight
-    scaled system with the ridge rows appended.  The intercept is not
-    penalized.
+    """Coefficients b minimizing |t - A b|^2 + ridge |b[1:]|^2, where
+    A = sqrt(w) X and t = sqrt(w) y over the G rows of positive weight; the
+    intercept b[0] is not penalized.
+
+    The fit factors one Gram matrix of side min(G, p) for A's p columns,
+    formed by einsum and solved through the inverse of its Cholesky factor.
+    At these sizes neither step follows the BLAS thread count, so one seed
+    gives one fit on any machine with the same numpy build.
+    - G >= p, the primal: A^T A + ridge I', where I' leaves out the
+      intercept's row and column, then iterative refinement on the
+      residual A^T (t - A b) - ridge I' b, which is computed from A itself
+      (Bjorck's corrected semi-normal equations). When only the ridge lifts
+      a collinear design, forming A^T A squares A's condition number, and
+      the first solve can lose up to 1e-5 of its digits. The refinement
+      wins them back: in at most three steps on the `experiment` sweep's
+      fits, and in more as cond(A) nears eps^-1/2.
+    - G < p, the dual: K = A1 A1^T + ridge I over the non-intercept columns
+      A1, bordered by the intercept column a0, so that b0 = a0^T K^-1 t /
+      a0^T K^-1 a0 and b[1:] = A1^T K^-1 (t - a0 b0). The product A1^T z
+      cancels when A1's rows are close to dependent, and then the dual
+      loses digits that no refinement of z wins back. So its fit is kept
+      only when it solves the normal equations to within 4 eps |A| (|A| |b|
+      + |t|), in Frobenius and 2-norms, and the primal is used otherwise.
+    The intercept stays inside either factorized system. Projecting it out
+    first loses digits under weights that span many orders of magnitude.
 
     Weights are normalized to mean one internally so the fit is invariant to
-    their overall scale.
+    their overall scale. A Gram matrix that Cholesky rejects, or a fit that
+    is not finite, raises DegenerateError.
     """
     X = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -172,14 +199,74 @@ def weighted_least_squares(design, y, weights, ridge: float = _RIDGE) -> np.ndar
         raise DegenerateError("all regression weights are zero")
     w = w * (len(w) / wsum)
 
-    sqw = np.sqrt(w)
-    Xw = X * sqw[:, None]
-    yw = y * sqw
-    if ridge > 0:
-        pen = np.sqrt(ridge) * np.eye(X.shape[1])[1:]  # skip intercept
-        Xw = np.vstack([Xw, pen])
-        yw = np.concatenate([yw, np.zeros(X.shape[1] - 1)])
-    return np.linalg.lstsq(Xw, yw, rcond=None)[0]
+    keep = w > 0
+    sqw = np.sqrt(w[keep])
+    A = X[keep] * sqw[:, None]
+    t = y[keep] * sqw
+    pen = np.full(A.shape[1], float(ridge))
+    pen[0] = 0.0
+    b = _dual_fit(A, t, ridge, pen) if len(A) < A.shape[1] else None
+    if b is None:
+        b = _primal_fit(A, t, pen)
+    if not np.all(np.isfinite(b)):
+        raise DegenerateError("the regression fit is not finite")
+    return b
+
+
+def _factor_inverse(gram: np.ndarray):
+    """L^-1 for the Cholesky factor L of gram, or None when Cholesky rejects
+    gram as not positive definite."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _normal_residual(A, t, pen, b) -> np.ndarray:
+    """A^T (t - A b) - pen b, the residual of the ridge normal equations."""
+    return np.einsum("gi,g->i", A, t - np.einsum("gi,i->g", A, b)) - pen * b
+
+
+def _primal_fit(A, t, pen) -> np.ndarray:
+    Li = _factor_inverse(np.einsum("gi,gj->ij", A, A) + np.diag(pen))
+    if Li is None:
+        raise DegenerateError(
+            "the regression's Gram matrix is not positive definite: the design "
+            "is rank deficient and the ridge does not lift it")
+
+    def gram_solve(v):
+        return np.einsum("ji,j->i", Li, np.einsum("ij,j->i", Li, v))
+
+    b = gram_solve(np.einsum("gi,g->i", A, t))
+    last = np.inf
+    for _ in range(_REFINE_MAX):
+        step = gram_solve(_normal_residual(A, t, pen, b))
+        size = np.max(np.abs(step))
+        if size > last / 2:
+            break
+        b = b + step
+        if size <= _EPS * np.max(np.abs(b)):
+            break
+        last = size
+    return b
+
+
+def _dual_fit(A, t, ridge, pen):
+    """The dual fit, or None when Cholesky rejects K or the fit misses the
+    normal equations by more than 4 eps |A| (|A| |b| + |t|)."""
+    a0, A1 = A[:, 0], A[:, 1:]
+    Li = _factor_inverse(np.einsum("gi,hi->gh", A1, A1) + ridge * np.eye(len(A)))
+    if Li is None:
+        return None
+    u, v = np.einsum("ji,jk->ki", Li, np.einsum("ij,jk->ik", Li, np.column_stack([t, a0])))
+    b0 = np.einsum("g,g->", a0, u) / np.einsum("g,g->", a0, v)
+    b = np.concatenate([[b0], np.einsum("gi,g->i", A1, u - v * b0)])
+    norm_a = math.sqrt(np.einsum("gi,gi->", A, A))
+    scale = norm_a * (norm_a * math.sqrt(np.einsum("i,i->", b, b))
+                      + math.sqrt(np.einsum("g,g->", t, t)))
+    if np.max(np.abs(_normal_residual(A, t, pen, b))) > 4 * _EPS * scale:
+        return None
+    return b
 
 
 def distinct_row_least_squares(rows, inverse, y, weights) -> np.ndarray:

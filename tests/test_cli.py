@@ -345,33 +345,36 @@ class TestAnonymizeCommand:
 
 
 # sha256 of json.dumps([method, k, shift, similarity, reid_average,
-# degenerate_shift]) for each row of TestExperimentCommand's sweep, in
-# output order
+# degenerate_shift, relative_bias_pct, r_squared]) for each row of
+# TestExperimentCommand's sweep, in output order. The regression fields
+# joined once the fits stopped following the BLAS thread count; the
+# other fields' bits are older, and a change that moves any field must
+# say so and update these
 SWEEP_ROW_DIGESTS = [
-    "29032e101c495d1c6b6df977a067a2e166c8bd9737ead5f83b738e016b4a2787",
-    "724e97bb8489f001878873ad35a43300d3b635909d375f6c7d513de30f48446f",
-    "ecf13750f9c4ca7dee92df818d08a06b2a021b663b621394d76ac3cda2c8924c",
-    "95ac4f7a60c614e643a07f46ca951829a3faa0a4cd9cb27fdc666fe56bc300cb",
-    "60d725e2b16395797f03af3bc6009993b57de465c79f27979a01cf0568bb00f3",
-    "ccef2bfc14d71632934b28f087e380d67c0acb39c0834b00fc98cd54356f3a34",
-    "64b5d37fd4a484bd458f0fca2bb5d9832a02f169afa19ad2948aac30bd2cfce8",
-    "9127d756a1e6e880de537217f43186860fda7149621afcee80f38cc1a39f2527",
-    "5d1e9bf2f309e1ea9b623a4ce8a4d80ffc6e4762f965e9627e75f9758de30b79",
-    "d2129507674882e931dda9f359d78e8be27348e8f7c5dc2965bdf79e81328f36",
-    "5bfdd968c8e0653885252b1151363b74563482bf708bf3d52acc993b65c47172",
-    "a8f5c6d2f7db1cc4b900c5ef9686a041ba387ca17580dbb5b88e0b6e9dc17644",
-    "f6fac2958e2d6f920c3966e3178435fd17e9d00d33486afa3b052b8fd9ce4785",
-    "948c35914b0ce5e74b5257443484ac2e24ab130e698817e4354b4bba091acb62",
-    "2202115517547c00aa8b92d021eba05e7a67400543ad9e8718bcb7cd03950937",
-    "6a1fc7009d47785b96f29b1f478797fe25513bd042289e6d20e9681d025ead34",
-    "1a2dd020dc538df042a00383ba9603580c846a1290a0ae198bae5ef7b8db443b",
-    "3560ded2f4b55217fed7226ee096b86223abc2388b6ebb40c71874cb91d42730",
-    "33bb844f3c1911a1dbd610ca6a26e8a3cae8acde7d9988eba3543562352840e1",
-    "59316cc00d18cd8dc2302694163ade27336ca0526648d1c39e0dce2ffc330ae1",
-    "564b412d32beaaae4851d5d643bbcaa0caacf985280ade7b32e40e058338e64e",
-    "533785b5ee8183a91225c7d51d83f5e8b69ab2d887da3707b3a751c0d8dacd70",
-    "f08f8433c2c90ec20227b70fcf97a5c02666a9b810c836fd2304c00fdff058cd",
-    "88eee15cc27b1b91d7b0015e5761e5d589768b3940c8dbe04a13a8885bee2bdc",
+    "de2d72cf37477fa321a27ec950b4a6f7d08f4a3d00b58a67062220b770db8dc2",
+    "e13e0a513a4dfea3238c9432f3899484b73cbd701397761dd31195b72c642fe5",
+    "d8db7eb5fe6c0c36cff837fa7ff360f2049b3974c7b70780fdab5f0561949ba4",
+    "070d49d6e1abf57060f44842a42e0a365a8205d2ba3aa037d9cc8ba48d6232d6",
+    "0c55e51e0f2059224bade306207cc9dfb00cc8c0c54d8e90a3df20c643f1cf0e",
+    "a660a8320b904fada8bd0622e5224c553b10b7f49114a6cbfdd955f1311138ef",
+    "d483a1ffa60e52e3d5b2ab8e022dc33218ac17317b0abe7ed1e5a925350e045d",
+    "ff4e62b12b4ccbe9dde64bb70882078410eea88b8abdf87bbef344d30b29a09f",
+    "e7eac3ea31783353a2214699429bdfabb8f96846c137fd0e8b716800a4e39571",
+    "b80e1b443f7f7646dbfa93f88a60c891079c0c919cb6ab686779c6ed6ca30326",
+    "509dcb4565ab9ce824d9d268a3e2832a8bac69def6acf22e0b156e18df964ce7",
+    "de68e904aeb10593b10d07697f9a10ea3e504f40693c9cb8df4587dfccea26f8",
+    "611ee256791608b792009fe4d2a0d920b20d3671e1d84fd688538ca5d767e549",
+    "e5113692e62607b93990f47c3e01b86743e33bb1121435ecd27bd1d030e4e3eb",
+    "2b23e3c4a934ac793247509511c37939d19f3a266e4ebd00ba93afcd2a585c73",
+    "c5b9faf256b25624cb85f8d7768d46b9d2f120d8c46cd0d2f631f973776016ad",
+    "44cbd26c2c1e12e3947da9caac1a0b0948c1efe9bf987e00d581089bd239ad61",
+    "0d43e6f9f336fea233b91032874e41751a60893d4644d624b6b1c7bdb530ad00",
+    "a1ef21bbe677946e631891918330ae1ef685c92d7d3613677aad811c6434f4d5",
+    "e631128573b14d0a77c6d2ec5ccd09aef12697bca070a6b1945b78ba08bf3c87",
+    "1fd78b86c15de00759be1598bf1b50f6ebe774efe8c8ebeadd027c832af0416f",
+    "2c5ac5c7e19fc41141716fd573e2c55619755380d12aac1366fded282ccccdaa",
+    "831e9afcb686c7ac936423dcd80235ca2b4aa7c0044a3c06ff3ab0fb36ef8ec3",
+    "b935d6cd8d62cdea9b07bec7dc331caf2be0d270ae67ad7a1f0e6f25612ad124",
 ]
 
 
@@ -411,10 +414,8 @@ class TestExperimentCommand:
 
     def test_sweep_fields_unchanged(self, tmp_path):
         # A `risk-sweep`-shaped sweep, whose Gaussian releases inside the
-        # reidentification trials run at c = 400 (k = 5). Each row's fields
-        # that do not depend on the BLAS thread count, taken before the
-        # cheap pass of the Gaussian forward map; relative_bias_pct and
-        # r_squared are left out, as their last bits follow the thread count.
+        # reidentification trials run at c = 400 (k = 5). Every field of each
+        # row but coding, which the config fixes.
         out = tmp_path / "m.json"
         rc = main([
             "experiment", "--output", str(out), "--n", "2000", "--test-n", "2000",
@@ -424,7 +425,8 @@ class TestExperimentCommand:
             "--trials", "2", "--seed", "1",
         ])
         assert rc == 0
-        fields = ("method", "k", "shift", "similarity", "reid_average", "degenerate_shift")
+        fields = ("method", "k", "shift", "similarity", "reid_average", "degenerate_shift",
+                  "relative_bias_pct", "r_squared")
         got = [hashlib.sha256(json.dumps([row[f] for f in fields]).encode()).hexdigest()
                for row in json.loads(out.read_text())["results"]]
         assert got == SWEEP_ROW_DIGESTS

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -138,9 +139,13 @@ BLAS_ALLOWED = {
            "makes independent of the BLAS build"),
     ("shiftlearn.py", "logistic_weights", "solve"): (
         1, "the IRLS Newton step's p x p system, as above"),
-    ("shiftlearn.py", "weighted_least_squares", "lstsq"): (
-        1, "the ridge WLS fit (LAPACK gelsd); its last bits follow the BLAS "
-           "thread count, ROADMAP item 8"),
+    ("shiftlearn.py", "_factor_inverse", "cholesky"): (
+        1, "the ridge WLS fit's Cholesky factor of an einsum-formed Gram matrix "
+           "of side min(G, p); test_experiment_bytes_ignore_the_blas_thread_count "
+           "shows its bits do not follow the thread count"),
+    ("shiftlearn.py", "_factor_inverse", "inv"): (
+        1, "that factor's inverse, the one triangular inverse per Gram matrix "
+           "factored, as above"),
     ("experiment.py", "_sweep_rows", "@"): (
         1, "test_design @ coef, the held-out predictions scored by relative "
            "bias and R^2; no release reads them"),
@@ -216,11 +221,12 @@ def test_failing_property_does_not_hide_later_tests(tmp_path):
     assert run.returncode == 1
 
 
-def _run_fresh(code: str, *argv) -> str:
+def _run_fresh(code: str, *argv, env=()) -> str:
     """stdout of a fresh interpreter that runs `code` with `argv` as
-    sys.argv[1:], importing the package from this checkout."""
+    sys.argv[1:], importing the package from this checkout, with the
+    variables `env` adds to the environment."""
     src = os.path.dirname(os.path.dirname(dpkanon.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **dict(env), PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                           capture_output=True, text=True).stdout
@@ -309,6 +315,30 @@ def test_experiment_run_without_scipy(tmp_path):
         _run_fresh(code, *_EXPERIMENT, "--output", str(out))
         written.append(out.read_bytes())
     assert written[0] == written[1] and b'"reid_average": null' not in written[0]
+
+
+# the `risk-sweep` benchmark workload's sweep at seed 1, both k values
+_RISK_SWEEP = ("experiment", "--n", "2000", "--test-n", "2000", "--levels", "10,8,6",
+               "--dep", "0.3", "--k-grid", "5,25",
+               "--methods", "centroid,resample,cell-dither,gaussian",
+               "--shift", "none,nonparametric,logistic", "--coding", "dummy",
+               "--trials", "2", "--seed", "1")
+
+
+def test_experiment_bytes_ignore_the_blas_thread_count(tmp_path):
+    # the regression fits form their Gram matrices by einsum and factor them
+    # with one Cholesky each, so the sweep writes the same bytes, regression
+    # fields included, under one OpenBLAS thread and under two; with lstsq
+    # (LAPACK gelsd) the centroid rows' fields differed in their last bits
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        _run_fresh(_RUN_CLI, *_RISK_SWEEP, "--output", str(out),
+                   env={"OPENBLAS_NUM_THREADS": threads})
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    rows = json.loads(written[0])["results"]
+    assert len(rows) == 24 and all(row["relative_bias_pct"] is not None for row in rows)
 
 
 def test_exports_resolve_on_first_access():

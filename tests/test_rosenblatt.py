@@ -318,10 +318,10 @@ class TestLeadingColumns:
             inverse_empirical_indices(np.zeros((1, 0)), joint)
 
 
-def workload_table(kind: str, seed: int = 1):
+def workload_table(kind: str, seed: int = 1, n: int = 4000):
     """The benchmark's n = 4000 `release-continuous` or `release-ordinal`
-    table, drawn as its generator draws it."""
-    n = 4000
+    table, drawn as its generator draws it, or that generator's table of n
+    rows."""
     rng = np.random.default_rng([seed, 0x6470])
     if kind == "ordinal":
         shared = rng.random(n)
@@ -663,6 +663,36 @@ def test_first_level_cdf_cells(monkeypatch, workload_states, kind):
     first_cells, redo_cells = level_cells[0], level_cells[1]
     assert first_cells == nodes * c + redo_cells
     assert first_cells < n * c / 10
+
+
+# the rows the c = 1600 releases below redo, as counted when the test was
+# written; the band of a quarter either way lets numpy's CPU dispatch move
+# the float32 pass's last bits, and fails on a change of the margins
+C1600_REDO_ROWS = {"continuous": 233, "ordinal": 195}
+
+
+@pytest.mark.parametrize("kind", ["continuous", "ordinal"])
+def test_release_at_c_1600_matches_the_full_path(monkeypatch, kind):
+    # the benchmark tables' generators at n = 16000 and k = 10 give c = 1600
+    # clusters, four times those of the other end-to-end release tests
+    n = 16000
+    state = prepare(workload_table(kind, n=n), 10, seed=0)
+    assert len(state.model.sizes) == 1600
+    xt = sample_gaussian_batch(state.model, 1 / 3, np.arange(n), np.random.default_rng(3))
+    walk, flagged = rosenblatt._walk, []
+
+    def counted_walk(u, joint, *args):
+        out = walk(u, joint, *args)
+        flagged.append(int((out[:, -1] < 0).sum()))
+        return out
+
+    monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
+    got = gaussian_release_indices(xt, state.model, 1 / 3, state.joint)
+    monkeypatch.undo()
+    assert got.tobytes() == inverse_empirical_indices(
+        forward_gaussian(xt, state.model, 1 / 3), state.joint).tobytes()
+    assert flagged[1:] == [0]
+    assert 0.75 * C1600_REDO_ROWS[kind] <= flagged[0] <= 1.25 * C1600_REDO_ROWS[kind]
 
 
 @pytest.mark.parametrize("kind", ["continuous", "ordinal"])

@@ -210,6 +210,71 @@ def test_distinct_row_fit_matches_per_record_fit(coding, levels, seed, scale):
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+@settings(max_examples=150, deadline=None)
+@given(coding=st.sampled_from(["dummy", "numeric"]),
+       levels=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       share=st.floats(0.0, 1.0),
+       ridge=st.sampled_from([1e-8, 1e-10, 1e-2]))
+def test_fit_solves_its_normal_equations(coding, levels, seed, share, ridge):
+    # G distinct rows of a level grid, fewer than the p design columns (the
+    # dual) or not (the primal), a fifth of them weighted zero and the rest
+    # weighted from 1e-6 to 1e6; numeric rows scaled and jittered
+    rng = np.random.default_rng(seed)
+    grid = np.array(list(itertools.product(*[range(L) for L in levels])), dtype=float)
+    if coding == "numeric":
+        grid = grid * rng.choice([1.0, 1e-3, 7.5, 1e3]) + rng.choice([0, 0.1]) * rng.normal(
+            size=grid.shape)
+    rows = grid[rng.permutation(len(grid))[:1 + int(share * (len(grid) - 1))]]
+    X, _ = build_design(rows, coding)
+    w = np.where(rng.random(len(rows)) < 0.2, 0.0, 10.0 ** rng.uniform(-6, 6, len(rows)))
+    assume(w.sum() > 0)
+    y = rng.normal(size=len(rows)) + rows.sum(axis=1)
+    # A and t as the fit forms them, and A's system with the ridge rows
+    keep = w > 0
+    sqw = np.sqrt((w * (len(w) / w.sum()))[keep])
+    A, t = X[keep] * sqw[:, None], y[keep] * sqw
+    p = X.shape[1]
+    pen = np.r_[0.0, np.full(p - 1, ridge)]
+    A_aug = np.vstack([A, np.sqrt(pen[1:])[:, None] * np.eye(p)[1:]])
+    t_aug = np.r_[t, np.zeros(p - 1)]
+    cond = np.linalg.cond(A_aug)
+    try:
+        b = weighted_least_squares(X, y, w, ridge)
+    except DegenerateError:
+        # Cholesky rejects only Gram matrices far past the compared range
+        assert cond > 1e7
+        return
+    # the normal equations' residual, in np.longdouble's extra bits, is a
+    # few rounding errors of the products that form it
+    eps = np.finfo(float).eps
+    Al, tl, bl = (v.astype(np.longdouble) for v in (A, t, b))
+    resid = np.abs(Al.T @ (tl - Al @ bl) - pen * bl).max()
+    norm_a = np.linalg.norm(A)
+    assert resid <= 8 * eps * norm_a * (norm_a * np.linalg.norm(b) + np.linalg.norm(t))
+    if cond < 1e8:
+        # gelsd, an SVD solver, on the system with the ridge rows; both err
+        # within the least squares perturbation bound
+        want = np.linalg.lstsq(A_aug, t_aug, rcond=None)[0]
+        r = np.linalg.norm(t_aug - A_aug @ want)
+        bound = eps * cond * (np.linalg.norm(want) + cond * r / np.linalg.norm(A_aug, 2))
+        assert np.linalg.norm(b - want) <= 64 * bound
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 2.0, 0.0]],   # G = p: the primal
+    [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],                    # G < p: the dual, then the primal
+])
+def test_unliftable_gram_is_degenerate(rows):
+    # with no ridge, a design with a zero column (and, on the dual side,
+    # repeated rows) has Gram matrices that Cholesky rejects; that ends in
+    # DegenerateError, which `experiment` turns into null fields, never in
+    # numpy's LinAlgError
+    X = np.array(rows)
+    with pytest.raises(DegenerateError, match="not positive definite"):
+        weighted_least_squares(X, np.arange(len(X), dtype=float), np.ones(len(X)), ridge=0.0)
+
+
 def test_distinct_row_fit_checks_its_inputs():
     design, _ = build_design(np.array([[0.0], [1.0]]), "numeric")
     with pytest.raises(DomainError):
