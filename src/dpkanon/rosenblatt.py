@@ -26,12 +26,10 @@ _BLOCK_CELLS = 12800
 _THREAD_BLOCKS = 4
 
 # Page's tanh form of the normal CDF (Applied Statistics 26, 1977), the
-# cheap pass's Phi~(z) = (1 + tanh(z (_PAGE_A + _PAGE_B z^2))) / 2, with z
-# clipped to [-_PAGE_CLIP, _PAGE_CLIP] so that z^2 cannot overflow; and
+# cheap pass's Phi~(z) = (1 + tanh(z (_PAGE_A + _PAGE_B z^2))) / 2; and
 # eps_Phi, more than twice the bound on |Phi~ - Phi| proven in _cheap_delta.
 _PAGE_A = 0.7988
 _PAGE_B = 0.7988 * 0.04417
-_PAGE_CLIP = 9.0
 _PAGE_ERR = 3e-4
 
 # float32's unit roundoff 2^-24, plus eps for the exact pass's own rounding
@@ -222,7 +220,7 @@ def _cheap_delta(c: int) -> float:
     the first column) and the weights' sum W, and takes
     u = sum_c w_c _phi(z_c) / W. Page's average of the same z_c, w_c and W
     in float64 is u~ = 1/2 + 1/2 sum_c w_c t_c / W with t_c = tanh(g(z_c)),
-    g(z) = z (a + b z^2) for z clipped to [-9, 9]. Let U and U~ be the same
+    g(z) = z (a + b z^2), odd and increasing. Let U and U~ be the same
     averages taken exactly, with Phi and Phi~ = (1 + tanh g) / 2 in place
     of _phi(z) and (1 + t) / 2.
 
@@ -236,7 +234,7 @@ def _cheap_delta(c: int) -> float:
     for |z| <= 1 and, as g' <= 3 |g| and sech^2(g) <= 4 exp(-2 |g|) there,
     at most 6 |g| exp(-2 |g|) <= 3 / e < 1.11 beyond. So |Phi~ - Phi| moves
     by less than 1.11 h / 2 < 5e-6 between grid points. Beyond 9, Phi is
-    within Phi(-9) < 1.2e-19 of 0 or 1, and Phi~ of the clipped z within
+    within Phi(-9) < 1.2e-19 of 0 or 1, and Phi~, as g increases, within
     Phi~(-9) < 1e-27. So |U - U~| < 1.46e-4: a weighted average of such
     differences (at the first column, the priors sum to 1 within c eps / 2,
     which U~ takes as exact).
@@ -256,6 +254,13 @@ def _cheap_delta(c: int) -> float:
     1e10: the margin's spare half covers the walk's rounding of
     u~ +- margin (eps), and leaves room for a further error of up to
     margin / 2, as the tests add to u~.
+
+    No clip of z is needed, in the float64 average above or in the float32
+    pass (_single_margin). Past |z| = 9, |g| > 32.9, where tanh is within
+    1e-28 of +-1 and numpy's float32 tanh returns +-1 exactly
+    (test_float32_tanh_saturates), so large residuals add nothing the
+    bound does not cover; and _single keeps |z| <= 2^40 in the float32
+    pass, so z^2 <= 2^80 and |g| < 4.7e34 do not overflow.
     """
     return _PAGE_ERR + 4 * (c + 2) * np.finfo(float).eps
 
@@ -272,8 +277,9 @@ def _single(mix: tuple, X: np.ndarray):
     factor entry past _SINGLE_RANGE = R in size, a conditional sd outside
     [1 / R, R], a residual that could pass R, or nu (a_j + b_j + 1) > 1e-3
     (_single_margin's terms), and the main map is then exact. In the range,
-    no cast or float32 op overflows (|z| <= R makes z^2 <= 2^80), and every
-    rounding is within the bound.
+    no cast or float32 op overflows (|z| <= R makes z^2 <= 2^80 and Page's
+    g(z) = z (a + b z^2) less than 4.7e34), and every rounding is within
+    the bound.
 
     The float32 constants shift the log priors and each column's log sds by
     the midpoint of their range, which moves every posterior log of a row
@@ -376,8 +382,10 @@ def _single_margin(single: tuple, j: int, top: np.ndarray) -> np.ndarray:
       terms, so it is within gamma_5 |g| of g with the float64 a and b,
       which moves tanh by |g| sech^2 <= 0.45 of that; numpy's float32 tanh
       is within _TANH32_ERR u of tanh (test_float32_function_error): so
-      T = (_TANH32_ERR u + 0.45 gamma_5) / 2. Under p*, the cheap form at
-      the clipped float32 z^ is within 1.46e-4 of Phi(z^) (_cheap_delta).
+      T = (_TANH32_ERR u + 0.45 gamma_5) / 2. Past |z^| = 9, where
+      |g| > 32.9, it returns +-1 exactly (test_float32_tanh_saturates), as
+      tanh rounds there, so z^ takes no clip. Under p*, the cheap form at
+      the float32 z^ is within 1.46e-4 of Phi(z^) (_cheap_delta).
     - Residuals under p*: |Phi(z^) - Phi(z*)| <= 0.4 nu (a_j + b_j Z) plus
       at most 0.25 nu from the |z*_cj| term (|z| phi(z) < 0.25), so
       E_p* <= 0.4 nu (a_j + b_j sqrt(2 D*)) + 0.25 nu.
@@ -495,13 +503,11 @@ def _map(X: np.ndarray, mix: tuple, skip_first: bool = False, single=None) -> tu
             if j >= skipped:
                 if exact:
                     _phi(zj, phi, work[d + 1:, :len(xb)])
-                else:  # phi = tanh(g(clip(z))), into the free planes
-                    np.minimum(zj, _PAGE_CLIP, out=phi)
-                    np.maximum(phi, -_PAGE_CLIP, out=phi)
-                    np.multiply(phi, phi, out=tmp)
+                else:  # phi = tanh(g(z)), into the free planes
+                    np.multiply(zj, zj, out=tmp)
                     tmp *= _PAGE_B
                     tmp += _PAGE_A
-                    phi *= tmp
+                    np.multiply(zj, tmp, out=phi)
                     np.tanh(phi, out=phi)
                 if j == 0:
                     uj = np.einsum("nc,c->n", phi, prior)
@@ -709,9 +715,11 @@ def _root_interpolant(x0: np.ndarray, mix: tuple):
     return np.where(placed, u, 0.5), np.where(placed, delta, np.inf)
 
 
-def _table_sizes(joint: EmpiricalJoint) -> np.ndarray:
-    """The (d, keys) entry counts of the table each key's walk reads at
-    each level: the table of its length-j prefix."""
+def _key_tables(joint: EmpiricalJoint) -> tuple:
+    """Two (d, keys) arrays, built once per release: `sizes`, the entry
+    counts of the table each key's walk reads at each level, the table of
+    its length-j prefix; and `deep`, whether the key passes a table of more
+    than one entry at a level >= j."""
     # the keys are distinct and sorted, so key g is entry g of the last level
     node = np.arange(len(joint.keys))
     sizes = np.empty((joint.d, len(node)), dtype=np.intp)
@@ -719,19 +727,17 @@ def _table_sizes(joint: EmpiricalJoint) -> np.ndarray:
         lengths = joint.flat_trie[j][3]
         node = np.repeat(np.arange(len(lengths)), lengths)[node]  # its length-j prefix
         sizes[j] = lengths[node]
-    return sizes
+    return sizes, np.logical_or.accumulate(sizes[::-1] > 1, axis=0)[::-1]
 
 
-def _mapped_width(joint: EmpiricalJoint) -> int:
+def _mapped_width(joint: EmpiricalJoint, deep: np.ndarray) -> int:
     """The leading width J in 1..d that minimizes J + d * share_J, the
     forward map's columns per record when every record maps J and the rows
     the walk flags map all d again. share_J is the share of records whose
-    key passes a prefix with more than one entry at a level >= J: the chance
-    that a walk drawn from the joint needs a u_j beyond the first J. Ties go
-    to the wider J."""
+    key passes a prefix with more than one entry at a level >= J (deep[J]
+    of _key_tables): the chance that a walk drawn from the joint needs a
+    u_j beyond the first J. Ties go to the wider J."""
     d = joint.d
-    # deep[j]: the key passes a table of more than one entry at a level >= j
-    deep = np.logical_or.accumulate(_table_sizes(joint)[::-1] > 1, axis=0)[::-1]
     best, best_cost = d, float(d)
     for j in range(d - 1, 0, -1):
         cost = j + d * joint.counts[deep[j]].sum() / joint.total
@@ -740,10 +746,11 @@ def _mapped_width(joint: EmpiricalJoint) -> int:
     return best
 
 
-def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> bool:
+def _cheap_levels(joint: EmpiricalJoint, sizes: np.ndarray, levels: range,
+                  delta: float) -> bool:
     """Whether the cheap pass pays at every level j in `levels`: whether
     2 delta E_j d < 1/2 at each, with E_j the mean edge count (entries - 1)
-    of the level-j tables the records' keys walk.
+    of the level-j tables the records' keys walk (`sizes` of _key_tables).
 
     A row's u_j falls within delta of one of its table's E_j edges, and is
     mapped again on all d columns, with a chance of about 2 delta E_j. Each
@@ -756,7 +763,7 @@ def _cheap_levels(joint: EmpiricalJoint, levels: range, delta: float) -> bool:
     about 4) where the interpolant of _root_interpolant declines, say,
     while the small tables past the root pay.
     """
-    edges = ((_table_sizes(joint)[levels] - 1) * joint.counts).sum(axis=1) / joint.total
+    edges = ((sizes[levels] - 1) * joint.counts).sum(axis=1) / joint.total
     return bool((2 * delta * edges * joint.d < 0.5).all())
 
 
@@ -765,43 +772,59 @@ def gaussian_release_indices(xt, model: ClusterModel, alpha: float,
     """inverse_empirical_indices(forward_gaussian(xt, model, alpha), joint)
     for an (N, d) array of dither samples, mapping only what the walk reads.
 
-    Every row is mapped on its leading _mapped_width(joint) columns and
-    walked by one certified walk, in which each mapped u_j comes with its
-    evaluator's margin (_walk):
-    - the first coordinate's interpolant, when it needs fewer than N / 2
-      nodes (_root_interpolant), gives u~_0 and its margin, and the map
-      then skips the first column's CDF; otherwise the first column is
-      mapped with the others;
-    - the main map computes the other levels by the float32 cheap pass,
-      with each row's margin from _single_margin, when _cheap_levels says
-      it pays at every one of them and _single finds the samples and
-      constants in float32's safe range; otherwise it maps them exactly,
-      with margin 0.
-    The walk flags the rows whose u_j lies within its margin of an edge of
-    their table, and those that need a column not mapped. They are mapped
-    exactly on all d columns and walked again: one redo for every level.
-    A row's u depends on no other row and its leading columns equal the
-    full map's, so the indices are the full path's bit for bit. On
-    continuous data the prefixes part after a column or two, and the map's
-    last columns are skipped for nearly every row. The mixture's constants
-    are built once for the interpolant's nodes, the main map and the redo.
+    Each u_j the walk reads comes with its evaluator's margin, and the walk
+    places a row only where that margin cannot move its entry (_walk). The
+    release takes four stages, each on the rows the one before leaves:
+    - the root. The first coordinate's interpolant gives u~_0 and its
+      margin, when it needs fewer than N / 2 nodes (_root_interpolant).
+      When some key's path past the root is forced, every table after the
+      root having one entry, a walk on u~_0 alone places the rows whose
+      root entry leads down such a path. It flags the rest: those it
+      cannot place at the root go to the redo, and those it places there
+      go on to the main map;
+    - the main map, of the rows' leading _mapped_width columns. It skips
+      the first column's CDF when the interpolant gave u~_0, and maps the
+      other levels by the float32 cheap pass, with each row's margin from
+      _single_margin, when _cheap_levels says it pays at every one of them
+      and _single finds the samples and constants in float32's safe range;
+      otherwise exactly, with margin 0;
+    - the main walk, which flags the rows whose u_j lies within its margin
+      of an edge of their table, and those that need a column not mapped;
+    - the redo: every flagged row is mapped exactly on all d columns and
+      walked again, one redo for every level.
+    A row's u depends on no other row, its leading columns equal the full
+    map's, and a forced path reads no u past u_0, so the indices are the
+    full path's bit for bit. On continuous data the prefixes part after a
+    column or two, and the map's last columns are skipped for nearly every
+    row. The trie's table sizes are built once, for the width, the cheap
+    rule and the root walk's gate, and the mixture's constants once, for
+    the interpolant's nodes, the main map and the redo.
     """
     d = model.centroids.shape[1]
     X = _dither(xt, d)
     if X.shape[1] != d:
         raise ShapeError(f"expected an (N, {d}) array of dither samples, got shape {X.shape}")
-    width = _mapped_width(joint)
+    sizes, deep = _key_tables(joint)
+    width = _mapped_width(joint, deep)
     mix = _mixture(model, alpha)
     delta = _cheap_delta(len(mix[0]))  # c = len(centroids)
     root = _root_interpolant(X[:, 0], mix)
     skip_first = root is not None
-    levels = range(int(skip_first), width)
-    # the float32 cheap pass when some level is left to map and it pays at every one
-    single = _single(mix, X[:, :width]) if levels and _cheap_levels(joint, levels, delta) else None
-    u, margin = _map(X[:, :width], mix, skip_first, single)
-    if skip_first:
-        u[:, 0], margin[:, 0] = root
-    idx = _walk(u, joint, margin)
+    idx = np.empty((len(X), d), dtype=np.intp)
+    rows = np.arange(len(X))  # the rows the main map takes
+    if skip_first and not deep[1:].all():  # some key's path past the root is forced
+        idx = _walk(root[0][:, None], joint, root[1][:, None])
+        rows = np.flatnonzero((idx[:, 0] >= 0) & (idx[:, -1] < 0))  # placed at the root only
+    if len(rows):
+        levels = range(int(skip_first), width)
+        main = X[rows, :width]
+        # the float32 cheap pass when some level is left to map and it pays at every one
+        single = (_single(mix, main) if levels and _cheap_levels(joint, sizes, levels, delta)
+                  else None)
+        u, margin = _map(main, mix, skip_first, single)
+        if skip_first:
+            u[:, 0], margin[:, 0] = root[0][rows], root[1][rows]
+        idx[rows] = _walk(u, joint, margin)
     redo = np.flatnonzero(idx[:, -1] < 0)
     if len(redo):
         idx[redo] = _walk(_map(X[redo], mix)[0], joint)

@@ -40,8 +40,7 @@ def cdf(z):
 def page_cdf(z):
     """Page's tanh form of the normal CDF, as the cheap pass takes it, in
     float64."""
-    t = np.clip(z, -rosenblatt._PAGE_CLIP, rosenblatt._PAGE_CLIP)
-    return (1 + np.tanh(t * (rosenblatt._PAGE_A + rosenblatt._PAGE_B * t * t))) / 2
+    return (1 + np.tanh(z * (rosenblatt._PAGE_A + rosenblatt._PAGE_B * z * z))) / 2
 
 
 def reference_forward(X, model, alpha, gemv=False, cdf=cdf):
@@ -277,7 +276,8 @@ class TestLeadingColumns:
         table, k = case
         state = prepare(table, k, seed=0)
         model, joint, d = state.model, state.joint, table.d
-        assert rosenblatt._mapped_width(joint) == brute_width(joint)
+        assert rosenblatt._mapped_width(joint, rosenblatt._key_tables(joint)[1]) == \
+            brute_width(joint)
         recs = np.tile(np.arange(table.n), 3)
         xt = sample_gaussian_batch(model, 1 / 3, recs, np.random.default_rng(seed))
         full = forward_gaussian(xt, model, 1 / 3)
@@ -293,7 +293,7 @@ class TestLeadingColumns:
             assert np.array_equal(unread, np.logical_or.accumulate(unread, axis=1))
             assert np.array_equal(part[~unread], want[~unread])
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(rosenblatt, "_mapped_width", lambda joint: width)
+                mp.setattr(rosenblatt, "_mapped_width", lambda joint, deep: width)
                 got = gaussian_release_indices(xt, model, 1 / 3, joint)
             assert got.tobytes() == want.tobytes()
 
@@ -302,7 +302,7 @@ class TestLeadingColumns:
         # reaches that prefix needs u_2, and only those rows are flagged
         table = coded_table("ccc", 40, 29, 2, 5)
         state = prepare(table, 3, seed=0)
-        assert rosenblatt._mapped_width(state.joint) == 3
+        assert rosenblatt._mapped_width(state.joint, rosenblatt._key_tables(state.joint)[1]) == 3
         xt = sample_gaussian_batch(state.model, 1 / 3, np.arange(40),
                                    np.random.default_rng(1))
         part = inverse_empirical_indices(forward_gaussian(xt[:, :2], state.model, 1 / 3),
@@ -335,6 +335,13 @@ def workload_table(kind: str, seed: int = 1, n: int = 4000):
     return make_table(qi)
 
 
+# the rows of the test below that the main map takes, as counted when the
+# walk on u~_0 alone was put before it. On the continuous table that walk
+# places the 1420 rows whose key's path past the root is forced and leaves
+# 2580: 12 it cannot place at the root, which go to the redo, and 2568
+MAIN_MAP_ROWS = {"continuous": 2568, "ordinal": 4000}
+
+
 @pytest.mark.parametrize("kind, width", [("continuous", 2), ("ordinal", 3)])
 def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind, width):
     # continuous keys part after two columns, ordinal keys after three. On
@@ -342,10 +349,13 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     # one-column map of the interpolant's nodes, which places the first
     # coordinate; one map of the leading columns that skips the first
     # column's CDF and maps the small tables past the root by the float32
-    # cheap pass; and one exact map of all d columns of the rows the walk flags,
-    # those near an edge at any level and those that need a column not
-    # mapped. No map of the first column alone
-    maps, flagged = [], []
+    # cheap pass; and one exact map of all d columns of the rows the walks
+    # flag, those near an edge at any level and those that need a column
+    # not mapped. No map of the first column alone. Some continuous keys'
+    # paths are forced past the root, so a walk on u~_0 alone comes first,
+    # and the main map takes just the rows it places at the root but not
+    # past it; every ordinal key branches at level 1, so no such walk runs
+    maps, walks = [], []
     forward, walk = rosenblatt._map, rosenblatt._walk
 
     def counted_map(X, mix, skip_first=False, single=None):
@@ -354,7 +364,7 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
 
     def counted_walk(u, joint, *args):
         out = walk(u, joint, *args)
-        flagged.append(int((out[:, -1] < 0).sum()))
+        walks.append((u.shape[1], out.copy()))
         return out
 
     monkeypatch.setattr(rosenblatt, "_map", counted_map)
@@ -362,10 +372,20 @@ def test_gaussian_release_maps_only_the_columns_the_walk_reads(monkeypatch, kind
     transform(prepare(workload_table(kind), 10, seed=0), "gaussian")
     (nodes, *shape), main, *redo = maps
     assert shape == [1, False, False] and nodes < 100
-    assert main == (4000, width, True, True)
-    assert redo == ([(flagged[0], 3, False, False)] if flagged[0] else [])
-    assert flagged[1:] == [0] * len(redo)
-    assert flagged[0] < 40
+    assert main == (MAIN_MAP_ROWS[kind], width, True, True)
+    if kind == "continuous":
+        (cols, root), (_, placed), *again = walks
+        assert cols == 1 and (root[:, -1] < 0).sum() == 2580
+        left = (root[:, 0] >= 0) & (root[:, -1] < 0)
+        assert left.sum() == MAIN_MAP_ROWS[kind] and len(placed) == left.sum()
+        flagged = int((root[:, 0] < 0).sum() + (placed[:, -1] < 0).sum())
+    else:
+        (cols, placed), *again = walks
+        assert cols == width
+        flagged = int((placed[:, -1] < 0).sum())
+    assert redo == ([(flagged, 3, False, False)] if flagged else [])
+    assert [(cols, int((out[:, -1] < 0).sum())) for cols, out in again] == [(3, 0)] * len(redo)
+    assert flagged < 40
 
 
 # sha256 of each method's qi_hat bytes on workload_table(kind), k = 10,
@@ -466,6 +486,27 @@ def root_cases(draw):
     return table, k, rows, draw(st.integers(0, 5)), draw(st.integers(0, 3)), seed
 
 
+@st.composite
+def forced_cases(draw):
+    """A table whose root entries mix forced and branching subtrees: a
+    near-distinct 3-decimal first column, some of whose values repeat,
+    beside one or two coarse columns; k, the number of dither rows, how many
+    of them move out to 1e15, how many get placed at a root edge, and a
+    seed."""
+    n = draw(st.integers(6, 60))
+    later = draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=2))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    first = np.round(rng.standard_normal(n), 3)
+    repeats = draw(st.integers(0, n // 2))
+    first[rng.integers(0, n, repeats)] = first[rng.integers(0, n, repeats)]
+    rest = [rng.integers(0, levels, n).astype(float) for levels in later]
+    table = make_table(np.column_stack([first, *rest]))
+    k = draw(st.sampled_from((2, 3, 5)))
+    rows = draw(st.sampled_from((30, 200, 1000)))
+    return table, k, rows, draw(st.integers(0, 3)), draw(st.integers(0, 3)), seed
+
+
 def edge_table():
     """A 60-row table whose root table has 6 entries, its state (k = 3), and
     the mixture at alpha = 1/3."""
@@ -475,16 +516,28 @@ def edge_table():
 
 
 def traced_release(xt, model, alpha, joint):
-    """gaussian_release_indices of xt, with the first coordinates of each
-    _map call and the indices of each _walk call, in order: when the
-    interpolant places the first coordinate, its nodes, the main map and
-    the redo of the flagged rows, and the main walk's column 0 holds the
-    root entries it certified (-1 on the rows left to the redo)."""
-    forward, walk, maps, walks = rosenblatt._map, rosenblatt._walk, [], []
+    """gaussian_release_indices of xt, the first coordinates of its _map
+    calls by stage and the indices of each _walk call, in order. The stages
+    are "nodes", the interpolant's, when it places the first coordinate;
+    "main", the main map; and "redo", the exact map of the rows the walks
+    flag; a stage with no _map call is None. The first walk's column 0
+    holds the root entries it certified (-1 on the rows left to the redo):
+    the walk on u~_0 alone where it runs, else the main walk."""
+    forward, walk, root = rosenblatt._map, rosenblatt._walk, rosenblatt._root_interpolant
+    maps, walks, stage = {"nodes": None, "main": None, "redo": None}, [], ["main"]
 
-    def kept_map(X, mix, *args):
-        maps.append(X[:, 0].copy())
-        return forward(X, mix, *args)
+    def kept_root(x0, mix):
+        stage[0] = "nodes"
+        try:
+            return root(x0, mix)
+        finally:
+            stage[0] = "main"
+
+    def kept_map(X, mix, skip_first=False, single=None):
+        key = "redo" if stage[0] == "main" and walks and not skip_first else stage[0]
+        assert maps[key] is None  # one call per stage
+        maps[key] = X[:, 0].copy()
+        return forward(X, mix, skip_first, single)
 
     def kept_walk(u, joint, *args):
         out = walk(u, joint, *args)
@@ -492,6 +545,7 @@ def traced_release(xt, model, alpha, joint):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rosenblatt, "_root_interpolant", kept_root)
         mp.setattr(rosenblatt, "_map", kept_map)
         mp.setattr(rosenblatt, "_walk", kept_walk)
         got = gaussian_release_indices(xt, model, alpha, joint)
@@ -525,14 +579,14 @@ class TestRootEntries:
                 mp.setattr(rosenblatt, "_map", jittered(rosenblatt._map, root_delta(model)))
             want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
             got, maps, walks = traced_release(xt, model, 1 / 3, joint)
-        interpolated = len(maps[0]) < rows  # the nodes, not the main map
+        interpolated = maps["nodes"] is not None
         if rows <= 2 or rows >= 1000:
             assert interpolated == (rows > 2)
         if interpolated:
             roots = walks[0][:, 0]
             sure = roots >= 0
             assert roots[sure].tolist() == want[sure, 0].tolist()
-            assert np.isin(xt[~sure, 0], maps[2] if len(maps) > 2 else []).all()
+            assert np.isin(xt[~sure, 0], maps["redo"] if maps["redo"] is not None else []).all()
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["equal", "outlier", "shifted", "alpha=1e-6",
@@ -568,13 +622,61 @@ class TestRootEntries:
             sure = roots >= 0
             assert not (sure & ~placed).any()
             assert roots[sure].tolist() == want[sure, 0].tolist()
-            # the rows left unplaced are in the one redo, after the nodes
-            # and the main map
-            nodes, main, *redo = maps
-            assert len(redo) <= 1 and np.isin(xt[~sure, 0], redo).all()
+            # the rows left unplaced are in the one redo
+            assert np.isin(xt[~sure, 0], maps["redo"] if maps["redo"] is not None else []).all()
             err = np.abs(u - first_u(xt[:, 0], mix))[placed]
             assert (err < rosenblatt._ROOT_ERR).all()
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=forced_cases(), jitter=st.booleans())
+    def test_forced_paths_are_placed_by_the_root_walk(self, case, jitter):
+        # root entries whose every later table has one entry beside entries
+        # that branch, outliers near 1e15 whose rows the interpolant
+        # declines, and rows within 1e-13 of a root edge; with jitter, u_0
+        # is no longer monotone in x_0. The walk on u~_0 alone runs just
+        # when some key's path past the root is forced; it places those
+        # rows for good, its rows left at the root go to the redo, and the
+        # main map takes exactly the rest
+        table, k, rows, outliers, edges, seed = case
+        state = prepare(table, k, seed=0)
+        model, joint = state.model, state.joint
+        rng = np.random.default_rng(seed)
+        xt = sample_gaussian_batch(model, 1 / 3, rng.integers(0, table.n, rows), rng)
+        xt[rng.integers(0, rows, outliers), 0] = rng.choice([-1.0, 1.0]) * 1e15
+        cumfrac = joint.flat_trie[0][1]
+        mix = rosenblatt._mixture(model, 1 / 3)
+        for e in rng.integers(1, len(cumfrac), edges):
+            xt[rng.integers(0, rows), 0] = root_edge(mix, cumfrac, e)[int(rng.integers(0, 2))]
+        walk, cols = rosenblatt._walk, []
+
+        def col_walk(u, joint, *args):
+            cols.append(u.shape[1])
+            return walk(u, joint, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if jitter:
+                mp.setattr(rosenblatt, "_map", jittered(rosenblatt._map, root_delta(model)))
+            want = inverse_empirical_indices(forward_gaussian(xt, model, 1 / 3), joint)
+            mp.setattr(rosenblatt, "_walk", col_walk)
+            got, maps, walks = traced_release(xt, model, 1 / 3, joint)
+        assert got.tobytes() == want.tobytes()
+        forced = (rosenblatt._key_tables(joint)[0][1:] == 1).all(axis=0)
+        # with u~_0 the main walk reads two columns or more: a one-column
+        # first walk is the walk on u~_0 alone
+        root_walk = maps["nodes"] is not None and cols[0] == 1
+        assert root_walk == (maps["nodes"] is not None and forced.any())
+        if root_walk:
+            first = walks[0]
+            placed = first[:, -1] >= 0
+            assert first[placed].tolist() == want[placed].tolist()
+            key_forced = dict(zip(map(tuple, joint.keys.tolist()), forced))
+            assert all(key_forced[tuple(row)] for row in first[placed].tolist())
+            left = (first[:, 0] >= 0) & ~placed
+            main = maps["main"] if maps["main"] is not None else np.empty(0)
+            assert main.tobytes() == xt[left, 0].tobytes()
+            redo = maps["redo"] if maps["redo"] is not None else np.empty(0)
+            assert np.isin(xt[~placed & ~left, 0], redo).all()
 
     def test_rows_near_an_edge_are_placed_exactly(self, monkeypatch):
         # 81 rows 1e-14 apart around each edge of a 6-entry root table, with
@@ -597,7 +699,7 @@ class TestRootEntries:
         # their order in x_0
         order = np.argsort(x0)
         assert (np.diff(want[order, 0]) < 0).any()
-        nodes, main, again = maps
+        nodes, again = maps["nodes"], maps["redo"]
         assert 2 * len(nodes) < len(x0)
         assert np.isin(near, again).all() and len(again) < len(near) + 10
         assert not np.isin(near, x0[walks[0][:, 0] >= 0]).any()
@@ -679,11 +781,11 @@ def test_release_at_c_1600_matches_the_full_path(monkeypatch, kind):
     state = prepare(workload_table(kind, n=n), 10, seed=0)
     assert len(state.model.sizes) == 1600
     xt = sample_gaussian_batch(state.model, 1 / 3, np.arange(n), np.random.default_rng(3))
-    walk, flagged = rosenblatt._walk, []
+    walk, walks = rosenblatt._walk, []
 
     def counted_walk(u, joint, *args):
         out = walk(u, joint, *args)
-        flagged.append(int((out[:, -1] < 0).sum()))
+        walks.append((u.shape[1], out.copy()))
         return out
 
     monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
@@ -691,8 +793,20 @@ def test_release_at_c_1600_matches_the_full_path(monkeypatch, kind):
     monkeypatch.undo()
     assert got.tobytes() == inverse_empirical_indices(
         forward_gaussian(xt, state.model, 1 / 3), state.joint).tobytes()
-    assert flagged[1:] == [0]
-    assert 0.75 * C1600_REDO_ROWS[kind] <= flagged[0] <= 1.25 * C1600_REDO_ROWS[kind]
+    # on the continuous table a walk on u~_0 alone comes first; the main
+    # walk takes the rows it places at the root but not past it, and the
+    # rows it leaves at the root join the redo
+    if kind == "continuous":
+        (cols, root), *walks = walks
+        assert cols == 1 and len(walks[0][1]) == ((root[:, 0] >= 0) & (root[:, -1] < 0)).sum()
+        root_rows = int((root[:, 0] < 0).sum())
+    else:
+        root_rows = 0
+    (cols, main), (_, again) = walks
+    assert cols == 3 - (kind == "continuous") and (again < 0).sum() == 0
+    flagged = root_rows + int((main[:, -1] < 0).sum())
+    assert len(again) == flagged
+    assert 0.75 * C1600_REDO_ROWS[kind] <= flagged <= 1.25 * C1600_REDO_ROWS[kind]
 
 
 @pytest.mark.parametrize("kind", ["continuous", "ordinal"])
@@ -767,6 +881,23 @@ def test_float32_function_error():
     g = np.linspace(0, 3, 300_001)
     peak = (g / np.cosh(g) ** 2).max()
     assert 0.4477 < peak < 0.4478 and peak + 3e-5 < 0.45  # slope below 1 between points
+
+
+def test_float32_tanh_saturates():
+    # the cheap pass takes Page's g(z) = z (a + b z^2) on float32 planes
+    # without clipping z: past |z| = 9, where |g| > 32.9, numpy's float32
+    # tanh must return +-1 exactly, as it does at g(9). Every 211th float32
+    # from 32 to 2^116 (about 4.4 M points) covers each |g| that _single's
+    # range allows: |z| <= 2^40, even with the float32 residual's error
+    # (nu (a_j + b_j + 1) <= 1e-3 of it) taken at 1%, keeps |g| below
+    # 4.9e34 < 2^116
+    a, b = rosenblatt._PAGE_A, rosenblatt._PAGE_B
+    g9 = np.float32(9) * (np.float32(a) + np.float32(b) * np.float32(81))
+    assert 32.9 < g9 and np.tanh(g9) == 1 and np.tanh(-g9) == -1
+    assert 1.01 * 2.0**40 * (a + b * (1.01 * 2.0**40) ** 2) < 4.9e34 < 2.0**116
+    x = every_float32(32.0, 2.0**116, 211)
+    assert x[0] == 32 and x[-1] > 4.9e34
+    assert (np.tanh(x) == 1).all() and (np.tanh(-x) == -1).all()
 
 
 def test_phi3_grid_maximum():
@@ -977,13 +1108,15 @@ class TestCheapPass:
 
         def counted_walk(u, joint, *args):
             out = walk(u, joint, *args)
-            flagged.append(int((out[:, -1] < 0).sum()))
+            flagged.append((u.shape[1], int((out[:, -1] < 0).sum())))
             return out
 
         monkeypatch.setattr(rosenblatt, "_walk", counted_walk)
         got = gaussian_release_indices(xt, model, 1 / 3, joint)
         assert got.tobytes() == want.tobytes()
-        assert flagged == [len(xt), 0]
+        # the main walk and the redo's: every key branches at level 1, so
+        # no walk on u~_0 alone runs first
+        assert flagged == [(2, len(xt)), (2, 0)]
 
     @settings(max_examples=80, deadline=None)
     @given(case=mixture_cases())
@@ -1123,9 +1256,10 @@ class TestCheapPass:
             assert ((low > 0) & (low < np.finfo(np.float32).tiny)).any()
         if case == "binary x0":
             delta = rosenblatt._cheap_delta(len(state.model.sizes))
-            assert rosenblatt._mapped_width(state.joint) == 3
-            assert rosenblatt._cheap_levels(state.joint, range(2, 3), delta)
-            assert not rosenblatt._cheap_levels(state.joint, range(1, 3), delta)
+            sizes, deep = rosenblatt._key_tables(state.joint)
+            assert rosenblatt._mapped_width(state.joint, deep) == 3
+            assert rosenblatt._cheap_levels(state.joint, sizes, range(2, 3), delta)
+            assert not rosenblatt._cheap_levels(state.joint, sizes, range(1, 3), delta)
         forward, maps = rosenblatt._map, []
 
         def counted_map(X, mix, skip_first=False, single=None):
